@@ -2,7 +2,7 @@
 // evaluation of Definition 1, on the large Rocketfuel networks where the
 // seed's O(network)-per-sample monitor dominated trial wall time.
 //
-//   bench_monitor_incremental [runs_per_mode]
+//   bench_monitor_incremental [calls_per_mode>0]   (default 200)
 //
 // For each topology: bootstrap once, let the system settle, then time (a)
 // incremental check() samples in the converged steady state (these
@@ -11,6 +11,7 @@
 // from scratch). Prints both costs and the speedup; the acceptance bar is
 // >= 10x on ATT and EBONE.
 #include <chrono>
+#include <cmath>
 
 #include "bench_common.hpp"
 
@@ -29,7 +30,7 @@ double time_per_call_us(const std::function<void()>& fn, int calls) {
 
 int main(int argc, char** argv) {
   using namespace ren;
-  const int calls = argc > 1 ? std::atoi(argv[1]) : 200;
+  const int calls = bench::trials_from_argv(argc, argv, /*def=*/200);
 
   bench::print_header(
       "Monitor cost — incremental vs full",
@@ -87,7 +88,8 @@ int main(int argc, char** argv) {
     const double speedup = full_us / incr_us;
     std::printf("%-10s %14.2f %14.2f %9.1fx\n", topology.c_str(), incr_us,
                 full_us, speedup);
-    if (speedup < 10.0) all_pass = false;
+    // A non-finite speedup (a zero or NaN timing) is a failed measurement.
+    if (!(std::isfinite(speedup) && speedup >= 10.0)) all_pass = false;
   }
   std::printf("%s\n", all_pass ? "PASS (>=10x on all networks)"
                                : "FAIL (<10x somewhere, see above)");

@@ -19,8 +19,11 @@ namespace {
 /// happens-before edge, and the count's value can depend on wall-clock
 /// interleaving. Clone instead there — the clone path is behaviourally
 /// identical (only the rotated/cloned stat split moves), so outcomes stay
-/// bit-identical to the serial kernel.
-bool uniquely_owned(const proto::MessagePtr& msg) {
+/// bit-identical to the serial kernel. Takes the cached non-const pointer
+/// itself: binding it to a proto::MessagePtr (shared_ptr<const Message>)
+/// would convert through a temporary whose extra reference makes the count
+/// never 1.
+bool uniquely_owned(const std::shared_ptr<proto::Message>& msg) {
   return msg.use_count() == 1 && !net::Simulator::concurrent_context();
 }
 
@@ -347,7 +350,6 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
     c.push_back(proto::UpdateRuleCmd{hooks_.rules_for(peer), curr_tag});
   }
 
-  std::size_t checked = 0;
   for (NodeId peer : peers) {
     proto::CommandBatch batch;
     batch.from = self_;
@@ -364,6 +366,16 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
           "BatchPlanner paranoia: no planned batch for peer " +
           std::to_string(peer));
     }
+    // The Fig. 9 accounting: the count the planner reported to the send
+    // hook is the key's, so it must match the oracle batch too.
+    if (eit->second.key.command_count() != batch.commands.size()) {
+      throw std::logic_error(
+          "BatchPlanner paranoia: key command count " +
+          std::to_string(eit->second.key.command_count()) +
+          " != from-scratch batch size " +
+          std::to_string(batch.commands.size()) + " for peer " +
+          std::to_string(peer));
+    }
     std::string want, got;
     proto::debug_encode(proto::Message{std::move(batch)}, want);
     proto::debug_encode(*eit->second.msg, got);
@@ -373,7 +385,6 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
           "from-scratch build for peer " +
           std::to_string(peer));
     }
-    ++checked;
     ++stats_.paranoid_checks;
   }
   // The planner must not have sent to anyone the shadow would not.
@@ -384,7 +395,6 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
           std::to_string(peer));
     }
   }
-  (void)checked;
 }
 
 }  // namespace ren::core

@@ -29,7 +29,8 @@
 // Config::paranoid mirrors the view-cache differential pattern: every
 // planned batch is shadowed by a from-scratch build using the seed's
 // std::set-based preparation, and any divergence in the canonical byte
-// encoding (proto::debug_encode) throws std::logic_error.
+// encoding (proto::debug_encode) or in the key's command count throws
+// std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -70,8 +71,7 @@ class BatchPlanner {
     /// myRules() for switch j under the current reference view.
     std::function<proto::RuleListPtr(NodeId)> rules_for;
     /// Deletion accounting (Theorem 1 experiments); called once per victim
-    /// per prepared switch per tick, planned or spilled, exactly like the
-    /// seed's prepare_switch_commands.
+    /// per prepared switch per tick, planned or spilled.
     std::function<void(NodeId victim)> note_deletion;
     /// Submit one planned batch. `commands` is the logical command count of
     /// the batch (the Fig. 9 accounting), identical whether the message was

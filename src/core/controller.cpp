@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "faults/adversary.hpp"
-#include "util/log.hpp"
 
 namespace ren::core {
 
@@ -46,7 +45,6 @@ Controller::Controller(NodeId id, Config config)
                          std::size_t>(this->id())] += commands;
                      endpoint_.submit(peer, std::move(msg));
                    }}) {
-  views_.set_enabled(config_.cache_views);
   views_.set_paranoid(config_.paranoid_views);
   curr_tag_ = tags_.next();
   prev_tag_ = proto::kNullTag;
@@ -121,10 +119,6 @@ bool Controller::round_complete() const {
 // --- The do-forever body -----------------------------------------------------
 
 void Controller::run_iteration() {
-  if (!config_.cache_views) {
-    run_iteration_legacy();
-    return;
-  }
   ++stats_.iterations;
   ++sim_->counters().iterations[static_cast<std::size_t>(id())];
 
@@ -162,96 +156,23 @@ void Controller::run_iteration() {
   if (current_flows_ != prior_flows) ++change_epoch_;
   rebuild_merged_rules(refer.view, refer.transit);
 
+  // Lines 14-19 via the batch planner: each per-peer batch is assembled at
+  // most once per input-state change; unchanged batches are resubmitted as
+  // the identical shared payload, round flips rotate in place. The flows
+  // fingerprint + data-flow revision identify rules_for_switch's output
+  // (exactly the key rebuild_merged_rules caches on).
   if (fanout_probe_) fanout_probe_(true);
-  if (config_.plan_batches) {
-    // Lines 14-19 via the batch planner: each per-peer batch is assembled at
-    // most once per input-state change; unchanged batches are resubmitted as
-    // the identical shared payload, round flips rotate in place. The flows
-    // fingerprint + data-flow revision identify rules_for_switch's output
-    // (exactly the key rebuild_merged_rules caches on).
-    planner_.plan_fanout(
-        db_, refer, res_prev, fusion, curr_tag_, new_round,
-        current_flows_ != nullptr ? current_flows_->view_fingerprint : ~0ULL,
-        data_flow_revision_);
-    if (!planner_.last_was_rotation()) {
-      // The recipients changed: re-derive the transport keep-set. On gate
-      // rotations the peer set (and thus the keep-set) is unchanged, so the
-      // prune would be a no-op sweep.
-      prune_transport_sessions(planner_.last_peers());
-    }
-    if (fanout_probe_) fanout_probe_(false);
-    return;
+  planner_.plan_fanout(
+      db_, refer, res_prev, fusion, curr_tag_, new_round,
+      current_flows_ != nullptr ? current_flows_->view_fingerprint : ~0ULL,
+      data_flow_revision_);
+  if (!planner_.last_was_rotation()) {
+    // The recipients changed: re-derive the transport keep-set (sessions
+    // only for current peers and physically attached neighbors). On gate
+    // rotations the peer set (and thus the keep-set) is unchanged, so the
+    // prune would be a no-op sweep.
+    prune_transport_sessions(planner_.last_peers());
   }
-
-  // Line 19's recipients: every node reachable in G(fusion), sorted. The
-  // peer list and the per-peer command vectors are allocation-light: flat
-  // vectors reused across ticks instead of a std::set plus a
-  // std::map<NodeId, std::vector<Command>> rebuilt every iteration.
-  peers_scratch_.clear();
-  for (NodeId n : fusion.reach) {
-    if (n != id()) peers_scratch_.push_back(n);
-  }
-  std::sort(peers_scratch_.begin(), peers_scratch_.end());
-  if (cmd_scratch_.size() < peers_scratch_.size()) {
-    cmd_scratch_.resize(peers_scratch_.size());
-  }
-  for (auto& c : cmd_scratch_) c.clear();
-  auto peer_slot = [&](NodeId j) -> std::vector<proto::Command>* {
-    const auto it =
-        std::lower_bound(peers_scratch_.begin(), peers_scratch_.end(), j);
-    if (it == peers_scratch_.end() || *it != j) return nullptr;
-    return &cmd_scratch_[static_cast<std::size_t>(it - peers_scratch_.begin())];
-  };
-
-  // Lines 14-18: per-switch command preparation. A replied switch that is
-  // not fusion-reachable this tick still runs the preparation (deletion
-  // accounting is observable) into a spill slot whose batch is never sent —
-  // matching the seed, which built and then dropped such batches.
-  for (NodeId j : refer.reply_ids) {
-    const proto::QueryReply* m = db_.find(j);
-    if (m == nullptr || m->from_controller) continue;
-    std::vector<proto::Command>* out = peer_slot(j);
-    if (out == nullptr) {
-      cmd_spill_.clear();
-      out = &cmd_spill_;
-    }
-    prepare_switch_commands(
-        *m, new_round, [&](NodeId k) { return res_prev.reachable(k); }, *out);
-  }
-
-  // Modify-by-neighbor (Section 2.1.1): a discovered switch that has not
-  // replied yet — or whose stale rules blackhole its replies — still gets
-  // a manager entry and a flow back to this controller, installed through
-  // its neighbors. Without this, a switch whose pre-change reverse rules
-  // point into a failed region could never report in. Controllers ignore
-  // these commands, so optimistically treating unknown nodes as switches
-  // is safe.
-  for (std::size_t i = 0; i < peers_scratch_.size(); ++i) {
-    const NodeId peer = peers_scratch_[i];
-    auto& c = cmd_scratch_[i];
-    if (!c.empty()) continue;
-    auto t = fusion.transit.find(peer);
-    if (t != fusion.transit.end() && !t->second) continue;  // controller
-    c.push_back(proto::AddMngrCmd{id()});
-    c.push_back(proto::UpdateRuleCmd{rules_for_switch(peer), curr_tag_});
-  }
-  // Line 19: aggregated batch + query to every reachable node.
-  for (std::size_t i = 0; i < peers_scratch_.size(); ++i) {
-    const NodeId peer = peers_scratch_[i];
-    proto::CommandBatch batch;
-    batch.from = id();
-    batch.commands.reserve(cmd_scratch_[i].size() + 2);
-    batch.commands.push_back(
-        proto::NewRoundCmd{curr_tag_, config_.rule_retention});
-    for (auto& c : cmd_scratch_[i]) batch.commands.push_back(std::move(c));
-    batch.commands.push_back(proto::QueryCmd{curr_tag_});
-    sim_->counters().ctrl_commands_sent[static_cast<std::size_t>(id())] +=
-        batch.commands.size();
-    endpoint_.submit(peer, proto::Message{std::move(batch)});
-  }
-  // Keep transport state bounded: sessions only for current peers and
-  // physically attached neighbors.
-  prune_transport_sessions(peers_scratch_);
   if (fanout_probe_) fanout_probe_(false);
 }
 
@@ -263,220 +184,6 @@ void Controller::iterate() {
   }
   endpoint_.tick();  // retransmit unacknowledged frames
   sim_->schedule_for(id(), config_.task_delay, [this] { iterate(); });
-}
-
-// --- The pre-cache baseline ---------------------------------------------------
-//
-// The seed's do-forever body, preserved as Config::cache_views = false: the
-// res/fusion views are rebuilt from the replyDB at every consumer (twice in
-// the prune, once for round completion, three times for reference
-// selection), reachability is a std::set-seeded BFS per use with linear
-// membership scans, and the command fan-out rebuilds a std::set peer list
-// plus a std::map of command vectors each tick. bench_controller_hotpath
-// measures the cached pipeline against exactly this.
-
-namespace {
-
-struct LegacyRes {
-  flows::TopoView view;
-  std::map<NodeId, bool> transit;
-  std::set<NodeId> reply_ids;
-};
-
-LegacyRes legacy_build_res(NodeId self, const ReplyDb& db, proto::Tag tag,
-                           const detect::ThetaDetector& detector) {
-  LegacyRes res;
-  res.view.add_node(self);
-  res.transit[self] = false;
-  for (NodeId n : detector.live()) res.view.add_edge(self, n);
-  for (const auto& [rid, m] : db.entries()) {
-    if (!(m.tag_for_querier == tag)) continue;
-    res.view.add_node(m.id);
-    for (NodeId n : m.nc) res.view.add_edge(m.id, n);
-    res.transit[m.id] = !m.from_controller;
-    res.reply_ids.insert(m.id);
-  }
-  return res;
-}
-
-LegacyRes legacy_build_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
-                              proto::Tag prev,
-                              const detect::ThetaDetector& detector) {
-  LegacyRes res;
-  res.view.add_node(self);
-  res.transit[self] = false;
-  for (NodeId n : detector.live()) res.view.add_edge(self, n);
-  for (const auto& [rid, m] : db.entries()) {
-    const bool is_curr = m.tag_for_querier == curr;
-    const bool is_prev = m.tag_for_querier == prev;
-    if (!is_curr && !is_prev) continue;
-    if (is_prev && !is_curr) {
-      const proto::QueryReply* other = db.find(m.id);
-      if (other != nullptr && other->tag_for_querier == curr) continue;
-    }
-    res.view.add_node(m.id);
-    for (NodeId n : m.nc) res.view.add_edge(m.id, n);
-    res.transit[m.id] = !m.from_controller;
-    res.reply_ids.insert(m.id);
-  }
-  return res;
-}
-
-}  // namespace
-
-void Controller::run_iteration_legacy() {
-  ++stats_.iterations;
-  ++sim_->counters().iterations[static_cast<std::size_t>(id())];
-
-  {  // line 8: prune with full reachable sets and linear membership scans
-    const LegacyRes res_curr = legacy_build_res(id(), db_, curr_tag_, detector_);
-    const LegacyRes res_prev = legacy_build_res(id(), db_, prev_tag_, detector_);
-    const auto curr_reach = res_curr.view.reachable_set(id());
-    const auto prev_reach = res_prev.view.reachable_set(id());
-    auto in = [](const std::vector<NodeId>& v, NodeId x) {
-      return std::find(v.begin(), v.end(), x) != v.end();
-    };
-    db_.erase_if([&](const proto::QueryReply& m) {
-      if (m.id == id()) return true;
-      if (m.tag_for_querier == curr_tag_) return !in(curr_reach, m.id);
-      if (m.tag_for_querier == prev_tag_) return !in(prev_reach, m.id);
-      return true;
-    });
-  }
-
-  bool new_round = false;  // lines 9-12
-  {
-    const LegacyRes res = legacy_build_res(id(), db_, curr_tag_, detector_);
-    bool complete = true;
-    for (NodeId n : res.view.reachable_set(id())) {
-      if (n == id()) continue;
-      if (res.reply_ids.count(n) == 0) {
-        complete = false;
-        break;
-      }
-    }
-    if (complete) {
-      new_round = true;
-      ++stats_.rounds_started;
-      prev_tag_ = curr_tag_;
-      curr_tag_ = tags_.next();
-      db_.erase_if([this](const proto::QueryReply& m) {
-        return m.tag_for_querier == curr_tag_;
-      });
-    }
-  }
-
-  // Line 13: reference tag selection.
-  LegacyRes res_prev = legacy_build_res(id(), db_, prev_tag_, detector_);
-  LegacyRes res_curr = legacy_build_res(id(), db_, curr_tag_, detector_);
-  LegacyRes fusion =
-      legacy_build_fusion(id(), db_, curr_tag_, prev_tag_, detector_);
-  const bool topo_stable = fusion.view == res_prev.view;
-  const LegacyRes& refer = topo_stable ? res_prev : res_curr;
-  if (!(fusion_view_ == fusion.view)) {
-    fusion_view_ = fusion.view;
-    ++change_epoch_;
-  }
-
-  const flows::CompiledFlowsPtr prior_flows = current_flows_;
-  current_flows_ = compiler_.compile_cached(refer.view, id(), refer.transit);
-  if (current_flows_ != prior_flows) ++change_epoch_;
-  rebuild_merged_rules(refer.view, refer.transit);
-
-  // Lines 14-18: per-switch command preparation (BFS per reachability ask).
-  std::map<NodeId, std::vector<proto::Command>> cmds;
-  for (NodeId j : refer.reply_ids) {
-    const proto::QueryReply* m = db_.find(j);
-    if (m == nullptr || m->from_controller) continue;
-    prepare_switch_commands(
-        *m, new_round,
-        [&](NodeId k) { return res_prev.view.reachable(id(), k); }, cmds[j]);
-  }
-
-  // Line 19: aggregated batch + query to every reachable node.
-  std::set<NodeId> peers;
-  for (NodeId n : fusion.view.reachable_set(id())) {
-    if (n != id()) peers.insert(n);
-  }
-  for (NodeId peer : peers) {
-    if (cmds.count(peer) != 0) continue;
-    auto t = fusion.transit.find(peer);
-    if (t != fusion.transit.end() && !t->second) continue;  // controller
-    auto& c = cmds[peer];
-    c.push_back(proto::AddMngrCmd{id()});
-    c.push_back(proto::UpdateRuleCmd{rules_for_switch(peer), curr_tag_});
-  }
-  for (NodeId peer : peers) {
-    proto::CommandBatch batch;
-    batch.from = id();
-    batch.commands.push_back(
-        proto::NewRoundCmd{curr_tag_, config_.rule_retention});
-    if (auto it = cmds.find(peer); it != cmds.end()) {
-      for (auto& c : it->second) batch.commands.push_back(std::move(c));
-    }
-    batch.commands.push_back(proto::QueryCmd{curr_tag_});
-    sim_->counters().ctrl_commands_sent[static_cast<std::size_t>(id())] +=
-        batch.commands.size();
-    endpoint_.submit(peer, proto::Message{std::move(batch)});
-  }
-  std::set<NodeId> keep = peers;
-  for (const auto& e : sim_->network().adjacency(id())) keep.insert(e.neighbor);
-  const std::vector<NodeId> keep_sorted(keep.begin(), keep.end());
-  endpoint_.retain_only(keep_sorted);
-}
-
-template <typename ReachFn>
-void Controller::prepare_switch_commands(const proto::QueryReply& m,
-                                         bool new_round,
-                                         ReachFn&& prev_reachable,
-                                         std::vector<proto::Command>& out) {
-  // Owners that have rules (the per-controller meta rule counts, as in the
-  // paper where it is installed by 'newRound' before any update).
-  std::set<NodeId> owners;
-  for (const auto& s : m.rule_owners) owners.insert(s.cid);
-
-  // Line 15: M = managers with rules, reachable (on new rounds), plus self.
-  std::set<NodeId> managers(m.managers.begin(), m.managers.end());
-  std::set<NodeId> M;
-  for (NodeId k : managers) {
-    if (owners.count(k) == 0) continue;
-    if (new_round && !prev_reachable(k)) continue;
-    M.insert(k);
-  }
-  M.insert(id());
-
-  // Lines 16-17: remove stale managers and stale rules. We evict a stale
-  // controller *atomically* — both its manager entry and its rules in the
-  // same batch, even when the snapshot showed only one half — so that the
-  // switch never ends up with a half-deleted entry. (With the literal
-  // one-half deletions of the pseudo-code, two controllers with fixed timer
-  // phases can drive each other into a manager-without-rules /
-  // rules-without-manager flip-flop forever; the commands are idempotent,
-  // so the combined eviction is a faithful strengthening. See DESIGN.md.)
-  if (config_.memory_adaptive) {
-    std::set<NodeId> victims;
-    for (NodeId k : managers) {
-      if (M.count(k) == 0) victims.insert(k);
-    }
-    for (NodeId k : owners) {
-      if (M.count(k) == 0 && k != id()) victims.insert(k);
-    }
-    for (NodeId k : victims) {
-      REN_LOG(Debug,
-              "t=%.3fs ctrl %d evicts %d @sw %d (mngr=%d owner=%d "
-              "newround=%d reach=%d)",
-              to_seconds(sim_->now()), id(), k, m.id, (int)managers.count(k),
-              (int)owners.count(k), (int)new_round,
-              (int)prev_reachable(k));
-      out.push_back(proto::DelMngrCmd{k});
-      out.push_back(proto::DelAllRulesCmd{k});
-      note_deletion(k);
-    }
-  }
-  out.push_back(proto::AddMngrCmd{id()});
-
-  // Line 18: refresh own rules with the current round's tag.
-  out.push_back(proto::UpdateRuleCmd{rules_for_switch(m.id), curr_tag_});
 }
 
 void Controller::note_deletion(NodeId victim) {

@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
-#include <set>
 #include <vector>
 
 #include "core/batch_planner.hpp"
@@ -60,17 +58,9 @@ class Controller : public net::Node {
     std::size_t max_replies = 1024;  ///< >= 2(N_C+N_S) per the paper
     bool memory_adaptive = true;     ///< false = Section 8.1 variant
     int rule_retention = 2;          ///< 3 = Section 6.2 variant
-    /// One cached view construction per tick (false = rebuild the res/fusion
-    /// views at every consumer, the pre-cache behavior; bench baseline).
-    bool cache_views = true;
     /// Differential-test mode: shadow every cached view with a from-scratch
     /// build and throw std::logic_error on divergence (slow; tests/CI only).
     bool paranoid_views = false;
-    /// Plan per-peer command batches once per input-state change and share
-    /// the immutable payloads through the transport (false = rebuild every
-    /// CommandBatch from scratch each tick, the seed behavior; bench
-    /// baseline).
-    bool plan_batches = true;
     /// Differential-test mode: shadow every planned batch with a
     /// from-scratch build and throw std::logic_error unless the wire
     /// encodings are byte-equal (slow; tests/CI only).
@@ -128,16 +118,15 @@ class Controller : public net::Node {
   void run_iteration();
 
   /// Bench hook: called with `true` right before and `false` right after
-  /// every *scheduled* do-forever body. Lets bench_controller_hotpath time
-  /// the real in-situ iterations instead of injecting extra ones (an extra
-  /// body advances round tags and would perturb the protocol under test).
+  /// every *scheduled* do-forever body. Lets a profiler time the real
+  /// in-situ iterations instead of injecting extra ones (an extra body
+  /// advances round tags and would perturb the protocol under test).
   void set_iteration_probe(std::function<void(bool begin)> probe) {
     iteration_probe_ = std::move(probe);
   }
 
   /// Bench hook bracketing the line-19 fan-out (batch assembly + transport
-  /// submit + session pruning) inside a scheduled iteration; bench_fanout
-  /// times the planned pipeline against Config::plan_batches = false.
+  /// submit + session pruning) inside a scheduled iteration.
   void set_fanout_probe(std::function<void(bool begin)> probe) {
     fanout_probe_ = std::move(probe);
   }
@@ -171,10 +160,6 @@ class Controller : public net::Node {
  private:
   void iterate();  // run_iteration() + endpoint tick + reschedule
   void detect_tick();
-  /// The seed's do-forever body, preserved verbatim as the measured
-  /// pre-cache baseline (Config::cache_views = false): every view rebuilt
-  /// at every consumer, std::set-seeded BFS, linear membership scans.
-  void run_iteration_legacy();
 
   /// Synchronize the view cache with the current (replyDB, tags, detector).
   void refresh_views();
@@ -184,14 +169,6 @@ class Controller : public net::Node {
   void prune_reply_db();
   [[nodiscard]] bool round_complete() const;
 
-  /// Commands for switch `j` given its reply in the reference view
-  /// (lines 14-18). Appends into `out`. `prev_reachable(k)` answers
-  /// reachability of k from this controller in G(res(prevTag)) — O(1)
-  /// against the cached view, a per-call BFS on the legacy baseline path.
-  template <typename ReachFn>
-  void prepare_switch_commands(const proto::QueryReply& m, bool new_round,
-                               ReachFn&& prev_reachable,
-                               std::vector<proto::Command>& out);
   [[nodiscard]] proto::RuleListPtr rules_for_switch(NodeId j);
   void rebuild_merged_rules(const flows::TopoView& refer_view,
                             const std::map<NodeId, bool>& refer_transit);
@@ -214,14 +191,6 @@ class Controller : public net::Node {
   ViewCache views_;
   BatchPlanner planner_;
 
-  // Reusable command fan-out scratch (line 19): the sorted peer list and one
-  // command vector per peer, plus a spill slot for replied switches that are
-  // not fusion-reachable this tick. Cleared, never shrunk, between ticks.
-  // (Only the plan_batches=false baseline builds commands here; the planned
-  // path keeps its own scratch inside BatchPlanner.)
-  std::vector<NodeId> peers_scratch_;
-  std::vector<std::vector<proto::Command>> cmd_scratch_;
-  std::vector<proto::Command> cmd_spill_;
   std::vector<NodeId> keep_scratch_;  ///< sorted retain_only feed
 
   flows::CompiledFlowsPtr current_flows_;    ///< last compiled control flows

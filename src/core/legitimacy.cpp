@@ -119,11 +119,8 @@ std::uint64_t LegitimacyMonitor::live_signature() const {
 LegitimacyMonitor::Status LegitimacyMonitor::check() {
   ++stats_.checks;
   Status st;
-  if (!config_.incremental) {
-    ++stats_.full_evaluations;
-    st = check_full();
-  } else if (const std::uint64_t epoch = stack_epoch();
-             verdict_valid_ && epoch == verdict_epoch_) {
+  if (const std::uint64_t epoch = stack_epoch();
+      verdict_valid_ && epoch == verdict_epoch_) {
     ++stats_.short_circuits;
     st = verdict_;
   } else {
@@ -161,12 +158,8 @@ LegitimacyMonitor::Status LegitimacyMonitor::evaluate(
 
   if (Status s = check_views(truth, fresh); !s.legitimate) return s;
   if (Status s = check_managers(fresh); !s.legitimate) return s;
-  if (config_.check_rule_content) {
-    if (Status s = check_rules(truth, fresh); !s.legitimate) return s;
-  }
-  if (config_.check_rule_walk) {
-    if (Status s = check_walks(truth, fresh); !s.legitimate) return s;
-  }
+  if (Status s = check_rules(truth, fresh); !s.legitimate) return s;
+  if (Status s = check_walks(truth, fresh); !s.legitimate) return s;
   return {true, ""};
 }
 

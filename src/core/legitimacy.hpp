@@ -47,11 +47,6 @@ class LegitimacyMonitor {
  public:
   struct Config {
     int kappa = 2;
-    bool check_rule_content = true;
-    bool check_rule_walk = true;
-    /// Epoch-gated incremental verification (false = every check() is a
-    /// fresh full evaluation, the pre-epoch behavior).
-    bool incremental = true;
     /// Differential-test mode: run the full check alongside the incremental
     /// one on every sample and throw std::logic_error when verdicts diverge.
     bool paranoid = false;
@@ -80,8 +75,8 @@ class LegitimacyMonitor {
     std::uint64_t paranoid_shadows = 0;   ///< differential full checks run
   };
 
-  /// Evaluate Definition 1 against the current global state (incremental
-  /// when configured; throws std::logic_error on a paranoid divergence).
+  /// Evaluate Definition 1 against the current global state, incrementally
+  /// (throws std::logic_error on a paranoid divergence).
   [[nodiscard]] Status check();
 
   /// Fresh, memo-free evaluation of Definition 1 — the ground truth the

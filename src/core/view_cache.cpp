@@ -101,7 +101,7 @@ void ViewCache::refresh(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
   ++stats_.refreshes;
   const std::uint64_t db_rev = db.revision();
   const std::uint64_t live_epoch = detector.liveness_epoch();
-  if (enabled_ && key_.valid && key_.db_revision == db_rev &&
+  if (key_.valid && key_.db_revision == db_rev &&
       key_.liveness_epoch == live_epoch && key_.curr == curr &&
       key_.prev == prev) {
     ++stats_.hits;
@@ -132,11 +132,11 @@ void ViewCache::resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
   const std::uint64_t shape = db.view_shape_revision();
   const std::uint64_t live = detector.liveness_epoch();
   auto all_match = [&](const ResView* s) {
-    return enabled_ && s->coverage == ResView::Coverage::All &&
+    return s->coverage == ResView::Coverage::All &&
            s->shape_revision == shape && s->liveness_epoch == live;
   };
   auto empty_match = [&](const ResView* s) {
-    return enabled_ && s->coverage == ResView::Coverage::Empty &&
+    return s->coverage == ResView::Coverage::Empty &&
            s->liveness_epoch == live;
   };
   // `full` gets the all-entries view, `empty` the self-only view. An

@@ -94,9 +94,6 @@ class ViewCache {
 
   /// Differential mode: shadow every refresh with from-scratch builds.
   void set_paranoid(bool paranoid) { paranoid_ = paranoid; }
-  /// Disabled, every refresh() rebuilds from scratch — the pre-cache
-  /// behavior, kept as the bench baseline and a debugging escape hatch.
-  void set_enabled(bool enabled) { enabled_ = enabled; }
 
   /// Synchronize the three views with (db, tags, detector). O(1) when the
   /// key is unchanged; a clean round flip rotates slots; anything else
@@ -160,7 +157,6 @@ class ViewCache {
   enum class FusionAlias { None, Prev, Curr };
 
   NodeId self_;
-  bool enabled_ = true;
   bool paranoid_ = false;
   Key key_;
   // Three long-lived slots addressed through pointers so a rotation is a

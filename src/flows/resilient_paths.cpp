@@ -1,43 +1,6 @@
 #include "flows/resilient_paths.hpp"
 
-#include <deque>
-#include <set>
-
 namespace ren::flows {
-
-std::vector<std::vector<int>> edge_disjoint_paths(const Graph& g, int s, int t,
-                                                  int count) {
-  std::vector<std::vector<int>> paths;
-  std::set<std::pair<int, int>> used;  // directed pairs, both directions added
-
-  for (int k = 0; k < count; ++k) {
-    std::vector<int> parent(static_cast<std::size_t>(g.n()), -1);
-    parent[static_cast<std::size_t>(s)] = s;
-    std::deque<int> q{s};
-    while (!q.empty() && parent[static_cast<std::size_t>(t)] < 0) {
-      const int u = q.front();
-      q.pop_front();
-      for (int v : g.neighbors(u)) {
-        if (parent[static_cast<std::size_t>(v)] >= 0) continue;
-        if (used.count({u, v})) continue;
-        parent[static_cast<std::size_t>(v)] = u;
-        q.push_back(v);
-      }
-    }
-    if (parent[static_cast<std::size_t>(t)] < 0) break;
-    std::vector<int> path;
-    for (int v = t; v != s; v = parent[static_cast<std::size_t>(v)])
-      path.push_back(v);
-    path.push_back(s);
-    std::reverse(path.begin(), path.end());
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      used.insert({path[i], path[i + 1]});
-      used.insert({path[i + 1], path[i]});
-    }
-    paths.push_back(std::move(path));
-  }
-  return paths;
-}
 
 WalkResult rule_walk(
     NodeId src, NodeId dst, const std::vector<NodeId>& first_hops,

@@ -1,8 +1,8 @@
 // kappa-fault-resilient flows (paper Section 2.2.2).
 //
-// Verification-side helpers: extraction of edge-disjoint paths and a
-// rule-walk simulator used by the legitimacy monitor and the property tests
-// to check that installed rules really survive up to kappa link failures.
+// Verification-side helper: a rule-walk simulator used by the legitimacy
+// monitor and the property tests to check that installed rules really
+// survive up to kappa link failures.
 #pragma once
 
 #include <functional>
@@ -13,12 +13,6 @@
 #include "util/types.hpp"
 
 namespace ren::flows {
-
-/// Up to `count` pairwise edge-disjoint s->t paths, shortest first, found by
-/// successive BFS that avoids previously used edges. Deterministic: BFS
-/// explores neighbors in sorted order (the paper's "first shortest path").
-std::vector<std::vector<int>> edge_disjoint_paths(const Graph& g, int s, int t,
-                                                  int count);
 
 /// Walks a packet from `src` toward `dst` using a forwarding oracle:
 /// `next_hop(at, pkt_src, pkt_dst)` returns the chosen out-neighbor at a

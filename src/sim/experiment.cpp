@@ -106,9 +106,7 @@ void Experiment::build() {
   c_cfg.max_replies = max_replies;
   c_cfg.memory_adaptive = config_.memory_adaptive;
   c_cfg.rule_retention = config_.rule_retention;
-  c_cfg.cache_views = config_.cache_views;
   c_cfg.paranoid_views = config_.views_paranoid;
-  c_cfg.plan_batches = config_.plan_batches;
   c_cfg.paranoid_batches = config_.batches_paranoid;
   for (int k = 0; k < n_controllers; ++k) {
     controllers_.push_back(&sim_.emplace_node<core::Controller>(
@@ -178,8 +176,6 @@ void Experiment::build() {
 
   core::LegitimacyMonitor::Config m_cfg;
   m_cfg.kappa = config_.kappa;
-  m_cfg.check_rule_walk = config_.check_rule_walk;
-  m_cfg.incremental = config_.monitor_incremental;
   m_cfg.paranoid = config_.monitor_paranoid;
   monitor_ = std::make_unique<core::LegitimacyMonitor>(sim_, controllers_,
                                                        switches_, m_cfg);

@@ -57,17 +57,12 @@ struct ExperimentConfig {
   /// fine steps and consults the monitor as soon as some change epoch moved,
   /// falling back to monitor_interval as the ceiling between checks.
   bool adaptive_monitor = true;
-  bool monitor_incremental = true;    ///< epoch-gated incremental monitor
   /// Differential-test mode: shadow every incremental verdict with a full
   /// check and throw on divergence (slow; tests/CI only).
   bool monitor_paranoid = false;
-  bool cache_views = true;  ///< per-tick controller view cache (PR 3)
   /// Differential-test mode: shadow every cached controller view with a
   /// from-scratch build and throw on divergence (slow; tests/CI only).
   bool views_paranoid = false;
-  /// Per-peer batch planning + shared immutable payloads (PR 4); false =
-  /// rebuild every outbound CommandBatch from scratch per tick (baseline).
-  bool plan_batches = true;
   /// Differential-test mode: shadow every planned batch with a from-scratch
   /// build and throw unless byte-equal (slow; tests/CI only).
   bool batches_paranoid = false;
@@ -78,7 +73,6 @@ struct ExperimentConfig {
   /// kernel; 1 = serial. Outcomes are bit-identical at any value.
   int sim_threads = 1;
   bool with_hosts = false;            ///< attach a host pair at max distance
-  bool check_rule_walk = true;        ///< monitor strictness
   /// Event budget: run_until_legitimate additionally gives up once the
   /// simulator has executed this many events in total (0 = unlimited). The
   /// Fig. 7 sweep needs it — at tiny task delays a non-converging run

@@ -77,12 +77,15 @@ TEST(BatchPlannerParanoid, SteadyStateRotatesWithoutRebuilding) {
   }
   const auto after = exp.controller(0).batch_planner().stats();
   // Converged rounds flip the tag every tick, but tag churn alone must
-  // never rebuild a batch: every planned batch is a reuse, a rotation, or a
-  // shared alias of one (the clone of a still-referenced shared message).
+  // never rebuild a batch: it retags the cached message in place. Only a
+  // message still referenced elsewhere is cloned (the query-only batch
+  // shared by the controller peers), so clones stay a small minority.
   EXPECT_EQ(after.rebuilt, before.rebuilt);
   EXPECT_GT(after.planned, before.planned);
-  EXPECT_GT(after.rotated + after.reused + after.shared + after.cloned,
-            before.rotated + before.reused + before.shared + before.cloned);
+  const std::uint64_t rotated = after.rotated - before.rotated;
+  const std::uint64_t cloned = after.cloned - before.cloned;
+  EXPECT_GT(rotated, 0u);
+  EXPECT_LE(cloned * 10, rotated) << "cloned " << cloned;
   // And the fan-out *gate* carries the steady state: no input moved, so the
   // whole fan-out is served as a rotation without a single key re-derived.
   EXPECT_EQ(after.full_plans, before.full_plans);
@@ -162,31 +165,27 @@ TEST(BatchPlannerParanoid, ScenarioTimelinesPass) {
   }
 }
 
-TEST(BatchPlanner, DisabledModeStillConverges) {
-  auto cfg = fast_config("B4", 3);
-  cfg.plan_batches = false;  // the seed's rebuild-every-tick baseline
-  sim::Experiment exp(cfg);
-  bootstrap_or_fail(exp);
-  EXPECT_EQ(exp.controller(0).batch_planner().stats().planned, 0u);
-}
-
 TEST(BatchPlanner, FigNineAccountingMatchesTheBaseline) {
-  // Planned and baseline fan-out must agree on the logical send accounting:
-  // same per-controller command and message counts for the same seeded
-  // bootstrap (what keeps bench_fig09 unchanged by default).
-  for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    std::vector<std::uint64_t> commands[2], messages[2];
-    for (const bool planned : {false, true}) {
-      auto cfg = fast_config("B4", 3, /*kappa=*/2, seed);
-      cfg.plan_batches = planned;
-      sim::Experiment exp(cfg);
-      const auto r = exp.run_until_legitimate(sec(60));
-      ASSERT_TRUE(r.converged) << r.last_reason;
-      commands[planned] = r.commands;
-      messages[planned] = r.messages;
-    }
-    EXPECT_EQ(commands[0], commands[1]) << "seed " << seed;
-    EXPECT_EQ(messages[0], messages[1]) << "seed " << seed;
+  // The logical send accounting behind bench_fig09 (per-controller command
+  // and message counts of a seeded bootstrap) is pinned to the values the
+  // rebuild-every-tick fan-out produced, with the from-scratch differential
+  // live so every key's command count is also checked against its oracle
+  // batch on every tick.
+  struct Want {
+    std::uint64_t seed;
+    std::vector<std::uint64_t> commands, messages;
+  };
+  const Want wants[] = {
+      {1, {158, 160, 162}, {46, 45, 47}},
+      {2, {162, 162, 156}, {47, 47, 44}},
+      {3, {206, 252, 210}, {62, 75, 63}},
+  };
+  for (const Want& want : wants) {
+    sim::Experiment exp(paranoid_batches_config("B4", 3, want.seed));
+    const auto r = exp.run_until_legitimate(sec(60));
+    ASSERT_TRUE(r.converged) << r.last_reason;
+    EXPECT_EQ(r.commands, want.commands) << "seed " << want.seed;
+    EXPECT_EQ(r.messages, want.messages) << "seed " << want.seed;
   }
 }
 

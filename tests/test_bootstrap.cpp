@@ -2,6 +2,8 @@
 // (the paper's Section 6.4.1 experiment, as correctness tests).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "test_helpers.hpp"
 
 namespace ren::sim {
@@ -14,6 +16,12 @@ struct BootCase {
   const char* topology;
   int controllers;
 };
+
+// Without this gtest prints the raw bytes of the struct, pointer included,
+// so the listed test name would change from run to run.
+void PrintTo(const BootCase& c, std::ostream* os) {
+  *os << c.topology << " with " << c.controllers << " controllers";
+}
 
 class Bootstrap : public ::testing::TestWithParam<BootCase> {};
 

@@ -116,7 +116,7 @@ TEST(Adversary, ModeNamesRoundTrip) {
                  faults::AdversaryMode::Corrupting, faults::AdversaryMode::Babbling}) {
     EXPECT_EQ(faults::adversary_mode_from_string(faults::to_string(m)), m);
   }
-  EXPECT_THROW(faults::adversary_mode_from_string("friendly"),
+  EXPECT_THROW((void)faults::adversary_mode_from_string("friendly"),
                std::invalid_argument);
 }
 

@@ -69,23 +69,6 @@ TEST(Graph, EdgeDisjointPathCount) {
   EXPECT_EQ(g.edge_disjoint_path_count(0, 3), 3);
 }
 
-TEST(EdgeDisjointPaths, PathsAreDisjointAndShortestFirst) {
-  Graph g = cycle(6);
-  g.add_edge(0, 3);
-  const auto paths = edge_disjoint_paths(g, 0, 3, 3);
-  ASSERT_EQ(paths.size(), 3u);
-  EXPECT_EQ(paths[0], (std::vector<int>{0, 3}));  // chord first
-  std::set<std::pair<int, int>> used;
-  for (const auto& p : paths) {
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-      EXPECT_TRUE(used.insert({p[i], p[i + 1]}).second);
-      EXPECT_TRUE(used.insert({p[i + 1], p[i]}).second);
-    }
-    EXPECT_EQ(p.front(), 0);
-    EXPECT_EQ(p.back(), 3);
-  }
-}
-
 TEST(TopoView, DirectedEdgeSemantics) {
   TopoView v;
   v.add_edge(1, 2);

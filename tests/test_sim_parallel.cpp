@@ -80,7 +80,9 @@ TEST(SimParallelShardPlan, PlanCoversAllNodesAndPinsHostsToShardZero) {
     ASSERT_GE(plan.shard_of[i], 0);
     ASSERT_LT(plan.shard_of[i], 4);
     ++load[static_cast<std::size_t>(plan.shard_of[i])];
-    if (kinds[i] == NodeKind::Host) EXPECT_EQ(plan.shard_of[i], 0);
+    if (kinds[i] == NodeKind::Host) {
+      EXPECT_EQ(plan.shard_of[i], 0);
+    }
   }
   for (int shard = 0; shard < 4; ++shard) EXPECT_GT(load[shard], 0);
   EXPECT_GT(plan.cross_links, 0u);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "topo/topologies.hpp"
 
 namespace ren::topo {
@@ -10,6 +12,12 @@ struct Expected {
   int nodes;
   int diameter;
 };
+
+// Without this gtest prints the raw bytes of the struct, pointer included,
+// so the listed test name would change from run to run.
+void PrintTo(const Expected& e, std::ostream* os) {
+  *os << e.name << ", n=" << e.nodes << ", diameter=" << e.diameter;
+}
 
 /// Table 8 of the paper.
 class PaperTopologies : public ::testing::TestWithParam<Expected> {};

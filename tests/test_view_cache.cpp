@@ -235,25 +235,6 @@ TEST(ViewCache, HitRotationAndRebuildCounters) {
   EXPECT_GE(cache.stats().rebuilds, 2u);
 }
 
-TEST(ViewCache, DisabledModeStillCorrect) {
-  const NodeId self = 7;
-  ReplyDb db(ReplyDb::Config{16, true});
-  detect::ThetaDetector det(self, detect::ThetaDetector::Config{3});
-  ViewCache cache(self);
-  cache.set_enabled(false);
-  proto::QueryReply m;
-  m.id = 3;
-  m.nc = {7};
-  m.tag_for_querier = proto::Tag{7, 1};
-  db.store(m);
-  cache.refresh(db, proto::Tag{7, 1}, proto::kNullTag, det);
-  cache.refresh(db, proto::Tag{7, 1}, proto::kNullTag, det);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().rebuilds, 2u);
-  const RefView rc = ref_res(self, db, proto::Tag{7, 1}, det);
-  expect_equivalent(self, cache.res_curr(), rc, "res_curr", 0);
-}
-
 // --- Controller-level differential (Config::paranoid_views) ------------------
 
 sim::ExperimentConfig paranoid_views_config(const std::string& topology,

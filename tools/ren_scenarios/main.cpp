@@ -3,7 +3,7 @@
 //   ren_scenarios --list
 //   ren_scenarios --scenario rolling_restart --trials 8 --threads 8
 //   ren_scenarios --spec my_scenario.json --out results.json
-//   ren_scenarios --scenario partition_and_heal --topologies B4,ATT \
+//   ren_scenarios --scenario partition_and_heal --topologies B4,ATT
 //                 --controllers 3,5 --seed 7 --paper-timers
 //
 // Output is a JSON document of per-cell percentile aggregates; identical
