@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
 
 #include "test_helpers.hpp"
@@ -461,6 +463,49 @@ TEST(CampaignRunner, MergeReproducesUnshardedReportByteForByte) {
   const auto partial =
       scenario::merge_campaigns({shards[0], shards[2]});
   EXPECT_LT(partial.cells[0].trials, merged.cells[0].trials);
+}
+
+std::string read_test_data(const std::string& name) {
+  std::ifstream in(std::string(REN_TEST_DATA_DIR) + "/" + name);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(CampaignBaseline, ReportsMatchCommittedBytes) {
+  // The byte contract: each campaign re-renders exactly as its committed
+  // file, written by `ren_scenarios --scenario NAME --controllers 3
+  // --trials 2` with the topologies, --seed and --raw of its case. The two
+  // --raw campaigns carry the gated watchdog and table blocks in both cell
+  // and trial form; failover_under_load is the churn-free CI baseline.
+  struct Case {
+    const char* file;
+    const char* scenario;
+    std::vector<std::string> topologies;
+    std::uint64_t seed;
+    bool raw;
+  };
+  const Case cases[] = {
+      {"byzantine_controller_raw.json", "byzantine_controller", {"B4"}, 3, true},
+      {"table_overflow_recovery_raw.json", "table_overflow_recovery", {"B4"}, 3,
+       true},
+      {"no_churn_baseline.json", "failover_under_load", {"B4", "Clos"}, 1,
+       false},
+  };
+  for (const Case& c : cases) {
+    Scenario s = scenario::builtin(c.scenario);
+    s.topologies = c.topologies;
+    s.controllers = {3};
+    s.trials = 2;
+    s.base_seed = c.seed;
+    scenario::RunnerOptions opt;
+    opt.threads = 1;
+    opt.include_raw = c.raw;
+    const std::string want = read_test_data(c.file);
+    ASSERT_FALSE(want.empty()) << c.file;
+    EXPECT_EQ(scenario::run_campaign(s, opt).to_json().pretty(), want)
+        << c.file;
+  }
 }
 
 TEST(CampaignRunner, MergeRejectsBadInput) {
