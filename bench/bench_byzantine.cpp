@@ -80,10 +80,10 @@ CellReport run_cell(const std::string& topology, const std::string& mode,
   if (!first.cells.empty()) {
     const auto& c = first.cells.front();
     rep.trials = c.trials;
-    rep.restabilized = c.wd_restabilized;
-    rep.below_p50_s = c.wd_below_s.p50;
-    rep.episodes_p50 = c.wd_episodes.p50;
-    rep.blast_p50 = c.wd_blast_radius.p50;
+    rep.restabilized = c.metric("restabilized").count;
+    rep.below_p50_s = c.metric("below_s").summary.p50;
+    rep.episodes_p50 = c.metric("episodes").summary.p50;
+    rep.blast_p50 = c.metric("blast_radius").summary.p50;
     for (const auto& cp : c.checkpoints) {
       if (cp.label == "restabilize") rep.restab_p50_s = cp.seconds.p50;
     }
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = std::atoi(argv[++i]);
+      trials = bench::positive_int(argv[++i]);
       if (trials <= 0) {
         std::fprintf(stderr, "usage: %s [--quick] [--json FILE] [--trials N>0]\n",
                      argv[0]);

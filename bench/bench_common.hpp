@@ -9,6 +9,8 @@
 // detection, which Theta * 500 ms would not give).
 #pragma once
 
+#include <cerrno>
+#include <climits>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
@@ -73,6 +75,18 @@ inline void print_series(const std::string& label,
 // scenarios and render campaign reports. There are deliberately no serial
 // sweep loops here anymore.
 
+/// `arg` as a positive int over the whole string, or 0 when it is not one
+/// (trailing junk, a sign, zero or out of range).
+inline int positive_int(const char* arg) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(arg, &end, 10);
+  if (end == arg || *end != '\0' || errno != 0 || v <= 0 || v > INT_MAX) {
+    return 0;
+  }
+  return static_cast<int>(v);
+}
+
 /// Trial count from argv[1] (default `def`); exits with a usage error on
 /// anything that is not a positive integer. "--quick" (any position) is
 /// reported via *quick for harnesses with a CI smoke mode and implies one
@@ -86,14 +100,12 @@ inline int trials_from_argv(int argc, char** argv, int def = kRuns,
       *quick = true;
       continue;
     }
-    char* end = nullptr;
-    const long v = std::strtol(argv[i], &end, 10);
-    if (end == argv[i] || *end != '\0' || v <= 0) {
+    trials = positive_int(argv[i]);
+    if (trials == 0) {
       std::fprintf(stderr, "usage: %s [trials>0]%s\n", argv[0],
                    quick != nullptr ? " [--quick]" : "");
       std::exit(2);
     }
-    trials = static_cast<int>(v);
   }
   if (trials > 0) return trials;
   if (quick != nullptr && *quick) return 1;

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = std::atoi(argv[++i]);
+      trials = bench::positive_int(argv[++i]);
       if (trials <= 0) {
         std::fprintf(stderr, "usage: %s [--quick] [--json FILE] [--trials N>0]\n",
                      argv[0]);

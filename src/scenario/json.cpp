@@ -256,6 +256,14 @@ const Json* Json::find(const std::string& key) const {
   return nullptr;
 }
 
+const Json& Json::at(const std::string& key) const {
+  const Json* v = find(key);
+  if (v == nullptr) {
+    throw std::runtime_error("json: missing key \"" + key + "\"");
+  }
+  return *v;
+}
+
 double Json::number_or(const std::string& key, double dflt) const {
   const Json* v = find(key);
   return v != nullptr ? v->as_number() : dflt;

@@ -48,6 +48,9 @@ class Json {
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Json* find(const std::string& key) const;
+  /// Object member lookup; throws std::runtime_error naming the key when
+  /// it is absent (reading back a report, where every key is required).
+  [[nodiscard]] const Json& at(const std::string& key) const;
   /// Member or a default (missing keys in specs mean "use the default").
   [[nodiscard]] double number_or(const std::string& key, double dflt) const;
   [[nodiscard]] bool bool_or(const std::string& key, bool dflt) const;

@@ -13,75 +13,6 @@ namespace {
   throw std::invalid_argument("merge: " + what);
 }
 
-const Json& member(const Json& obj, const char* key) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) bad(std::string("missing key \"") + key + "\"");
-  return *v;
-}
-
-std::vector<double> series_from(const Json& obj, const char* key) {
-  std::vector<double> out;
-  for (const Json& v : member(obj, key).as_array()) {
-    out.push_back(v.as_number());
-  }
-  return out;
-}
-
-/// The outcome of one executed trial, reconstructed from a shard report.
-TrialOutcome outcome_from_raw(const Json& rj) {
-  TrialOutcome out;
-  out.ok = true;
-  for (const Json& cj : member(rj, "checkpoints").as_array()) {
-    TrialOutcome::Checkpoint cp;
-    cp.label = member(cj, "label").as_string();
-    cp.converged = member(cj, "converged").as_bool();
-    cp.seconds = member(cj, "seconds").as_number();
-    cp.cmd_per_node_iter = member(cj, "cmd_per_node_iter").as_number();
-    out.checkpoints.push_back(std::move(cp));
-  }
-  if (const Json* wins = rj.find("traffic_windows"); wins != nullptr) {
-    for (const Json& wj : wins->as_array()) {
-      TrialOutcome::TrafficWindow w;
-      w.label = member(wj, "label").as_string();
-      w.seconds = static_cast<int>(member(wj, "seconds").as_number());
-      w.mbits = member(wj, "mbits").as_number();
-      w.mbits_series = series_from(wj, "mbits_series");
-      w.retx_pct = series_from(wj, "retx_pct");
-      w.bad_pct = series_from(wj, "bad_pct");
-      w.ooo_pct = series_from(wj, "ooo_pct");
-      out.windows.push_back(std::move(w));
-    }
-  }
-  out.messages = member(rj, "messages").as_number();
-  out.commands = member(rj, "commands").as_number();
-  out.illegitimate_deletions =
-      member(rj, "illegitimate_deletions").as_number();
-  if (const Json* w = rj.find("watchdog"); w != nullptr) {
-    out.has_watchdog = true;
-    out.wd_below_s = member(*w, "below_s").as_number();
-    out.wd_episodes = static_cast<int>(member(*w, "episodes").as_number());
-    out.wd_blast_radius = member(*w, "blast_radius").as_number();
-    out.wd_restabilized = member(*w, "restabilized").as_bool();
-  }
-  if (const Json* t = rj.find("table"); t != nullptr) {
-    out.has_table = true;
-    out.tbl_arrivals = member(*t, "arrivals").as_number();
-    out.tbl_departures = member(*t, "departures").as_number();
-    out.tbl_peak_active = member(*t, "peak_active").as_number();
-    out.tbl_installs = member(*t, "installs").as_number();
-    out.tbl_overflows = member(*t, "overflows").as_number();
-    out.tbl_evictions = member(*t, "evictions").as_number();
-    out.tbl_peak_rules = member(*t, "peak_rules").as_number();
-    out.tbl_lookups = member(*t, "lookups").as_number();
-    out.tbl_lookup_cost = member(*t, "lookup_cost").as_number();
-  }
-  if (const Json* t = rj.find("traffic_mbits"); t != nullptr) {
-    out.has_traffic = true;
-    out.traffic_mbits = t->as_number();
-  }
-  return out;
-}
-
 /// A cell's generic-axis point, reconstructed from its "axes" member (the
 /// cell identity under shard merging is topology + controllers + axes).
 AxisPoint axes_from_cell(const Json& cell) {
@@ -125,47 +56,45 @@ CampaignResult merge_campaigns(const std::vector<Json>& shards) {
 
   CampaignResult result;
   const Json& first = shards.front();
-  result.scenario = member(first, "scenario").as_string();
-  result.description = member(first, "description").as_string();
-  result.profile = member(first, "profile").as_string();
+  result.scenario = first.at("scenario").as_string();
+  result.description = first.at("description").as_string();
+  result.profile = first.at("profile").as_string();
   result.trials_per_cell =
-      static_cast<int>(member(first, "trials_per_cell").as_number());
-  result.base_seed =
-      static_cast<std::uint64_t>(member(first, "seed").as_number());
+      static_cast<int>(first.at("trials_per_cell").as_number());
+  result.base_seed = static_cast<std::uint64_t>(first.at("seed").as_number());
   result.shard_index = 0;
   result.shard_count = 1;
 
-  const JsonArray& first_cells = member(first, "cells").as_array();
+  const JsonArray& first_cells = first.at("cells").as_array();
   // (cell index) -> trial -> outcome, accumulated over every shard.
   std::vector<std::map<int, TrialOutcome>> merged(first_cells.size());
 
   for (const Json& shard : shards) {
-    if (member(shard, "scenario").as_string() != result.scenario ||
-        member(shard, "description").as_string() != result.description ||
-        member(shard, "profile").as_string() != result.profile ||
-        member(shard, "seed").as_number() !=
-            static_cast<double>(result.base_seed) ||
-        static_cast<int>(member(shard, "trials_per_cell").as_number()) !=
+    if (shard.at("scenario").as_string() != result.scenario ||
+        shard.at("description").as_string() != result.description ||
+        shard.at("profile").as_string() != result.profile ||
+        shard.at("seed").as_number() != static_cast<double>(result.base_seed) ||
+        static_cast<int>(shard.at("trials_per_cell").as_number()) !=
             result.trials_per_cell) {
       bad("shards come from different campaigns (scenario/profile/seed/"
           "trials mismatch)");
     }
-    const JsonArray& cells = member(shard, "cells").as_array();
+    const JsonArray& cells = shard.at("cells").as_array();
     if (cells.size() != first_cells.size()) bad("shard grids differ");
     for (std::size_t c = 0; c < cells.size(); ++c) {
       const Json& cell = cells[c];
-      if (member(cell, "topology").as_string() !=
-              member(first_cells[c], "topology").as_string() ||
-          member(cell, "controllers").as_number() !=
-              member(first_cells[c], "controllers").as_number() ||
+      if (cell.at("topology").as_string() !=
+              first_cells[c].at("topology").as_string() ||
+          cell.at("controllers").as_number() !=
+              first_cells[c].at("controllers").as_number() ||
           axes_from_cell(cell) != axes_from_cell(first_cells[c])) {
         bad("shard grids differ (cell " + std::to_string(c) + ")");
       }
-      const int executed = static_cast<int>(member(cell, "trials").as_number());
+      const int executed = static_cast<int>(cell.at("trials").as_number());
       const Json* raw = cell.find("raw");
       const std::size_t raw_n = raw != nullptr ? raw->as_array().size() : 0;
       if (static_cast<std::size_t>(executed) != raw_n) {
-        bad("shard for cell \"" + member(cell, "topology").as_string() +
+        bad("shard for cell \"" + cell.at("topology").as_string() +
             "\" reports " + std::to_string(executed) + " trials but " +
             std::to_string(raw_n) +
             " raw samples; re-run the shard with --raw");
@@ -176,14 +105,14 @@ CampaignResult merge_campaigns(const std::vector<Json>& shards) {
         }
         if (!merged[c].emplace(trial, std::move(out)).second) {
           bad("trial " + std::to_string(trial) + " of cell \"" +
-              member(cell, "topology").as_string() +
+              cell.at("topology").as_string() +
               "\" appears in more than one shard");
         }
       };
       if (raw != nullptr) {
         for (const Json& rj : raw->as_array()) {
-          add(static_cast<int>(member(rj, "trial").as_number()),
-              outcome_from_raw(rj));
+          add(static_cast<int>(rj.at("trial").as_number()),
+              trial_outcome_from_json(rj));
         }
       }
       if (const Json* errs = cell.find("errors"); errs != nullptr) {
@@ -202,8 +131,8 @@ CampaignResult merge_campaigns(const std::vector<Json>& shards) {
       outcomes.emplace_back(trial, std::move(out));  // map => trial order
     }
     result.cells.push_back(aggregate_cell(
-        member(first_cells[c], "topology").as_string(),
-        static_cast<int>(member(first_cells[c], "controllers").as_number()),
+        first_cells[c].at("topology").as_string(),
+        static_cast<int>(first_cells[c].at("controllers").as_number()),
         axes_from_cell(first_cells[c]), std::move(outcomes),
         /*include_raw=*/false));
   }

@@ -4,9 +4,10 @@
 // Shard reports carry raw per-trial samples; trial seeds depend only on the
 // grid coordinates, so the union of the shards' samples is exactly the
 // sample set an unsharded run would have produced. merge_campaigns()
-// reconstructs the per-trial outcomes from the raw arrays (and the errors
-// list for trials that threw), then re-aggregates them through the same
-// aggregate_cell() the runner uses — with the JSON number format
+// reconstructs the per-trial outcomes from the raw arrays with
+// trial_outcome_from_json (and the errors list for trials that threw), then
+// re-aggregates them through the same aggregate_cell() the runner uses —
+// the report format lives in runner.cpp alone. With the JSON number format
 // round-tripping doubles exactly, the merged report is byte-identical to
 // the unsharded campaign's (non-raw) report when the shards cover the full
 // grid.

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <utility>
+#include <variant>
 
 #include "faults/adversary.hpp"
 #include "faults/injector.hpp"
@@ -138,6 +141,88 @@ Json summary_json(const PercentileSummary& p) {
   return j;
 }
 
+// --- Report metrics ---------------------------------------------------------
+
+/// One scalar report metric. The table below is the only place the report
+/// format names these: trial_outcome_json, trial_outcome_from_json,
+/// aggregate_cell and CampaignResult::to_json are loops over it, so a new
+/// metric is one row. The field's type picks the cell aggregation: a double
+/// becomes a percentile summary, a bool the count of trials where it held.
+struct Metric {
+  std::string_view block;  ///< "" = top level, else the sub-object's key
+  std::string_view key;
+  std::variant<double TrialOutcome::*, bool TrialOutcome::*> field;
+  bool TrialOutcome::*gate;  ///< nullptr: every completed trial reports it
+};
+
+using Out = TrialOutcome;
+constexpr std::string_view kWatchdog = "watchdog", kTable = "table";
+constexpr auto kWatchdogGate = &Out::has_watchdog;
+constexpr auto kTableGate = &Out::has_table;
+
+/// Row order is emission order. Keys are unique (CellResult::metric looks
+/// rows up by key). A block's rows are contiguous and share a gate, so a
+/// trial (or cell) that never armed it renders without the block —
+/// byte-identical to reports from before the block existed.
+constexpr Metric kMetrics[] = {
+    {"", "messages", &Out::messages, nullptr},
+    {"", "commands", &Out::commands, nullptr},
+    {"", "illegitimate_deletions", &Out::illegitimate_deletions, nullptr},
+    {kWatchdog, "below_s", &Out::wd_below_s, kWatchdogGate},
+    {kWatchdog, "episodes", &Out::wd_episodes, kWatchdogGate},
+    {kWatchdog, "blast_radius", &Out::wd_blast_radius, kWatchdogGate},
+    {kWatchdog, "restabilized", &Out::wd_restabilized, kWatchdogGate},
+    {kTable, "arrivals", &Out::tbl_arrivals, kTableGate},
+    {kTable, "departures", &Out::tbl_departures, kTableGate},
+    {kTable, "peak_active", &Out::tbl_peak_active, kTableGate},
+    {kTable, "installs", &Out::tbl_installs, kTableGate},
+    {kTable, "overflows", &Out::tbl_overflows, kTableGate},
+    {kTable, "evictions", &Out::tbl_evictions, kTableGate},
+    {kTable, "peak_rules", &Out::tbl_peak_rules, kTableGate},
+    {kTable, "lookups", &Out::tbl_lookups, kTableGate},
+    {kTable, "lookup_cost", &Out::tbl_lookup_cost, kTableGate},
+    {"", "traffic_mbits", &Out::traffic_mbits, &Out::has_traffic},
+};
+constexpr std::size_t kMetricCount = std::size(kMetrics);
+
+bool reports(const Metric& m, const TrialOutcome& t) {
+  return m.gate == nullptr || t.*m.gate;
+}
+
+bool is_flag(const Metric& m) {
+  return std::holds_alternative<bool TrialOutcome::*>(m.field);
+}
+
+/// Append the rows `present(i)` admits to `parent` in table order, a
+/// block's rows nested under the block's key; `value(i)` renders row i.
+template <class Present, class Value>
+void set_metrics(Json& parent, Present present, Value value) {
+  Json block;
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    const Metric& m = kMetrics[i];
+    if (!present(i)) continue;
+    if (m.block.empty()) {
+      parent.set(std::string(m.key), value(i));
+      continue;
+    }
+    block.set(std::string(m.key), value(i));
+    if (i + 1 == kMetricCount || kMetrics[i + 1].block != m.block) {
+      parent.set(std::string(m.block), std::exchange(block, Json{}));
+    }
+  }
+}
+
+std::vector<double> series_from(const Json& obj, const char* key) {
+  std::vector<double> out;
+  for (const Json& v : obj.at(key).as_array()) {
+    out.push_back(v.as_number());
+  }
+  return out;
+}
+
+void read_into(double& dst, const Json& v) { dst = v.as_number(); }
+void read_into(bool& dst, const Json& v) { dst = v.as_bool(); }
+
 /// The per-trial timeline interpreter.
 class TrialExecutor {
  public:
@@ -165,9 +250,9 @@ class TrialExecutor {
     auto cfg =
         profile_config(s, topology, controllers, axes, seed, opt.paper_timers);
     cfg.with_hosts = s.needs_hosts();
-    cfg.monitor_paranoid = opt.paranoid_monitor;
-    cfg.views_paranoid = opt.paranoid_views;
-    cfg.batches_paranoid = opt.paranoid_batches;
+    cfg.monitor_paranoid = opt.paranoid;
+    cfg.views_paranoid = opt.paranoid;
+    cfg.batches_paranoid = opt.paranoid;
     cfg.sim_threads = std::max(1, opt.sim_threads);
     exp_ = std::make_unique<sim::Experiment>(std::move(cfg));
     cp_ = exp_->control_plane();
@@ -739,32 +824,54 @@ Json trial_outcome_json(const TrialOutcome& out) {
     }
     rj.set("traffic_windows", std::move(rwins));
   }
-  rj.set("messages", out.messages);
-  rj.set("commands", out.commands);
-  rj.set("illegitimate_deletions", out.illegitimate_deletions);
-  if (out.has_watchdog) {
-    Json wj;
-    wj.set("below_s", out.wd_below_s);
-    wj.set("episodes", out.wd_episodes);
-    wj.set("blast_radius", out.wd_blast_radius);
-    wj.set("restabilized", out.wd_restabilized);
-    rj.set("watchdog", std::move(wj));
-  }
-  if (out.has_table) {
-    Json tj;
-    tj.set("arrivals", out.tbl_arrivals);
-    tj.set("departures", out.tbl_departures);
-    tj.set("peak_active", out.tbl_peak_active);
-    tj.set("installs", out.tbl_installs);
-    tj.set("overflows", out.tbl_overflows);
-    tj.set("evictions", out.tbl_evictions);
-    tj.set("peak_rules", out.tbl_peak_rules);
-    tj.set("lookups", out.tbl_lookups);
-    tj.set("lookup_cost", out.tbl_lookup_cost);
-    rj.set("table", std::move(tj));
-  }
-  if (out.has_traffic) rj.set("traffic_mbits", out.traffic_mbits);
+  set_metrics(
+      rj, [&](std::size_t i) { return reports(kMetrics[i], out); },
+      [&](std::size_t i) {
+        return std::visit([&](auto f) { return Json(out.*f); },
+                          kMetrics[i].field);
+      });
   return rj;
+}
+
+TrialOutcome trial_outcome_from_json(const Json& rj) {
+  TrialOutcome out;
+  out.ok = true;
+  for (const Json& cj : rj.at("checkpoints").as_array()) {
+    TrialOutcome::Checkpoint cp;
+    cp.label = cj.at("label").as_string();
+    cp.converged = cj.at("converged").as_bool();
+    cp.seconds = cj.at("seconds").as_number();
+    cp.cmd_per_node_iter = cj.at("cmd_per_node_iter").as_number();
+    out.checkpoints.push_back(std::move(cp));
+  }
+  if (const Json* wins = rj.find("traffic_windows"); wins != nullptr) {
+    for (const Json& wj : wins->as_array()) {
+      TrialOutcome::TrafficWindow w;
+      w.label = wj.at("label").as_string();
+      w.seconds = static_cast<int>(wj.at("seconds").as_number());
+      w.mbits = wj.at("mbits").as_number();
+      w.mbits_series = series_from(wj, "mbits_series");
+      w.retx_pct = series_from(wj, "retx_pct");
+      w.bad_pct = series_from(wj, "bad_pct");
+      w.ooo_pct = series_from(wj, "ooo_pct");
+      out.windows.push_back(std::move(w));
+    }
+  }
+  for (const Metric& m : kMetrics) {
+    // A gated metric the trial did not arm is absent: with its whole block
+    // (block rows are always gated), or at top level the key itself.
+    const std::string key(m.key);
+    const Json* holder =
+        m.block.empty() ? &rj : rj.find(std::string(m.block));
+    if (holder == nullptr ||
+        (m.gate != nullptr && m.block.empty() && rj.find(key) == nullptr)) {
+      continue;
+    }
+    const Json& v = holder->at(key);
+    if (m.gate != nullptr) out.*m.gate = true;
+    std::visit([&](auto f) { read_into(out.*f, v); }, m.field);
+  }
+  return out;
 }
 
 std::uint64_t trial_seed(std::uint64_t base_seed, const std::string& topology,
@@ -785,8 +892,8 @@ TrialOutcome run_trial(const Scenario& s, const std::string& topology,
   TrialOutcome out = exec.run();
   if (opt.paranoid_sim) {
     // Differential mode: replay the trial on the serial reference kernel and
-    // demand a byte-identical outcome (same idiom as --paranoid-views /
-    // --paranoid-batches: the optimized path shadows the reference path).
+    // demand a byte-identical outcome (same idiom as --paranoid: the
+    // optimized path shadows the reference path).
     RunnerOptions serial = opt;
     serial.sim_threads = 1;
     serial.paranoid_sim = false;
@@ -834,6 +941,11 @@ CampaignResult run_campaign(const Scenario& s, const RunnerOptions& opt) {
     throw std::invalid_argument(
         "run_campaign: a start_flow_churn event uses rate \"axis\" but the "
         "scenario has no \"churn_rate\" axis");
+  }
+  if (s.base_seed > kMaxSpecInt) {
+    throw std::invalid_argument(
+        "run_campaign: seed must be <= 2^53 (the report's JSON number cannot "
+        "hold it exactly)");
   }
   if (opt.shard_count < 1 || opt.shard_index < 0 ||
       opt.shard_index >= opt.shard_count) {
@@ -952,14 +1064,14 @@ CellResult aggregate_cell(const std::string& topology, int controllers,
   cr.topology = topology;
   cr.controllers = controllers;
   cr.axes = std::move(axes);
-  Sample messages, commands, violations, traffic;
-  Sample wd_below, wd_episodes, wd_blast;
-  Sample tb_arrivals, tb_departures, tb_peak_active, tb_installs;
-  Sample tb_overflows, tb_evictions, tb_peak_rules, tb_lookups, tb_cost;
-  // label -> aggregation slot, in first-seen (timeline) order
-  std::vector<std::string> labels;
+  std::vector<Sample> metric_samples(kMetricCount);
+  cr.metrics.resize(kMetricCount);
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    cr.metrics[i].reported = kMetrics[i].gate == nullptr;
+  }
+  // Checkpoint k of every trial aggregates into cr.checkpoints[k] (timeline
+  // order); its samples collect here.
   std::vector<Sample> cp_seconds, cp_rate;
-  std::vector<int> cp_converged, cp_total;
   // traffic-window label -> aggregation slot, in first-seen order
   struct WindowAcc {
     std::string label;
@@ -974,76 +1086,45 @@ CellResult aggregate_cell(const std::string& topology, int controllers,
       continue;
     }
     ++cr.trials;
-    messages.add(out.messages);
-    commands.add(out.commands);
-    violations.add(out.illegitimate_deletions);
-    if (out.has_traffic) {
-      cr.has_traffic = true;
-      traffic.add(out.traffic_mbits);
-    }
-    if (out.has_watchdog) {
-      cr.has_watchdog = true;
-      wd_below.add(out.wd_below_s);
-      wd_episodes.add(out.wd_episodes);
-      wd_blast.add(out.wd_blast_radius);
-      cr.wd_restabilized += out.wd_restabilized ? 1 : 0;
-    }
-    if (out.has_table) {
-      cr.has_table = true;
-      tb_arrivals.add(out.tbl_arrivals);
-      tb_departures.add(out.tbl_departures);
-      tb_peak_active.add(out.tbl_peak_active);
-      tb_installs.add(out.tbl_installs);
-      tb_overflows.add(out.tbl_overflows);
-      tb_evictions.add(out.tbl_evictions);
-      tb_peak_rules.add(out.tbl_peak_rules);
-      tb_lookups.add(out.tbl_lookups);
-      tb_cost.add(out.tbl_lookup_cost);
+    for (std::size_t i = 0; i < kMetricCount; ++i) {
+      const Metric& m = kMetrics[i];
+      if (!reports(m, out)) continue;
+      cr.metrics[i].reported = true;
+      if (is_flag(m)) {
+        cr.metrics[i].count += out.*std::get<bool TrialOutcome::*>(m.field);
+      } else {
+        metric_samples[i].add(out.*std::get<double TrialOutcome::*>(m.field));
+      }
     }
     for (std::size_t k = 0; k < out.checkpoints.size(); ++k) {
       const auto& c = out.checkpoints[k];
-      if (k >= labels.size()) {
-        labels.push_back(c.label);
+      if (k >= cr.checkpoints.size()) {
+        cr.checkpoints.emplace_back().label = c.label;
         cp_seconds.emplace_back();
         cp_rate.emplace_back();
-        cp_converged.push_back(0);
-        cp_total.push_back(0);
       }
       cp_seconds[k].add(c.seconds);
       cp_rate[k].add(c.cmd_per_node_iter);
-      cp_converged[k] += c.converged ? 1 : 0;
-      cp_total[k] += 1;
+      cr.checkpoints[k].converged += c.converged ? 1 : 0;
+      cr.checkpoints[k].trials += 1;
     }
     for (const auto& w : out.windows) {
-      WindowAcc* acc = nullptr;
-      for (auto& cand : windows) {
-        if (cand.label == w.label) {
-          acc = &cand;
-          break;
-        }
-      }
-      if (acc == nullptr) {
-        windows.emplace_back();
-        windows.back().label = w.label;
-        acc = &windows.back();
-      }
-      ++acc->trials;
-      acc->mbits.add(w.mbits);
-      acc->mbits_series.add(w.mbits_series);
-      acc->retx.add(w.retx_pct);
-      acc->bad.add(w.bad_pct);
-      acc->ooo.add(w.ooo_pct);
+      auto it = std::find_if(windows.begin(), windows.end(),
+                             [&](const auto& a) { return a.label == w.label; });
+      WindowAcc& acc = it != windows.end() ? *it : windows.emplace_back();
+      acc.label = w.label;
+      ++acc.trials;
+      acc.mbits.add(w.mbits);
+      acc.mbits_series.add(w.mbits_series);
+      acc.retx.add(w.retx_pct);
+      acc.bad.add(w.bad_pct);
+      acc.ooo.add(w.ooo_pct);
     }
     if (include_raw) cr.raw.emplace_back(r, std::move(out));
   }
-  for (std::size_t k = 0; k < labels.size(); ++k) {
-    CellResult::CheckpointAgg agg;
-    agg.label = labels[k];
-    agg.converged = cp_converged[k];
-    agg.trials = cp_total[k];
-    agg.seconds = cp_seconds[k].percentiles();
-    agg.cmd_per_node_iter = cp_rate[k].percentiles();
-    cr.checkpoints.push_back(std::move(agg));
+  for (std::size_t k = 0; k < cr.checkpoints.size(); ++k) {
+    cr.checkpoints[k].seconds = cp_seconds[k].percentiles();
+    cr.checkpoints[k].cmd_per_node_iter = cp_rate[k].percentiles();
   }
   for (auto& acc : windows) {
     CellResult::WindowAgg agg;
@@ -1056,23 +1137,18 @@ CellResult aggregate_cell(const std::string& topology, int controllers,
     agg.ooo_pct = acc.ooo.mean();
     cr.windows.push_back(std::move(agg));
   }
-  cr.messages = messages.percentiles();
-  cr.commands = commands.percentiles();
-  cr.illegitimate_deletions = violations.percentiles();
-  cr.traffic_mbits = traffic.percentiles();
-  cr.wd_below_s = wd_below.percentiles();
-  cr.wd_episodes = wd_episodes.percentiles();
-  cr.wd_blast_radius = wd_blast.percentiles();
-  cr.tbl_arrivals = tb_arrivals.percentiles();
-  cr.tbl_departures = tb_departures.percentiles();
-  cr.tbl_peak_active = tb_peak_active.percentiles();
-  cr.tbl_installs = tb_installs.percentiles();
-  cr.tbl_overflows = tb_overflows.percentiles();
-  cr.tbl_evictions = tb_evictions.percentiles();
-  cr.tbl_peak_rules = tb_peak_rules.percentiles();
-  cr.tbl_lookups = tb_lookups.percentiles();
-  cr.tbl_lookup_cost = tb_cost.percentiles();
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    cr.metrics[i].summary = metric_samples[i].percentiles();
+  }
   return cr;
+}
+
+const CellResult::MetricAgg& CellResult::metric(std::string_view key) const {
+  for (std::size_t i = 0; i < kMetricCount; ++i) {
+    if (kMetrics[i].key == key) return metrics.at(i);
+  }
+  throw std::out_of_range("CellResult::metric: no metric \"" +
+                          std::string(key) + "\"");
 }
 
 Json CampaignResult::to_json() const {
@@ -1128,31 +1204,13 @@ Json CampaignResult::to_json() const {
       for (const auto& e : c.errors) errs.push_back(e);
       cj.set("errors", std::move(errs));
     }
-    cj.set("messages", summary_json(c.messages));
-    cj.set("commands", summary_json(c.commands));
-    cj.set("illegitimate_deletions", summary_json(c.illegitimate_deletions));
-    if (c.has_watchdog) {
-      Json wj;
-      wj.set("below_s", summary_json(c.wd_below_s));
-      wj.set("episodes", summary_json(c.wd_episodes));
-      wj.set("blast_radius", summary_json(c.wd_blast_radius));
-      wj.set("restabilized", c.wd_restabilized);
-      cj.set("watchdog", std::move(wj));
-    }
-    if (c.has_table) {
-      Json tj;
-      tj.set("arrivals", summary_json(c.tbl_arrivals));
-      tj.set("departures", summary_json(c.tbl_departures));
-      tj.set("peak_active", summary_json(c.tbl_peak_active));
-      tj.set("installs", summary_json(c.tbl_installs));
-      tj.set("overflows", summary_json(c.tbl_overflows));
-      tj.set("evictions", summary_json(c.tbl_evictions));
-      tj.set("peak_rules", summary_json(c.tbl_peak_rules));
-      tj.set("lookups", summary_json(c.tbl_lookups));
-      tj.set("lookup_cost", summary_json(c.tbl_lookup_cost));
-      cj.set("table", std::move(tj));
-    }
-    if (c.has_traffic) cj.set("traffic_mbits", summary_json(c.traffic_mbits));
+    set_metrics(
+        cj, [&](std::size_t i) { return c.metrics.at(i).reported; },
+        [&](std::size_t i) {
+          const CellResult::MetricAgg& agg = c.metrics[i];
+          return is_flag(kMetrics[i]) ? Json(agg.count)
+                                      : summary_json(agg.summary);
+        });
     if (!c.raw.empty()) {
       Json raws{JsonArray{}};
       for (const auto& [trial, out] : c.raw) {

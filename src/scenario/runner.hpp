@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "scenario/scenario.hpp"
@@ -31,16 +32,12 @@ struct RunnerOptions {
   /// only compresses simulated wall-clock. true: the paper's Section 6.3
   /// timers (500 ms / 100 ms), for figures meant to match the paper's axes.
   bool paper_timers = false;
-  /// Differential-test mode: every trial shadows the incremental legitimacy
-  /// verdict with a fresh full check and fails the trial on divergence.
-  bool paranoid_monitor = false;
-  /// Differential-test mode: every controller shadows its cached res/fusion
-  /// views with from-scratch builds and fails the trial on divergence.
-  bool paranoid_views = false;
-  /// Differential-test mode: every controller shadows each planned outbound
-  /// batch with a from-scratch build and fails the trial unless the wire
-  /// encodings are byte-equal.
-  bool paranoid_batches = false;
+  /// Differential-test mode: every cached layer runs its from-scratch
+  /// oracle alongside and fails the trial on divergence — the incremental
+  /// legitimacy verdict against a full check, each controller's res/fusion
+  /// views against fresh builds, and each planned outbound batch against a
+  /// from-scratch build with a byte-equal wire encoding.
+  bool paranoid = false;
   /// Attach raw per-trial samples to each cell (and its JSON) instead of
   /// only the percentile aggregates.
   bool include_raw = false;
@@ -90,6 +87,8 @@ struct TrialOutcome {
   std::string error;
   std::vector<Checkpoint> checkpoints;
   std::vector<TrafficWindow> windows;
+  // The scalar metrics from here to tbl_lookup_cost reach the report
+  // through the metric table in runner.cpp (JSON key, block, gate).
   double messages = 0;   ///< control messages originated by controllers
   double commands = 0;   ///< controller commands issued
   double illegitimate_deletions = 0;  ///< deletions that hit live peers
@@ -102,7 +101,7 @@ struct TrialOutcome {
   bool has_watchdog = false;
   double wd_below_s = 0;   ///< simulated seconds below legitimacy (after the
                            ///< first legitimate sample)
-  int wd_episodes = 0;     ///< distinct legitimate->illegitimate transitions
+  double wd_episodes = 0;  ///< distinct legitimate->illegitimate transitions
   double wd_blast_radius = 0;  ///< max fraction of switches whose rule/
                                ///< manager state diverged while adversarial
   bool wd_restabilized = false;  ///< legitimate again after the last
@@ -158,28 +157,18 @@ struct CellResult {
   /// Such trials are excluded from the aggregates but never silently: they
   /// are also reported in the JSON output.
   std::vector<std::string> errors;
-  PercentileSummary messages;
-  PercentileSummary commands;
-  PercentileSummary illegitimate_deletions;
-  bool has_traffic = false;
-  PercentileSummary traffic_mbits;
-  /// Stabilization-watchdog aggregates (adversarial scenarios only).
-  bool has_watchdog = false;
-  PercentileSummary wd_below_s;
-  PercentileSummary wd_episodes;
-  PercentileSummary wd_blast_radius;
-  int wd_restabilized = 0;  ///< trials that re-stabilized after stop
-  /// Rule-table / flow-churn aggregates (churn scenarios only).
-  bool has_table = false;
-  PercentileSummary tbl_arrivals;
-  PercentileSummary tbl_departures;
-  PercentileSummary tbl_peak_active;
-  PercentileSummary tbl_installs;
-  PercentileSummary tbl_overflows;
-  PercentileSummary tbl_evictions;
-  PercentileSummary tbl_peak_rules;
-  PercentileSummary tbl_lookups;
-  PercentileSummary tbl_lookup_cost;
+  /// One scalar metric's aggregate over the cell's completed trials.
+  struct MetricAgg {
+    bool reported = false;      ///< ungated, or some trial armed its gate
+    PercentileSummary summary;  ///< numeric metrics
+    int count = 0;              ///< flag metrics: trials where it held
+  };
+  /// Indexed like the metric table in runner.cpp; read through metric().
+  std::vector<MetricAgg> metrics;
+  /// The aggregate of the metric reported under JSON key `key` inside its
+  /// block (below_s for watchdog.below_s; keys are unique across blocks).
+  /// Throws std::out_of_range for an unknown key.
+  [[nodiscard]] const MetricAgg& metric(std::string_view key) const;
   /// Raw per-trial samples, populated when RunnerOptions::include_raw:
   /// (trial index, outcome) for every trial this process executed.
   std::vector<std::pair<int, TrialOutcome>> raw;
@@ -219,6 +208,12 @@ struct CampaignResult {
 /// Byte-equality of two renderings is the determinism contract checked by
 /// --paranoid-sim and the sim_threads determinism tests.
 [[nodiscard]] Json trial_outcome_json(const TrialOutcome& t);
+
+/// The inverse of trial_outcome_json for a completed trial (ok = true;
+/// members it does not render, like counters_fp, stay default). Extra keys
+/// such as a raw record's "trial" are ignored. Throws std::runtime_error
+/// when a key the rendering always carries is missing.
+[[nodiscard]] TrialOutcome trial_outcome_from_json(const Json& j);
 
 /// Fold executed trials (in ascending trial order; errored ones carry
 /// ok=false) into one cell's aggregates. Takes the outcomes by value (they

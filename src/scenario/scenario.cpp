@@ -304,11 +304,6 @@ bool Scenario::needs_hosts() const {
 
 namespace {
 
-/// Spec seeds (and event budgets) travel through JSON numbers (doubles);
-/// anything above 2^53 would round silently and break the "same seed, same
-/// bytes" contract, so both directions reject it loudly.
-constexpr std::uint64_t kMaxSpecInt = 1ULL << 53;
-
 void check_spec_int_fits(std::uint64_t v, const char* what) {
   if (v > kMaxSpecInt)
     throw std::invalid_argument(std::string("spec: ") + what +

@@ -51,6 +51,11 @@ inline constexpr int kCountAxis = -1;
 /// of the event. Spec form: "rate": "axis".
 inline constexpr double kRateAxis = -1.0;
 
+/// Seeds (and event budgets) travel through JSON numbers (doubles) in specs
+/// and reports; anything above 2^53 would round silently and break the
+/// "same seed, same bytes" contract, so every entry point rejects it loudly.
+inline constexpr std::uint64_t kMaxSpecInt = 1ULL << 53;
+
 struct Event {
   Time at = 0;
   EventKind kind = EventKind::ExpectConverged;

@@ -272,8 +272,8 @@ TEST(FlowChurnSpec, RateAxisRequiresChurnRateAxis) {
   s.axis("churn_rate", {500});
   const auto result = scenario::run_campaign(s, opt);
   ASSERT_EQ(result.cells.size(), 1u);
-  EXPECT_TRUE(result.cells[0].has_table);
-  EXPECT_GT(result.cells[0].tbl_arrivals.mean, 0);
+  EXPECT_TRUE(result.cells[0].metric("arrivals").reported);
+  EXPECT_GT(result.cells[0].metric("arrivals").summary.mean, 0);
 }
 
 TEST(FlowChurnSpec, BuilderChurnEventsSurviveRoundTrip) {

@@ -32,4 +32,23 @@ inline void bootstrap_or_fail(sim::Experiment& exp, Time limit = sec(60)) {
   ASSERT_TRUE(r.converged) << "bootstrap failed: " << r.last_reason;
 }
 
+/// Runs trial `trial` of every built-in fault timeline on B4 with
+/// RunnerOptions::paranoid, which arms all three in-process differentials:
+/// the incremental legitimacy monitor against its full check, and each
+/// controller's cached views and planned batches against from-scratch
+/// builds. A divergence throws inside the trial and surfaces as !ok.
+inline void expect_builtin_timelines_pass_paranoid(int trial) {
+  scenario::RunnerOptions opt;
+  opt.threads = 1;
+  opt.paranoid = true;
+  for (const auto& name : scenario::builtin_names()) {
+    scenario::Scenario s = scenario::builtin(name);
+    s.topologies = {"B4"};
+    s.controllers = {3};
+    s.trials = trial + 1;
+    const auto out = scenario::run_trial(s, "B4", 3, trial, opt);
+    EXPECT_TRUE(out.ok) << name << " trial " << trial << ": " << out.error;
+  }
+}
+
 }  // namespace ren::testing

@@ -145,21 +145,9 @@ TEST(MonitorIncremental, FullCheckMatchesIncrementalVerdictAcrossRecovery) {
 }
 
 TEST(MonitorIncremental, ScenarioTimelinesPassParanoid) {
-  // The six built-in fault timelines, each with the differential live. One
-  // trial per scenario on B4 keeps this test minutes-not-hours while still
-  // walking every event kind the engine knows.
-  scenario::RunnerOptions opt;
-  opt.threads = 1;
-  opt.paranoid_monitor = true;
-  for (const auto& name : scenario::builtin_names()) {
-    scenario::Scenario s = scenario::builtin(name);
-    s.topologies = {"B4"};
-    s.controllers = {3};
-    s.trials = 1;
-    const auto out = scenario::run_trial(s, "B4", 3, /*trial=*/0, opt);
-    // A paranoid divergence throws inside the trial and surfaces here.
-    EXPECT_TRUE(out.ok) << name << ": " << out.error;
-  }
+  // Trial 0 of every built-in fault timeline with the monitor differential
+  // (and, through RunnerOptions::paranoid, the view and batch ones) live.
+  ren::testing::expect_builtin_timelines_pass_paranoid(/*trial=*/0);
 }
 
 }  // namespace

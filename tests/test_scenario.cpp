@@ -170,6 +170,9 @@ TEST(ScenarioSpec, RejectsSeedsBeyondDoublePrecision) {
   EXPECT_THROW(scenario::to_spec_json(s), std::invalid_argument);
   EXPECT_THROW(scenario::parse_spec(R"({"seed":1e17})"), std::invalid_argument);
   EXPECT_EQ(scenario::parse_spec(R"({"seed":123})").base_seed, 123u);
+  // A campaign's report carries its seed as a JSON number too.
+  s.topologies = {"B4"};
+  EXPECT_THROW((void)scenario::run_campaign(s), std::invalid_argument);
 }
 
 TEST(ScenarioSpec, PeriodicEventsExpand) {
@@ -357,7 +360,7 @@ TEST(CampaignRunner, AggregatesConvergedTrials) {
     EXPECT_EQ(cell.checkpoints[0].label, "bootstrap");
     EXPECT_EQ(cell.checkpoints[1].label, "recovery");
     EXPECT_EQ(cell.checkpoints[1].converged, 4) << cell.topology;
-    EXPECT_GT(cell.messages.mean, 0);
+    EXPECT_GT(cell.metric("messages").summary.mean, 0);
   }
 }
 
@@ -438,24 +441,28 @@ TEST(CampaignRunner, ShardsPartitionTheGridExactly) {
   }
 }
 
-TEST(CampaignRunner, MergeReproducesUnshardedReportByteForByte) {
-  const Scenario s = quick_scenario();
+/// Run `s` unsharded and as `n` raw shards, each round-tripped through its
+/// JSON text (as files would be); returns the unsharded report's text and
+/// the parsed shards.
+std::pair<std::string, std::vector<Json>> run_sharded(const Scenario& s,
+                                                      int n) {
   scenario::RunnerOptions plain;
   plain.threads = 2;
-  const std::string unsharded =
-      scenario::run_campaign(s, plain).to_json().pretty();
-
-  // Run the same campaign as 3 shards with raw samples, round-trip each
-  // report through its JSON text (as files would), and merge.
   std::vector<Json> shards;
-  for (int k = 0; k < 3; ++k) {
+  for (int k = 0; k < n; ++k) {
     scenario::RunnerOptions part = plain;
     part.include_raw = true;
     part.shard_index = k;
-    part.shard_count = 3;
+    part.shard_count = n;
     shards.push_back(Json::parse(
         scenario::run_campaign(s, part).to_json().pretty()));
   }
+  return {scenario::run_campaign(s, plain).to_json().pretty(),
+          std::move(shards)};
+}
+
+TEST(CampaignRunner, MergeReproducesUnshardedReportByteForByte) {
+  const auto [unsharded, shards] = run_sharded(quick_scenario(), 3);
   const auto merged = scenario::merge_campaigns(shards);
   EXPECT_EQ(merged.to_json().pretty(), unsharded);
 
@@ -463,6 +470,16 @@ TEST(CampaignRunner, MergeReproducesUnshardedReportByteForByte) {
   const auto partial =
       scenario::merge_campaigns({shards[0], shards[2]});
   EXPECT_LT(partial.cells[0].trials, merged.cells[0].trials);
+
+  // The gated watchdog and table blocks read back from raw trials too.
+  for (const char* name : {"byzantine_controller", "table_overflow_recovery"}) {
+    Scenario s = scenario::builtin(name);
+    s.topologies = {"B4"};
+    s.trials = 2;
+    const auto [whole, halves] = run_sharded(s, 2);
+    EXPECT_EQ(scenario::merge_campaigns(halves).to_json().pretty(), whole)
+        << name;
+  }
 }
 
 std::string read_test_data(const std::string& name) {
@@ -616,7 +633,7 @@ TEST(CampaignRunner, TrafficWindowsAreRecordedAndMerged) {
   ASSERT_EQ(cell.windows[0].mbits_series.size(), 4u);
   for (double v : cell.windows[0].mbits_series) EXPECT_GT(v, 0.0);
   EXPECT_GT(cell.windows[0].mbits.mean, 0.0);
-  EXPECT_TRUE(cell.has_traffic);
+  EXPECT_TRUE(cell.metric("traffic_mbits").reported);
 
   // Shard + merge reproduces the report byte-for-byte, series included.
   std::vector<Json> shards;

@@ -1,9 +1,9 @@
 // The per-tick controller view cache must be observationally equivalent to
 // building res(curr)/res(prev)/fusion from scratch at every consumer — under
 // randomized reply/tag/liveness churn, across slot rotations and reuse, and
-// through the six built-in scenario timelines with Config::paranoid_views
-// live. The differential reference here is written against the seed's
-// original semantics (std::map view construction + TopoView::reachable_set),
+// through the built-in scenario timelines with Config::paranoid_views live.
+// The differential reference here is written against the seed's original
+// semantics (std::map view construction + TopoView::reachable_set),
 // deliberately independent of the FlatView code path under test.
 #include <gtest/gtest.h>
 
@@ -306,19 +306,10 @@ TEST(ViewCacheParanoid, FaultStormAgrees) {
 }
 
 TEST(ViewCacheParanoid, ScenarioTimelinesPass) {
-  // The six built-in fault timelines with the view differential live on
-  // every controller tick (acceptance criterion).
-  scenario::RunnerOptions opt;
-  opt.threads = 1;
-  opt.paranoid_views = true;
-  for (const auto& name : scenario::builtin_names()) {
-    scenario::Scenario s = scenario::builtin(name);
-    s.topologies = {"B4"};
-    s.controllers = {3};
-    s.trials = 1;
-    const auto out = scenario::run_trial(s, "B4", 3, /*trial=*/0, opt);
-    EXPECT_TRUE(out.ok) << name << ": " << out.error;
-  }
+  // Trial 1 of every built-in fault timeline with the view differential live
+  // on every controller tick; the monitor test covers trial 0, so together
+  // the three timeline tests see three seeds per scenario.
+  ren::testing::expect_builtin_timelines_pass_paranoid(/*trial=*/1);
 }
 
 // --- FlatView ----------------------------------------------------------------

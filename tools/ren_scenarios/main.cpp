@@ -9,7 +9,9 @@
 // Output is a JSON document of per-cell percentile aggregates; identical
 // input (scenario + seed + timer profile) produces byte-identical output
 // regardless of --threads.
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -50,7 +52,7 @@ void usage(std::FILE* to) {
                "                         table_capacity); repeatable, crossed\n"
                "                         with the topology/controller grid\n"
                "  --trials N             seeded repetitions per grid cell\n"
-               "  --seed S               campaign base seed\n"
+               "  --seed S               campaign base seed (0 .. 2^53)\n"
                "  --threads N            worker threads (default: all cores)\n"
                "  --sim-threads N        simulation shards per trial (epoch-\n"
                "                         lockstep parallel kernel; outcomes are\n"
@@ -65,13 +67,12 @@ void usage(std::FILE* to) {
                "                         campaign aggregate (byte-identical to the\n"
                "                         unsharded report when all shards are given)\n"
                "  --raw                  include raw per-trial samples in the report\n"
-               "  --paranoid             differential-check the incremental\n"
-               "                         legitimacy monitor every sample (slow)\n"
-               "  --paranoid-views       differential-check every controller's\n"
-               "                         cached res/fusion views per tick (slow)\n"
-               "  --paranoid-batches     differential-check every planned\n"
-               "                         outbound batch against a from-scratch\n"
-               "                         build (byte-equal encodings; slow)\n"
+               "  --paranoid             differential-check every cached layer\n"
+               "                         against its from-scratch oracle: the\n"
+               "                         legitimacy monitor per sample, each\n"
+               "                         controller's res/fusion views and\n"
+               "                         planned outbound batches (byte-equal\n"
+               "                         encodings) per tick (slow)\n"
                "  --paranoid-sim         re-run every trial on the serial\n"
                "                         kernel and require a byte-identical\n"
                "                         outcome (with --sim-threads; slow)\n"
@@ -86,6 +87,21 @@ std::vector<std::string> split_csv(const std::string& s) {
   std::string item;
   while (std::getline(ss, item, ',')) {
     if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+/// `v` as a whole-string decimal integer in [lo, hi]; anything else is a
+/// usage error (exit 2) naming `flag`.
+long long int_arg(const std::string& flag, const std::string& v, long long lo,
+                  long long hi) {
+  long long out = 0;
+  const char* end = v.data() + v.size();
+  const auto [at, ec] = std::from_chars(v.data(), end, out);
+  if (ec != std::errc{} || at != end || out < lo || out > hi) {
+    std::fprintf(stderr, "%s expects an integer in [%lld, %lld], got '%s'\n",
+                 flag.c_str(), lo, hi, v.c_str());
+    std::exit(2);
   }
   return out;
 }
@@ -107,15 +123,15 @@ std::string read_file(const std::string& path) {
 
 int main(int argc, char** argv) {
   std::string scenario_name, spec_path, out_path;
-  std::string topologies_csv, controllers_csv;
+  std::string topologies_csv;
+  std::vector<int> controllers;
   std::vector<std::pair<std::string, std::vector<double>>> axis_overrides;
   std::vector<std::string> merge_inputs;
   int trials = 0, threads = 0, sim_threads = 1;
   int shard_index = 0, shard_count = 1;
   std::uint64_t seed = 0;
   bool have_seed = false, paper_timers = false, print_spec = false;
-  bool include_raw = false, paranoid = false, paranoid_views = false;
-  bool paranoid_batches = false, paranoid_sim = false;
+  bool include_raw = false, paranoid = false, paranoid_sim = false;
   bool merge_mode = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -163,7 +179,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--topologies") {
       topologies_csv = value();
     } else if (arg == "--controllers") {
-      controllers_csv = value();
+      const std::string v = value();
+      controllers.clear();
+      for (const auto& c : split_csv(v)) {
+        controllers.push_back(static_cast<int>(int_arg(arg, c, 1, INT_MAX)));
+      }
+      if (controllers.empty()) {
+        std::fprintf(stderr, "--controllers expects N,M,..., got '%s'\n",
+                     v.c_str());
+        return 2;
+      }
     } else if (arg == "--axis") {
       const std::string v = value();
       const auto eq = v.find('=');
@@ -185,48 +210,33 @@ int main(int argc, char** argv) {
       }
       axis_overrides.emplace_back(v.substr(0, eq), std::move(values));
     } else if (arg == "--trials") {
-      trials = std::stoi(value());
+      trials = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
     } else if (arg == "--seed") {
-      seed = std::stoull(value());
+      seed = static_cast<std::uint64_t>(int_arg(
+          arg, value(), 0, static_cast<long long>(scenario::kMaxSpecInt)));
       have_seed = true;
     } else if (arg == "--threads") {
-      threads = std::stoi(value());
+      threads = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
     } else if (arg == "--sim-threads") {
-      sim_threads = std::stoi(value());
-      if (sim_threads < 1) {
-        std::fprintf(stderr, "--sim-threads requires N >= 1\n");
-        return 2;
-      }
+      sim_threads = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
     } else if (arg == "--shard") {
       const std::string v = value();
       const auto slash = v.find('/');
-      std::size_t used_k = 0, used_n = 0;
-      try {
-        if (slash == std::string::npos) throw std::invalid_argument(v);
-        shard_index = std::stoi(v.substr(0, slash), &used_k) - 1;  // 1-based
-        shard_count = std::stoi(v.substr(slash + 1), &used_n);
-        if (used_k != slash || used_n != v.size() - slash - 1)
-          throw std::invalid_argument(v);
-      } catch (const std::exception&) {
+      if (slash == std::string::npos) {
         std::fprintf(stderr, "--shard expects K/N (e.g. 2/4), got '%s'\n",
                      v.c_str());
         return 2;
       }
-      if (shard_count < 1 || shard_index < 0 || shard_index >= shard_count) {
-        std::fprintf(stderr, "--shard K/N requires 1 <= K <= N, got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
+      shard_count = static_cast<int>(int_arg(arg, v.substr(slash + 1), 1,
+                                             INT_MAX));
+      shard_index = static_cast<int>(int_arg(arg, v.substr(0, slash), 1,
+                                             shard_count)) - 1;  // 1-based
     } else if (arg == "--merge") {
       merge_mode = true;
     } else if (arg == "--raw") {
       include_raw = true;
     } else if (arg == "--paranoid") {
       paranoid = true;
-    } else if (arg == "--paranoid-views") {
-      paranoid_views = true;
-    } else if (arg == "--paranoid-batches") {
-      paranoid_batches = true;
     } else if (arg == "--paranoid-sim") {
       paranoid_sim = true;
     } else if (arg == "--paper-timers") {
@@ -251,11 +261,9 @@ int main(int argc, char** argv) {
     }
     // Campaign options do not constrain a merge; reject them instead of
     // silently producing a report the flags had no effect on.
-    if (print_spec || !topologies_csv.empty() || !controllers_csv.empty() ||
-        !axis_overrides.empty() ||
-        trials > 0 || have_seed || threads != 0 || sim_threads != 1 ||
-        shard_count != 1 ||
-        include_raw || paranoid || paranoid_views || paranoid_batches ||
+    if (print_spec || !topologies_csv.empty() || !controllers.empty() ||
+        !axis_overrides.empty() || trials > 0 || have_seed || threads != 0 ||
+        sim_threads != 1 || shard_count != 1 || include_raw || paranoid ||
         paranoid_sim || paper_timers) {
       std::fprintf(stderr,
                    "--merge takes only shard files and --out; campaign "
@@ -311,11 +319,7 @@ int main(int argc, char** argv) {
                                ? scenario::builtin(scenario_name)
                                : scenario::parse_spec(read_file(spec_path));
     if (!topologies_csv.empty()) s.topologies = split_csv(topologies_csv);
-    if (!controllers_csv.empty()) {
-      s.controllers.clear();
-      for (const auto& c : split_csv(controllers_csv))
-        s.controllers.push_back(std::stoi(c));
-    }
+    if (!controllers.empty()) s.controllers = controllers;
     for (auto& [name, values] : axis_overrides) {
       s.axis(name, std::move(values));  // validates names/values loudly
     }
@@ -333,9 +337,7 @@ int main(int argc, char** argv) {
     opt.shard_index = shard_index;
     opt.shard_count = shard_count;
     opt.include_raw = include_raw;
-    opt.paranoid_monitor = paranoid;
-    opt.paranoid_views = paranoid_views;
-    opt.paranoid_batches = paranoid_batches;
+    opt.paranoid = paranoid;
     opt.sim_threads = sim_threads;
     opt.paranoid_sim = paranoid_sim;
     const auto t0 = std::chrono::steady_clock::now();
