@@ -6,16 +6,15 @@
 //
 // For each fabric (ATT, fat_tree:k=8) and each adversary mode (lying,
 // corrupting) the bench runs the same campaign — bootstrap, adversary window
-// at t=5..20s, cure, re-stabilization checkpoint — once per simulation shard
-// count in {1, 2, 4}, and gates on the three reports being byte-identical
-// (the adversary draws from per-node RNG streams and the watchdog reads at
-// barriers, so --sim-threads must stay a pure wall-clock knob). Reported per
+// at t=5..20s, cure, re-stabilization checkpoint — on one trial-pool thread
+// and on the default pool size, and gates on the two reports being
+// byte-identical (the adversary draws from per-node RNG streams, so the
+// campaign cannot depend on which thread ran which trial). Reported per
 // cell: re-stabilization convergence time, time below legitimacy
 // (availability), illegitimate episodes, blast radius, and how many trials
 // re-stabilized after the cure.
 //
-// --quick (CI) runs ATT x lying at shard counts {1, 4} with one trial.
-// Writes BENCH_byzantine.json.
+// --quick (CI) runs ATT x lying with one trial. Writes BENCH_byzantine.json.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,7 +46,7 @@ scenario::Scenario byzantine_scenario(const std::string& topology,
 struct CellReport {
   std::string topology;
   std::string mode;
-  bool identical = false;     ///< reports byte-identical across shard counts
+  bool identical = false;     ///< reports byte-identical across pool sizes
   int trials = 0;
   int restabilized = 0;       ///< trials legitimate again after the cure
   double restab_p50_s = 0;    ///< median re-stabilization time
@@ -57,26 +56,17 @@ struct CellReport {
 };
 
 CellReport run_cell(const std::string& topology, const std::string& mode,
-                    int trials, const std::vector<int>& shard_counts) {
+                    int trials) {
   CellReport rep;
   rep.topology = topology;
   rep.mode = mode;
-  std::string first_json;
-  rep.identical = true;
-  scenario::CampaignResult first;
-  for (std::size_t i = 0; i < shard_counts.size(); ++i) {
-    scenario::RunnerOptions opt;
-    opt.sim_threads = shard_counts[i];
-    auto result =
-        scenario::run_campaign(byzantine_scenario(topology, mode, trials), opt);
-    const std::string rendered = result.to_json().pretty();
-    if (i == 0) {
-      first_json = rendered;
-      first = std::move(result);
-    } else if (rendered != first_json) {
-      rep.identical = false;
-    }
-  }
+  const scenario::Scenario s = byzantine_scenario(topology, mode, trials);
+  scenario::RunnerOptions serial, pooled;
+  serial.threads = 1;
+  pooled.threads = 0;  // hardware concurrency
+  const scenario::CampaignResult first = scenario::run_campaign(s, serial);
+  rep.identical = first.to_json().pretty() ==
+                  scenario::run_campaign(s, pooled).to_json().pretty();
   if (!first.cells.empty()) {
     const auto& c = first.cells.front();
     rep.trials = c.trials;
@@ -123,8 +113,6 @@ int main(int argc, char** argv) {
   const std::vector<std::string> modes =
       quick ? std::vector<std::string>{"lying"}
             : std::vector<std::string>{"lying", "corrupting"};
-  const std::vector<int> shard_counts =
-      quick ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4};
 
   bench::print_header(
       "Byzantine adversary campaign — damage, recovery, determinism",
@@ -137,18 +125,18 @@ int main(int argc, char** argv) {
               "restabilized");
   for (const auto& fabric : fabrics) {
     for (const auto& mode : modes) {
-      const CellReport rep = run_cell(fabric, mode, trials, shard_counts);
+      const CellReport rep = run_cell(fabric, mode, trials);
       if (!rep.identical || rep.restabilized != rep.trials) all_pass = false;
       std::printf("%-14s %-12s %8d %12.2f %10.2f %9.1f %7.2f %9d/%d %s\n",
                   rep.topology.c_str(), rep.mode.c_str(), rep.trials,
                   rep.restab_p50_s, rep.below_p50_s, rep.episodes_p50,
                   rep.blast_p50, rep.restabilized, rep.trials,
-                  rep.identical ? "" : "DIVERGED across --sim-threads");
+                  rep.identical ? "" : "DIVERGED across --threads");
       scenario::Json jc;
       jc.set("topology", rep.topology);
       jc.set("mode", rep.mode);
       jc.set("trials", rep.trials);
-      jc.set("identical_across_sim_threads", rep.identical);
+      jc.set("identical_across_threads", rep.identical);
       jc.set("restabilize_p50_s", rep.restab_p50_s);
       jc.set("below_legitimacy_p50_s", rep.below_p50_s);
       jc.set("episodes_p50", rep.episodes_p50);
@@ -169,8 +157,8 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   std::printf("%s\n",
-              all_pass ? "PASS (byte-identical reports at --sim-threads 1/2/4; "
-                         "every trial re-stabilized after the cure)"
+              all_pass ? "PASS (byte-identical reports at 1 and all trial "
+                         "threads; every trial re-stabilized after the cure)"
                        : "FAIL (see rows above)");
   return all_pass ? 0 : 1;
 }

@@ -1,27 +1,21 @@
 // Million-flow data plane: heavy-tailed flow churn against capacity-limited
-// rule tables, with the reproducibility gate across simulation shard counts.
+// rule tables.
 //
 //   bench_flow_churn [--quick] [--json FILE]
 //
 // Full mode boots fat_tree:k=16 (320 switches), then runs a 15-second
-// Pareto/Zipf churn window at 80,000 flows/s against 512-entry tables —
-// >= 1.2 million cumulative arrivals — and executes the identical trial at
-// --sim-threads 1, 2 and 4. Gates:
+// Pareto/Zipf churn window at 80,000 flows/s against 1,500-entry tables —
+// >= 1.2 million cumulative arrivals. Gates:
 //   - volume: cumulative arrivals >= 1,000,000 (full mode only);
 //   - pressure: the capacity limit actually bit (evictions + overflow
-//     rejections > 0) and the table report is present;
-//   - identity: the TrialOutcome JSON rendering AND the Counters fingerprint
-//     are byte-identical at every shard count (the epoch-lockstep kernel's
-//     contract; harness-lane churn ticks must not break it).
-// --quick (CI) runs fat_tree:k=8 at 5,000 flows/s for 5 seconds, shard
-// counts 1 and 2, identity + pressure gates only. Writes
-// BENCH_flow_churn.json.
+//     rejections > 0) and the table report is present.
+// --quick (CI) runs fat_tree:k=8 at 5,000 flows/s for 5 seconds, pressure
+// gate only. Writes BENCH_flow_churn.json.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
 
@@ -38,7 +32,6 @@ struct ChurnParams {
   Time mean_duration = 0;   ///< heavy-tailed lifetime mean
   int window_s = 0;         ///< churn window length (seconds)
   double table_capacity = 0;
-  std::vector<int> shard_counts;
 };
 
 scenario::Scenario churn_scenario(const ChurnParams& p) {
@@ -54,19 +47,6 @@ scenario::Scenario churn_scenario(const ChurnParams& p) {
   s.stop_flow_churn(sec(1 + p.window_s));
   return s;
 }
-
-struct ShardRow {
-  int shards = 1;
-  bool ok = false;
-  double wall_s = 0;
-  double arrivals = 0;
-  double evictions = 0;
-  double overflows = 0;
-  double peak_rules = 0;
-  double lookup_cost = 0;
-  std::string outcome_json;       ///< canonical rendering (identity gate)
-  std::uint64_t counters_fp = 0;
-};
 
 }  // namespace
 
@@ -95,14 +75,12 @@ int main(int argc, char** argv) {
     p.mean_duration = msec(100);
     p.window_s = 5;
     p.table_capacity = 700;
-    p.shard_counts = {1, 2};
   } else {
     p.fabric = "fat_tree:k=16";
     p.rate = 80'000;
     p.mean_duration = msec(150);
     p.window_s = 15;
     p.table_capacity = 1'500;
-    p.shard_counts = {1, 2, 4};
   }
 
   bench::print_header(
@@ -115,84 +93,34 @@ int main(int argc, char** argv) {
   const scenario::Scenario s = churn_scenario(p);
   const scenario::AxisPoint axes = {{"table_capacity", p.table_capacity}};
 
-  std::vector<ShardRow> rows;
-  for (int shards : p.shard_counts) {
-    scenario::RunnerOptions opt;
-    opt.threads = 1;
-    opt.sim_threads = shards;
-    ShardRow row;
-    row.shards = shards;
-    const auto t0 = Clock::now();
-    const scenario::TrialOutcome out =
-        scenario::run_trial(s, p.fabric, 3, axes, /*trial=*/0, opt);
-    row.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-    row.ok = out.ok && out.has_table;
-    if (!out.ok) {
-      std::printf("shards=%d trial FAILED: %s\n", shards, out.error.c_str());
-    }
-    row.arrivals = out.tbl_arrivals;
-    row.evictions = out.tbl_evictions;
-    row.overflows = out.tbl_overflows;
-    row.peak_rules = out.tbl_peak_rules;
-    row.lookup_cost = out.tbl_lookup_cost;
-    row.outcome_json = scenario::trial_outcome_json(out).pretty();
-    row.counters_fp = out.counters_fp;
-    rows.push_back(std::move(row));
-  }
+  scenario::RunnerOptions opt;
+  opt.threads = 1;
+  const auto t0 = Clock::now();
+  const scenario::TrialOutcome out =
+      scenario::run_trial(s, p.fabric, 3, axes, /*trial=*/0, opt);
+  const double wall_s =
+      std::chrono::duration<double>(Clock::now() - t0).count();
+  const bool ok = out.ok && out.has_table;
+  if (!out.ok) std::printf("trial FAILED: %s\n", out.error.c_str());
+  const bool volume_ok = quick || out.tbl_arrivals >= kArrivalsFloor;
+  const bool pressure_ok = ok && out.tbl_evictions + out.tbl_overflows > 0 &&
+                           out.tbl_peak_rules <= p.table_capacity;
+  const bool all_pass = volume_ok && pressure_ok;
 
-  bool identical = !rows.empty() && rows.front().ok;
-  for (const auto& row : rows) {
-    if (!row.ok || row.outcome_json != rows.front().outcome_json ||
-        row.counters_fp != rows.front().counters_fp) {
-      identical = false;
-    }
-  }
-  const ShardRow& first = rows.front();
-  const bool volume_ok = quick || first.arrivals >= kArrivalsFloor;
-  const bool pressure_ok =
-      first.ok && first.evictions + first.overflows > 0 &&
-      first.peak_rules <= p.table_capacity;
-  const bool all_pass = identical && volume_ok && pressure_ok;
-
-  std::printf("%6s %8s %12s %12s %10s %10s %18s\n", "shards", "wall(s)",
-              "arrivals", "evictions", "overflows", "peak", "counters fp");
-  for (const auto& row : rows) {
-    std::printf("%6d %8.1f %12.0f %12.0f %10.0f %10.0f %#18llx\n", row.shards,
-                row.wall_s, row.arrivals, row.evictions, row.overflows,
-                row.peak_rules,
-                static_cast<unsigned long long>(row.counters_fp));
-  }
-  std::printf("identity: %s\n", identical
-                                    ? "byte-identical across shard counts"
-                                    : "DIVERGED — churn broke the kernel "
-                                      "contract");
-  std::printf("volume:   %.0f arrivals (gate %s)\n", first.arrivals,
+  std::printf("%8s %12s %12s %10s %10s %18s\n", "wall(s)", "arrivals",
+              "evictions", "overflows", "peak", "counters fp");
+  std::printf("%8.1f %12.0f %12.0f %10.0f %10.0f %#18llx\n", wall_s,
+              out.tbl_arrivals, out.tbl_evictions, out.tbl_overflows,
+              out.tbl_peak_rules,
+              static_cast<unsigned long long>(out.counters_fp));
+  std::printf("volume:   %.0f arrivals (gate %s)\n", out.tbl_arrivals,
               quick ? "disarmed in --quick"
                     : (volume_ok ? ">= 1M, ok" : "FAILED (< 1M)"));
   std::printf("pressure: %.0f evictions + %.0f overflow rejections at "
               "peak %.0f/%.0f rules (%s)\n",
-              first.evictions, first.overflows, first.peak_rules,
+              out.tbl_evictions, out.tbl_overflows, out.tbl_peak_rules,
               p.table_capacity, pressure_ok ? "ok" : "FAILED");
 
-  scenario::Json jrows{scenario::JsonArray{}};
-  for (const auto& row : rows) {
-    scenario::Json jr;
-    jr.set("shards", row.shards);
-    jr.set("ok", row.ok);
-    jr.set("wall_s", row.wall_s);
-    jr.set("arrivals", row.arrivals);
-    jr.set("evictions", row.evictions);
-    jr.set("overflows", row.overflows);
-    jr.set("peak_rules", row.peak_rules);
-    jr.set("lookup_cost", row.lookup_cost);
-    jr.set("counters_fp_hex", [&] {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%016llx",
-                    static_cast<unsigned long long>(row.counters_fp));
-      return std::string(buf);
-    }());
-    jrows.push_back(std::move(jr));
-  }
   scenario::Json doc;
   doc.set("bench", "flow_churn");
   doc.set("mode", quick ? "quick" : "full");
@@ -200,11 +128,22 @@ int main(int argc, char** argv) {
   doc.set("rate_per_s", p.rate);
   doc.set("window_s", p.window_s);
   doc.set("table_capacity", p.table_capacity);
-  doc.set("identical", identical);
+  doc.set("ok", ok);
+  doc.set("wall_s", wall_s);
+  doc.set("arrivals", out.tbl_arrivals);
+  doc.set("evictions", out.tbl_evictions);
+  doc.set("overflows", out.tbl_overflows);
+  doc.set("peak_rules", out.tbl_peak_rules);
+  doc.set("lookup_cost", out.tbl_lookup_cost);
+  doc.set("counters_fp_hex", [&] {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(out.counters_fp));
+    return std::string(buf);
+  }());
   doc.set("volume_ok", volume_ok);
   doc.set("pressure_ok", pressure_ok);
   doc.set("pass", all_pass);
-  doc.set("rows", std::move(jrows));
   std::ofstream outf(json_path);
   outf << doc.pretty();
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());

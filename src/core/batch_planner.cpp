@@ -6,25 +6,19 @@
 #include <stdexcept>
 #include <string>
 
-#include "net/simulator.hpp"
 #include "util/log.hpp"
 
 namespace ren::core {
 
 namespace {
 
-/// In-place message rotation requires exclusive ownership, and under a
-/// multi-shard simulation use_count() == 1 is not a safe signal for it: the
-/// last foreign reference may have been dropped by a peer shard with no
-/// happens-before edge, and the count's value can depend on wall-clock
-/// interleaving. Clone instead there — the clone path is behaviourally
-/// identical (only the rotated/cloned stat split moves), so outcomes stay
-/// bit-identical to the serial kernel. Takes the cached non-const pointer
-/// itself: binding it to a proto::MessagePtr (shared_ptr<const Message>)
-/// would convert through a temporary whose extra reference makes the count
-/// never 1.
+/// In-place message rotation requires exclusive ownership: no packet or
+/// transport session still holds the message. Takes the cached non-const
+/// pointer itself: binding it to a proto::MessagePtr (shared_ptr<const
+/// Message>) would convert through a temporary whose extra reference makes
+/// the count never 1.
 bool uniquely_owned(const std::shared_ptr<proto::Message>& msg) {
-  return msg.use_count() == 1 && !net::Simulator::concurrent_context();
+  return msg.use_count() == 1;
 }
 
 /// Rotate a cached batch onto a new round: only the newRound/updateRule/

@@ -22,8 +22,8 @@
 // Determinism: each adversary owns a private RNG stream derived with
 // `Rng::stream_seed` from the trial seed and its node id, and interposes
 // only inside its host node's event handlers — which execute on the node's
-// own lane in the sharded simulator — so trials stay bit-reproducible at
-// any `--sim-threads` count and benign nodes' RNG streams are untouched.
+// own lane — so trials stay bit-reproducible and benign nodes' RNG streams
+// are untouched.
 #pragma once
 
 #include <cstdint>

@@ -1,24 +1,10 @@
 #include "faults/injector.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace ren::faults {
 
 namespace {
-
-/// Global fault injections mutate node/link state across every shard, so
-/// they are only sound at a shard-window barrier (workers parked): the
-/// scenario engine applies events between run_until calls, which is exactly
-/// that. A call from a worker thread would race the lockstep kernel and
-/// silently break bit-reproducibility — fail loudly instead.
-void require_barrier_context(const char* what) {
-  if (net::Simulator::concurrent_context()) {
-    throw std::logic_error(std::string(what) +
-                           ": fault injection must run at a shard-window "
-                           "barrier, not from shard context");
-  }
-}
 
 std::vector<NodeId> live_control_ids(const ControlPlane& cp) {
   std::vector<NodeId> ids;
@@ -237,7 +223,6 @@ std::vector<std::pair<NodeId, NodeId>> fail_random_links(
 }
 
 void corrupt_all_state(ControlPlane& cp, Rng& rng) {
-  require_barrier_context("corrupt_all_state");
   const auto node_space =
       static_cast<NodeId>(cp.sim->node_count());
   for (auto* s : cp.switches) {

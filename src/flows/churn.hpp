@@ -11,9 +11,8 @@
 //
 // Everything is a pure function of (graph, config, seed): one private Rng
 // drives all draws in a fixed per-arrival order, so the emitted arrival
-// stream is bit-reproducible at any --sim-threads value — the scenario
-// engine drives the generator from harness-lane tick events, which the
-// epoch-lockstep simulator executes only at barriers.
+// stream is bit-reproducible — the scenario engine drives the generator from
+// harness-lane tick events.
 //
 // The generator also owns the routing of flows: per-destination BFS
 // next-hop trees over the switch graph ("first shortest path": sorted

@@ -45,16 +45,8 @@ void EventQueue::schedule_packet(Time at, NodeId from, NodeId to, int link,
   push(std::move(ev));
 }
 
-void EventQueue::inject(Event&& ev) { push(std::move(ev)); }
-
 Time EventQueue::next_time() const {
   return heap_.empty() ? kTimeNever : heap_.front().at;
-}
-
-EventQueue::Key EventQueue::front_key() const {
-  if (heap_.empty()) return Key{};
-  const Event& e = heap_.front();
-  return Key{e.at, e.lane, e.seq};
 }
 
 bool EventQueue::pop(Event& out) {
@@ -81,10 +73,6 @@ bool EventQueue::step() {
     packet_handler_(ev.from, ev.to, ev.link, ev.packet);
   }
   return true;
-}
-
-std::vector<EventQueue::Event> EventQueue::drain_all() {
-  return std::exchange(heap_, {});
 }
 
 }  // namespace ren::net

@@ -4,12 +4,9 @@
 // scheduling context — lane 0 is the harness/global lane, lane `id + 1` the
 // per-node lane — and the sequence number is that lane's monotonic schedule
 // counter. The key is *content-based*: it depends only on who scheduled what,
-// never on which thread or in which interleaving the schedule call ran, so
-// the total event order (and therefore every run) is bit-for-bit identical
-// whether one queue serves the whole simulation or nodes are sharded across
-// several queues (net::Simulator's parallel mode). Within a lane, ties at
-// equal time keep insertion order, which is what the pre-lane kernel
-// guaranteed globally.
+// so the total event order (and therefore every run) is bit-for-bit
+// reproducible. Within a lane, ties at equal time keep insertion order, which
+// is what the pre-lane kernel guaranteed globally.
 //
 // Two event classes share one heap: general closures (timers, scheduled
 // actions) and packet deliveries. Packet deliveries are the dominant class
@@ -52,26 +49,13 @@ class EventQueue {
     [[nodiscard]] bool is_packet() const { return !action; }
   };
 
-  /// The deterministic total-order key of an event.
-  struct Key {
-    Time at = kTimeNever;
-    std::int32_t lane = 0;
-    std::uint64_t seq = 0;
-
-    [[nodiscard]] bool operator<(const Key& o) const {
-      if (at != o.at) return at < o.at;
-      if (lane != o.lane) return lane < o.lane;
-      return seq < o.seq;
-    }
-  };
-
   void set_packet_handler(PacketHandler handler) {
     packet_handler_ = std::move(handler);
   }
 
   /// Schedule `action` at absolute time `at` on the global lane with this
-  /// queue's own sequence counter (standalone use; the simulator's global
-  /// queue also runs on this).
+  /// queue's own sequence counter (standalone use, and the simulator's
+  /// harness events).
   void schedule_at(Time at, Action action);
 
   /// Schedule `action` with an externally assigned (lane, seq) key — the
@@ -86,11 +70,6 @@ class EventQueue {
   void schedule_packet(Time at, NodeId from, NodeId to, int link,
                        Packet packet, std::int32_t lane, std::uint64_t seq);
 
-  /// Insert an event whose key was already assigned by another queue
-  /// (cross-shard mailbox drain). The key is preserved verbatim, so the
-  /// heap order is independent of merge order.
-  void inject(Event&& ev);
-
   /// True when no events remain.
   [[nodiscard]] bool empty() const { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
@@ -98,18 +77,8 @@ class EventQueue {
   /// Current simulated time (time of the last executed event).
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Advance now() to at least `t` without executing anything (the simulator
-  /// re-syncs idle shard queues at quiescent points so the past-event clamp
-  /// matches the single-queue kernel).
-  void sync_now(Time t) {
-    if (t > now_) now_ = t;
-  }
-
   /// Time of the next pending event, or kTimeNever when empty.
   [[nodiscard]] Time next_time() const;
-
-  /// Key of the next pending event ({kTimeNever, ..} when empty).
-  [[nodiscard]] Key front_key() const;
 
   /// Pop the next event into `out` (advances now(), counts it as executed).
   /// Returns false when empty.
@@ -121,10 +90,6 @@ class EventQueue {
   /// Standalone drive: pop and dispatch the next event (action directly,
   /// packets through the installed handler); false when empty.
   bool step();
-
-  /// Move out every pending event (heap order, not sorted); the queue is
-  /// empty afterwards. Used when re-partitioning shards.
-  [[nodiscard]] std::vector<Event> drain_all();
 
   /// Total events executed so far.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }

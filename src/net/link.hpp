@@ -52,7 +52,7 @@ class Link {
   [[nodiscard]] NodeId other(NodeId n) const { return n == a_ ? b_ : a_; }
   [[nodiscard]] const LinkParams& params() const { return params_; }
 
-  /// Swap the fault profile at runtime (harness/barrier context only —
+  /// Swap the fault profile at runtime (harness context only —
   /// scenario events such as channel-corruption storms). Latency, bandwidth
   /// and queue state are untouched, so in-flight packets keep their
   /// schedules.

@@ -8,41 +8,7 @@
 
 namespace ren::net {
 
-thread_local Simulator::ExecContext Simulator::tls_;
-
-bool Simulator::concurrent_context() {
-  return tls_.sim != nullptr && tls_.sim->shard_count_ > 1;
-}
-
 // --- Counters ---------------------------------------------------------------
-
-void Counters::merge_from(Counters& other) {
-  packets_sent += other.packets_sent;
-  packets_delivered += other.packets_delivered;
-  drops_link_down += other.drops_link_down;
-  drops_queue += other.drops_queue;
-  drops_dead_node += other.drops_dead_node;
-  drops_ttl += other.drops_ttl;
-  drops_no_rule += other.drops_no_rule;
-  drops_ambiguous_rule += other.drops_ambiguous_rule;
-  packets_corrupted += other.packets_corrupted;
-  control_bytes_sent += other.control_bytes_sent;
-  max_control_message_bytes =
-      std::max(max_control_message_bytes, other.max_control_message_bytes);
-  ensure_nodes(other.ctrl_messages_sent.size());
-  for (std::size_t i = 0; i < other.ctrl_messages_sent.size(); ++i) {
-    ctrl_messages_sent[i] += other.ctrl_messages_sent[i];
-  }
-  for (std::size_t i = 0; i < other.ctrl_commands_sent.size(); ++i) {
-    ctrl_commands_sent[i] += other.ctrl_commands_sent[i];
-  }
-  for (std::size_t i = 0; i < other.iterations.size(); ++i) {
-    iterations[i] += other.iterations[i];
-  }
-  const std::size_t n = other.ctrl_messages_sent.size();
-  other = Counters{};
-  other.ensure_nodes(n);
-}
 
 std::uint64_t Counters::fingerprint() const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -71,40 +37,9 @@ std::uint64_t Counters::fingerprint() const {
   return h;
 }
 
-// --- Spin barrier -----------------------------------------------------------
-
-void Simulator::SpinBarrier::arrive_and_wait() {
-  const std::uint64_t gen = generation.load(std::memory_order_acquire);
-  if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == parties) {
-    arrived.store(0, std::memory_order_relaxed);
-    {
-      // The generation bump is published under the mutex so a waiter that
-      // decided to block cannot miss the wake-up.
-      std::lock_guard<std::mutex> lk(mu);
-      generation.store(gen + 1, std::memory_order_release);
-    }
-    cv.notify_all();
-  } else {
-    for (int i = 0; i < spin_limit; ++i) {
-      if (generation.load(std::memory_order_acquire) != gen) return;
-      std::this_thread::yield();
-    }
-    std::unique_lock<std::mutex> lk(mu);
-    cv.wait(lk, [&] {
-      return generation.load(std::memory_order_acquire) != gen;
-    });
-  }
-}
-
 // --- Construction -----------------------------------------------------------
 
-Simulator::Simulator(std::uint64_t seed) : rng_(seed), seed_(seed) {
-  auto sh = std::make_unique<Shard>();
-  sh->outbox.resize(1);
-  shards_.push_back(std::move(sh));
-}
-
-Simulator::~Simulator() { stop_workers(); }
+Simulator::Simulator(std::uint64_t seed) : rng_(seed), seed_(seed) {}
 
 NodeId Simulator::add_node(std::unique_ptr<Node> node) {
   const NodeId id = node->id();
@@ -114,7 +49,6 @@ NodeId Simulator::add_node(std::unique_ptr<Node> node) {
   nodes_.push_back(std::move(node));
   network_.ensure_nodes(nodes_.size());
   counters_.ensure_nodes(nodes_.size());
-  for (auto& sh : shards_) sh->counters.ensure_nodes(nodes_.size());
   node_rngs_.emplace_back(
       Rng::stream_seed(seed_, static_cast<std::uint64_t>(id)));
   node_seq_.push_back(0);
@@ -133,93 +67,23 @@ int Simulator::add_link(NodeId a, NodeId b, const LinkParams& params) {
   return network_.add_link(a, b, params);
 }
 
-// --- Sharding ---------------------------------------------------------------
-
-void Simulator::configure_parallel(int shards) {
-  if (in_shard_context())
-    throw std::logic_error("configure_parallel: not from node context");
-  stop_workers();
-  fold_counters();
-
-  std::vector<NodeKind> kinds;
-  kinds.reserve(nodes_.size());
-  for (const auto& n : nodes_) kinds.push_back(n->kind());
-  ShardPlan plan = make_shard_plan(network_, kinds, shards);
-
-  // Carry the pending events and clocks over to the new partition.
-  std::vector<EventQueue::Event> pending;
-  Time max_now = global_now_;
-  for (auto& sh : shards_) {
-    executed_base_ += sh->queue.executed();
-    max_now = std::max(max_now, sh->queue.now());
-    for (auto& ev : sh->queue.drain_all()) pending.push_back(std::move(ev));
-  }
-
-  shard_count_ = plan.shards;
-  shard_of_ = std::move(plan.shard_of);
-  lookahead_ = shard_count_ > 1 ? plan.lookahead : kTimeNever;
-  shards_.clear();
-  for (int s = 0; s < shard_count_; ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->queue.sync_now(max_now);
-    sh->counters.ensure_nodes(nodes_.size());
-    sh->outbox.resize(static_cast<std::size_t>(shard_count_));
-    shards_.push_back(std::move(sh));
-  }
-  for (auto& ev : pending) {
-    const int dst = ev.is_packet()       ? shard_of(ev.to)
-                    : ev.lane > EventQueue::kGlobalLane
-                        ? shard_of(static_cast<NodeId>(ev.lane - 1))
-                        : 0;
-    shards_[static_cast<std::size_t>(dst)]->queue.inject(std::move(ev));
-  }
-}
-
-// --- Time, scheduling -------------------------------------------------------
-
-Time Simulator::now() const {
-  if (tls_.sim == this && tls_.shard >= 0)
-    return shards_[static_cast<std::size_t>(tls_.shard)]->queue.now();
-  return global_now_;
-}
-
-Time Simulator::next_event_time() const {
-  Time t = global_q_.next_time();
-  for (const auto& sh : shards_) t = std::min(t, sh->queue.next_time());
-  return t;
-}
-
-std::uint64_t Simulator::events_executed() const {
-  std::uint64_t n = executed_base_ + global_q_.executed();
-  for (const auto& sh : shards_) n += sh->queue.executed();
-  return n;
-}
+// --- Scheduling -------------------------------------------------------------
 
 void Simulator::schedule_at(Time at, EventQueue::Action action) {
-  if (in_shard_context() && tls_.node != kNoNode) {
-    // Node context: the event stays affine to the executing node, so the
-    // timer chain keeps running in its shard with its lane key.
-    shards_[static_cast<std::size_t>(tls_.shard)]->queue.schedule_at(
-        at, std::move(action), lane_of(tls_.node),
-        node_seq_[static_cast<std::size_t>(tls_.node)]++);
+  if (current_node_ != kNoNode) {
+    // Node context: the event stays on the executing node's lane.
+    queue_.schedule_at(at, std::move(action), lane_of(current_node_),
+                       node_seq_[static_cast<std::size_t>(current_node_)]++);
   } else {
-    global_q_.schedule_at(at, std::move(action));
+    queue_.schedule_at(at, std::move(action));  // global lane
   }
 }
 
 void Simulator::schedule_for(NodeId node_id, Time delay,
                              std::function<void()> action) {
-  const int dst = shard_of(node_id);
-  if (in_shard_context() && dst != tls_.shard) {
-    // Would race on the target shard's queue mid-window; nodes talk to other
-    // shards through send() (which has >= lookahead latency), never timers.
-    throw std::logic_error(
-        "schedule_for: cross-shard target from node context");
-  }
   const std::uint32_t inc = node(node_id).incarnation();
-  const Time at = now() + delay;
-  shards_[static_cast<std::size_t>(dst)]->queue.schedule_at(
-      at,
+  queue_.schedule_at(
+      now() + delay,
       [this, node_id, inc, action = std::move(action)]() {
         const Node& n = node(node_id);
         if (n.alive() && n.incarnation() == inc) action();
@@ -229,247 +93,32 @@ void Simulator::schedule_for(NodeId node_id, Time delay,
 
 // --- Execution --------------------------------------------------------------
 
-void Simulator::exec_node_event(int shard, EventQueue::Event& ev) {
-  const ExecContext saved = tls_;
-  tls_.sim = this;
-  tls_.shard = shard;
-  tls_.node = ev.is_packet() ? ev.to
-              : ev.lane > EventQueue::kGlobalLane
-                  ? static_cast<NodeId>(ev.lane - 1)
-                  : kNoNode;
+void Simulator::execute(EventQueue::Event& ev) {
+  const NodeId saved = current_node_;
+  if (ev.lane == EventQueue::kGlobalLane) {
+    current_node_ = kNoNode;
+  } else {
+    current_node_ = ev.is_packet() ? ev.to : static_cast<NodeId>(ev.lane - 1);
+  }
   if (ev.action) {
     ev.action();
   } else {
     deliver_packet(ev.from, ev.to, ev.link, ev.packet);
   }
-  tls_ = saved;
-}
-
-void Simulator::exec_global_event(EventQueue::Event& ev) {
-  const ExecContext saved = tls_;
-  tls_ = ExecContext{this, -1, kNoNode};
-  global_now_ = ev.at;
-  if (ev.action) {
-    ev.action();
-  } else {
-    deliver_packet(ev.from, ev.to, ev.link, ev.packet);
-  }
-  tls_ = saved;
-}
-
-bool Simulator::step() {
-  if (shard_count_ != 1)
-    throw std::logic_error("Simulator::step: serial kernel only");
-  Shard& sh = *shards_[0];
-  const EventQueue::Key gk = global_q_.front_key();
-  const EventQueue::Key sk = sh.queue.front_key();
-  if (gk.at == kTimeNever && sk.at == kTimeNever) return false;
-  EventQueue::Event ev;
-  if (gk < sk) {
-    global_q_.pop(ev);
-    exec_global_event(ev);
-  } else {
-    sh.queue.pop(ev);
-    exec_node_event(0, ev);
-    counters_dirty_ = true;
-  }
-  sync_global_now();
-  fold_counters();
-  return true;
+  current_node_ = saved;
 }
 
 void Simulator::run_until(Time t) {
-  std::uint64_t shard_events = 0;
-  for (const auto& sh : shards_) shard_events += sh->queue.executed();
-  if (shard_count_ == 1) {
-    run_serial_until(t);
-  } else {
-    run_parallel_until(t);
-  }
-  std::uint64_t after = 0;
-  for (const auto& sh : shards_) after += sh->queue.executed();
-  if (after != shard_events) counters_dirty_ = true;
-  sync_global_now();
-  // run_until returns at a quiescent point: make the merged totals current
-  // so callers holding a counters() reference read up-to-date values.
-  fold_counters();
-}
-
-void Simulator::run_serial_until(Time t) {
-  Shard& sh = *shards_[0];
+  // Events parked at kTimeNever never run, whatever the target.
+  const Time limit = std::min(t, kTimeNever - 1);
   EventQueue::Event ev;
-  for (;;) {
-    const EventQueue::Key gk = global_q_.front_key();
-    const EventQueue::Key sk = sh.queue.front_key();
-    const bool use_global = gk < sk;
-    const Time at = use_global ? gk.at : sk.at;
-    if (at == kTimeNever || at > t) break;
-    if (use_global) {
-      global_q_.pop(ev);
-      exec_global_event(ev);
-    } else {
-      sh.queue.pop(ev);
-      exec_node_event(0, ev);
-    }
-  }
-}
-
-void Simulator::run_parallel_until(Time t) {
-  ensure_workers();
-  bool awake = false;  // workers enter the barrier loop on the first window
-  for (;;) {
-    Time tn = kTimeNever;
-    for (const auto& sh : shards_) tn = std::min(tn, sh->queue.next_time());
-    const Time tg = global_q_.next_time();
-    if (std::min(tn, tg) == kTimeNever || std::min(tn, tg) > t) break;
-    if (tg <= tn) {
-      // The global lane sorts first at equal time (lane 0): run every
-      // harness event at tg with the workers parked — fault injection and
-      // monitors see a quiescent simulation.
-      run_globals_at(tg);
-      continue;
-    }
-    // Conservative window: no event before tn exists anywhere, cross-shard
-    // traffic arrives >= lookahead after its send, and pending global events
-    // clip the window so they run at a barrier.
-    Time w = t;
-    if (tg != kTimeNever) w = std::min(w, tg - 1);
-    if (lookahead_ != kTimeNever && tn <= kTimeNever - lookahead_)
-      w = std::min(w, tn + lookahead_ - 1);
-    run_window(w, awake);
-  }
-  if (awake) {
-    // Send the workers back to the condition variable (every wake-up is
-    // matched by an Exit command, so stop_workers never strands a worker
-    // spinning at the command barrier). The second barrier acknowledges the
-    // command: without it a slow worker could still be *reading* cmd_ when
-    // this thread, already back in the harness, starts the next run and
-    // overwrites it — the worker would miss the exit, skip the wake-up gate
-    // and arrive at the wrong barrier phase.
-    cmd_ = Cmd::Exit;
-    barrier_.arrive_and_wait();
-    barrier_.arrive_and_wait();
-  }
-}
-
-void Simulator::run_globals_at(Time at) {
-  global_now_ = at;
-  EventQueue::Event ev;
-  while (!global_q_.empty() && global_q_.next_time() == at) {
-    global_q_.pop(ev);
-    exec_global_event(ev);
-  }
-}
-
-void Simulator::run_window(Time end, bool& awake) {
-  if (!awake) {
-    {
-      std::lock_guard<std::mutex> lk(start_mu_);
-      ++window_gen_;
-    }
-    start_cv_.notify_all();
-    awake = true;
-  }
-  // The workers wait at the command barrier; cmd_/window_end_ writes are
-  // published to them by the barrier itself.
-  window_end_ = end;
-  cmd_ = Cmd::Window;
-  barrier_.arrive_and_wait();  // command out
-  run_shard_window(0);
-  barrier_.arrive_and_wait();  // every shard drained to the window end
-  drain_inboxes(0);
-  barrier_.arrive_and_wait();  // every mailbox merged
-}
-
-void Simulator::run_shard_window(int shard) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
-  EventQueue::Event ev;
-  while (sh.queue.pop_until(window_end_, ev)) {
-    exec_node_event(shard, ev);
-  }
-}
-
-void Simulator::drain_inboxes(int shard) {
-  Shard& dst = *shards_[static_cast<std::size_t>(shard)];
-  for (auto& src : shards_) {
-    auto& box = src->outbox[static_cast<std::size_t>(shard)];
-    for (auto& ev : box) dst.queue.inject(std::move(ev));
-    box.clear();
-  }
-}
-
-void Simulator::fold_counters() {
-  if (!counters_dirty_) return;
-  for (auto& sh : shards_) counters_.merge_from(sh->counters);
-  counters_dirty_ = false;
-}
-
-void Simulator::sync_global_now() {
-  Time m = std::max(global_now_, global_q_.now());
-  for (const auto& sh : shards_) m = std::max(m, sh->queue.now());
-  global_now_ = m;
-  global_q_.sync_now(m);
-}
-
-// --- Worker pool ------------------------------------------------------------
-
-void Simulator::ensure_workers() {
-  if (shard_count_ <= 1 || !workers_.empty()) return;
-  barrier_.parties = shard_count_;
-  // Spin only when every shard can actually hold a core; otherwise block
-  // right away — spinning against threads that need this core turns every
-  // epoch phase into a scheduler round-trip.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  barrier_.spin_limit = hw >= shard_count_ ? 4096 : 0;
-  barrier_.arrived.store(0, std::memory_order_relaxed);
-  barrier_.generation.store(0, std::memory_order_relaxed);
-  exit_workers_ = false;
-  workers_.reserve(static_cast<std::size_t>(shard_count_ - 1));
-  for (int s = 1; s < shard_count_; ++s) {
-    workers_.emplace_back([this, s] { worker_main(s); });
-  }
-}
-
-void Simulator::stop_workers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lk(start_mu_);
-    exit_workers_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
-  exit_workers_ = false;
-}
-
-void Simulator::worker_main(int shard) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(start_mu_);
-      start_cv_.wait(lk,
-                     [&] { return exit_workers_ || window_gen_ != seen; });
-      if (exit_workers_) return;
-      seen = window_gen_;
-    }
-    for (;;) {
-      barrier_.arrive_and_wait();  // command barrier
-      if (cmd_ == Cmd::Exit) {
-        barrier_.arrive_and_wait();  // ack: every worker has read the exit
-        break;
-      }
-      run_shard_window(shard);
-      barrier_.arrive_and_wait();
-      drain_inboxes(shard);
-      barrier_.arrive_and_wait();
-    }
-  }
+  while (queue_.pop_until(limit, ev)) execute(ev);
 }
 
 // --- Failures ---------------------------------------------------------------
 
 void Simulator::kill_node(NodeId id) {
-  if (in_shard_context())
+  if (current_node_ != kNoNode)
     throw std::logic_error("kill_node: not from node context");
   Node& n = node(id);
   n.fail_stop();
@@ -481,7 +130,7 @@ void Simulator::kill_node(NodeId id) {
 }
 
 void Simulator::revive_node(NodeId id) {
-  if (in_shard_context())
+  if (current_node_ != kNoNode)
     throw std::logic_error("revive_node: not from node context");
   Node& n = node(id);
   if (n.alive()) return;
@@ -492,7 +141,7 @@ void Simulator::revive_node(NodeId id) {
 }
 
 void Simulator::set_link_state(NodeId a, NodeId b, LinkState state) {
-  if (in_shard_context())
+  if (current_node_ != kNoNode)
     throw std::logic_error("set_link_state: not from node context");
   Link* l = network_.find_link(a, b);
   if (l == nullptr) throw std::invalid_argument("set_link_state: no such link");
@@ -501,15 +150,8 @@ void Simulator::set_link_state(NodeId a, NodeId b, LinkState state) {
 
 // --- Services ---------------------------------------------------------------
 
-Counters& Simulator::counters() {
-  if (in_shard_context())
-    return shards_[static_cast<std::size_t>(tls_.shard)]->counters;
-  fold_counters();
-  return counters_;
-}
-
 void Simulator::send(NodeId from, NodeId to, Packet packet) {
-  Counters& c = counters();
+  Counters& c = counters_;
   ++c.packets_sent;
   Link* link = network_.find_link(from, to);
   if (link == nullptr ||
@@ -518,8 +160,7 @@ void Simulator::send(NodeId from, NodeId to, Packet packet) {
     return;
   }
   // All per-packet randomness comes from the *sender's* stream, so the draw
-  // sequence follows the node's own deterministic trajectory at any shard
-  // count. A blackholing (failing-but-not-yet-detected) port flaps: most
+  // sequence follows the node's own deterministic trajectory. A blackholing (failing-but-not-yet-detected) port flaps: most
   // packets are lost, a trickle still passes — that trickle is what produces
   // the duplicate-ack and out-of-order signatures of Figs. 18-20.
   Rng& r = node_rng(from);
@@ -546,31 +187,10 @@ void Simulator::send(NodeId from, NodeId to, Packet packet) {
   }
 
   const int link_index = link->index();
-  const int dst = shard_of(to);
-  const std::int32_t lane = lane_of(from);
-  // Cross-shard deliveries are buffered in the sender shard's outbox and
-  // merged at the epoch barrier; the conservative window guarantees their
-  // arrival time is past the window end. Same-shard (and quiescent-context)
-  // sends go straight into the target queue.
-  const bool cross = in_shard_context() && dst != tls_.shard;
   const auto emit = [&](Time at, Packet&& p) {
-    const std::uint64_t seq = node_seq_[static_cast<std::size_t>(from)]++;
-    if (cross) {
-      EventQueue::Event ev;
-      ev.at = at;
-      ev.lane = lane;
-      ev.seq = seq;
-      ev.packet = std::move(p);
-      ev.from = from;
-      ev.to = to;
-      ev.link = link_index;
-      shards_[static_cast<std::size_t>(tls_.shard)]
-          ->outbox[static_cast<std::size_t>(dst)]
-          .push_back(std::move(ev));
-    } else {
-      shards_[static_cast<std::size_t>(dst)]->queue.schedule_packet(
-          at, from, to, link_index, std::move(p), lane, seq);
-    }
+    queue_.schedule_packet(at, from, to, link_index, std::move(p),
+                           lane_of(from),
+                           node_seq_[static_cast<std::size_t>(from)]++);
   };
   if (plan.duplicated) {
     // Keep the original event order (delivery enqueued before the
@@ -585,7 +205,7 @@ void Simulator::send(NodeId from, NodeId to, Packet packet) {
 
 void Simulator::deliver_packet(NodeId from, NodeId to, int link,
                                Packet& packet) {
-  Counters& c = counters();
+  Counters& c = counters_;
   // In-flight packets on a permanently removed link are lost.
   if (network_.link(link).state() == LinkState::PermanentDown) {
     ++c.drops_link_down;

@@ -1,36 +1,18 @@
-// The simulation kernel: owns the event queues, the network, the nodes, the
+// The simulation kernel: owns the event queue, the network, the nodes, the
 // RNG streams and the counters.
 //
-// Two execution modes share one code path:
-//
-//   - Serial (shard count 1, the default): one node queue plus the global
-//     harness queue, popped in deterministic (time, lane, lane-seq) order on
-//     the calling thread — the paper's one-atomic-step interleaving model.
-//
-//   - Parallel (configure_parallel(S)): nodes are partitioned into S shards
-//     (net::shard.hpp), each with its own event queue and counters, and
-//     simulated time advances in conservative epochs of width Δ = the
-//     minimum cross-shard link latency. Within a window [T, T+Δ) shards
-//     execute independently on worker threads; a cross-shard send() lands in
-//     the sender shard's per-destination outbox and is drained into the
-//     target queue at the epoch barrier. Because event keys are
-//     content-based — (time, lane = scheduling node + 1, per-lane sequence)
-//     — every node observes the identical stimulus order at any shard
-//     count, and per-node RNG streams (Rng::stream_seed) plus per-shard
-//     counters with a commutative merge make whole-trial outcomes
-//     bit-identical to the serial kernel. Harness events (the global lane)
-//     always execute at a barrier with every worker parked, so fault
-//     injection and monitors see a quiescent simulation, exactly as in
-//     serial mode.
+// One queue pops events in deterministic (time, lane, lane-seq) order on the
+// calling thread — the paper's one-atomic-step interleaving model. Harness
+// events (fault injection, monitors, churn ticks) sit on the global lane 0,
+// which sorts first at equal time; node `id` schedules on lane `id + 1` with
+// its own sequence counter, and every per-packet draw comes from the
+// sender's Rng::stream_seed stream. The key is content-derived, so the event
+// order depends only on who scheduled what.
 #pragma once
 
-#include <condition_variable>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -38,7 +20,6 @@
 #include "net/network.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
-#include "net/shard.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
@@ -74,49 +55,40 @@ struct Counters {
     if (iterations.size() < n) iterations.resize(n, 0);
   }
 
-  /// Fold `other` into this and reset `other` to zero (sizes kept). Sums
-  /// everywhere except max_control_message_bytes (max) — commutative and
-  /// associative, so the per-shard merge order cannot affect the result.
-  void merge_from(Counters& other);
-
-  /// Order-independent digest of every field — the per-trial Counters
-  /// identity check behind --paranoid-sim and the determinism tests.
+  /// Digest of every field — the per-trial Counters identity the kernel
+  /// pin and the determinism tests compare.
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed);
-  ~Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   // --- time & events --------------------------------------------------------
-  /// Inside a node event: that shard's clock. Elsewhere: the time of the
-  /// last executed event across all queues (the serial-kernel semantic).
-  [[nodiscard]] Time now() const;
+  /// The time of the last executed event.
+  [[nodiscard]] Time now() const { return queue_.now(); }
   void schedule(Time delay, EventQueue::Action action) {
     schedule_at(now() + delay, std::move(action));
   }
   /// Schedule an action. From node context the event stays on that node's
-  /// lane (and shard); from the harness or a global event it goes to the
-  /// global lane, which only ever executes at an epoch barrier.
+  /// lane; from the harness or a global event it goes to the global lane.
   void schedule_at(Time at, EventQueue::Action action);
   /// Schedule an action that is silently skipped if the node has fail-stopped.
-  /// Always keyed to `node`'s lane and executed in `node`'s shard, no matter
-  /// the scheduling context — timer chains stay shard-local.
+  /// Always keyed to `node`'s lane, no matter the scheduling context.
   void schedule_for(NodeId node, Time delay, std::function<void()> action);
 
-  /// Execute one event (serial mode only; throws with shards configured).
-  bool step();
   /// Run until simulated time `t` (events at exactly t are executed).
   void run_until(Time t);
   /// Time of the next pending event, or kTimeNever when the queue is empty.
   /// Note now() only advances by executing events, so a caller stepping in
   /// fixed increments must consult this to skip quiet gaps.
-  [[nodiscard]] Time next_event_time() const;
-  [[nodiscard]] std::uint64_t events_executed() const;
+  [[nodiscard]] Time next_event_time() const { return queue_.next_time(); }
+  [[nodiscard]] std::uint64_t events_executed() const {
+    return queue_.executed();
+  }
 
   // --- topology --------------------------------------------------------------
   /// Transfer ownership of a node into the simulator. The node's id must
@@ -144,33 +116,20 @@ class Simulator {
   [[nodiscard]] Network& network() { return network_; }
   [[nodiscard]] const Network& network() const { return network_; }
 
-  // --- parallel execution -----------------------------------------------------
-  /// Partition the current nodes into (at most) `shards` shards and enable
-  /// the epoch-lockstep parallel kernel. Call after every node and link
-  /// exists (pending events are redistributed by lane). `shards` <= 1, or a
-  /// plan without usable lookahead, restores the serial kernel.
-  void configure_parallel(int shards);
-  [[nodiscard]] int shard_count() const { return shard_count_; }
-  [[nodiscard]] int shard_of(NodeId id) const {
-    return shard_of_.empty() ? 0 : shard_of_[static_cast<std::size_t>(id)];
-  }
-  /// Conservative epoch width (kTimeNever: unbounded windows — serial, or
-  /// no cross-shard links).
-  [[nodiscard]] Time lookahead() const { return lookahead_; }
-
   // --- failures ----------------------------------------------------------------
   /// Fail-stop a node: it stops taking steps and all its links go down
   /// permanently (the paper's node-removal semantics, Section 3.4.2).
-  /// Harness/barrier context only.
+  /// Harness context only.
   void kill_node(NodeId id);
 
   /// Bring a fail-stopped node back: it keeps the (stale) state it crashed
   /// with and restarts its timers. Links are NOT restored here — the faults
   /// layer tracks which links each kill took down and restores exactly those
-  /// (faults::restart_node). Harness/barrier context only.
+  /// (faults::restart_node). Harness context only.
   void revive_node(NodeId id);
 
   /// Change the state of the a-b link. Throws if the link does not exist.
+  /// Harness context only.
   void set_link_state(NodeId a, NodeId b, LinkState state);
 
   // --- services ---------------------------------------------------------------
@@ -181,118 +140,36 @@ class Simulator {
   [[nodiscard]] Rng& node_rng(NodeId id) {
     return node_rngs_[static_cast<std::size_t>(id)];
   }
-  /// Inside a node event: the executing shard's counters. Elsewhere: the
-  /// merged totals (folds the shards first — quiescent context only).
-  [[nodiscard]] Counters& counters();
-
-  /// True when the calling thread is executing an event of a multi-shard
-  /// simulation. Layers that optimise through exclusive buffer ownership
-  /// (shared_ptr use_count() == 1 → mutate in place) must consult this and
-  /// fall back to fresh allocation: use_count() is a relaxed load, so the
-  /// ownership hand-off from a peer shard carries no happens-before edge.
-  [[nodiscard]] static bool concurrent_context();
+  [[nodiscard]] Counters& counters() { return counters_; }
 
   /// Transmit `packet` from `from` to its direct neighbor `to`. Applies
   /// link state, bandwidth/queueing and the packet fault model; delivery
   /// invokes `Node::on_packet` on the receiver. All randomness comes from
-  /// `from`'s stream; a cross-shard delivery is buffered in the sender
-  /// shard's outbox until the epoch barrier.
+  /// `from`'s stream.
   void send(NodeId from, NodeId to, Packet packet);
 
  private:
-  struct Shard {
-    EventQueue queue;
-    Counters counters;
-    /// Cross-shard events produced during the current window, per
-    /// destination shard; drained at the epoch barrier.
-    std::vector<std::vector<EventQueue::Event>> outbox;
-  };
-
-  /// Which simulator/shard/node the current thread is executing, if any.
-  /// Routes now(), counters(), lane assignment and the send path.
-  struct ExecContext {
-    Simulator* sim = nullptr;
-    int shard = -1;  ///< >= 0: node event on that shard; -1: global event
-    NodeId node = kNoNode;
-  };
-  static thread_local ExecContext tls_;
-
-  /// Reusable sense-reversing barrier for the epoch phases. Waiters spin
-  /// (windows are short — parking on every phase would dominate), but only
-  /// for a bounded count before blocking on the condition variable: on an
-  /// oversubscribed machine (fewer cores than shards) pure spinning turns
-  /// every phase hand-off into scheduler round-trips. spin_limit 0 blocks
-  /// immediately — ensure_workers picks it from the core count.
-  struct SpinBarrier {
-    std::atomic<std::uint64_t> generation{0};
-    std::atomic<int> arrived{0};
-    int parties = 1;
-    int spin_limit = 0;
-    std::mutex mu;
-    std::condition_variable cv;
-    void arrive_and_wait();
-  };
-
-  [[nodiscard]] bool in_shard_context() const {
-    return tls_.sim == this && tls_.shard >= 0;
-  }
   static constexpr std::int32_t lane_of(NodeId id) { return id + 1; }
 
+  /// Run one popped event in its context: a node-lane action or a packet
+  /// delivery executes as its node, a global-lane action as the harness.
+  void execute(EventQueue::Event& ev);
   /// Packet-event endpoint: link/liveness checks at delivery time, then
   /// Node::on_packet (the deferred half of send()).
   void deliver_packet(NodeId from, NodeId to, int link, Packet& packet);
 
-  void exec_node_event(int shard, EventQueue::Event& ev);
-  void exec_global_event(EventQueue::Event& ev);
-  void run_serial_until(Time t);
-  void run_parallel_until(Time t);
-  void run_globals_at(Time at);
-  /// Coordinator side of one epoch window. Wakes the workers into the
-  /// barrier loop on the first window of a run (`awake`).
-  void run_window(Time end, bool& awake);
-  void run_shard_window(int shard); ///< drain one shard's queue to window_end_
-  void drain_inboxes(int shard);    ///< merge outboxes targeting `shard`
-  void fold_counters();
-  void ensure_workers();
-  void stop_workers();
-  void worker_main(int shard);
-  void sync_global_now();
-
-  std::vector<std::unique_ptr<Shard>> shards_;  ///< always >= 1 entries
-  EventQueue global_q_;  ///< lane-0 harness events; runs at barriers only
+  EventQueue queue_;
   Network network_;
   std::vector<std::unique_ptr<Node>> nodes_;
   Rng rng_;
   std::vector<Rng> node_rngs_;
-  /// Per-lane monotonic schedule counters (index = NodeId). Only ever
-  /// touched from the owning node's shard or at quiescent points.
+  /// Per-lane monotonic schedule counters (index = NodeId).
   std::vector<std::uint64_t> node_seq_;
   std::uint64_t seed_;
-  Counters counters_;  ///< merged totals (valid when !counters_dirty_)
-  bool counters_dirty_ = false;
-
-  std::vector<int> shard_of_;
-  int shard_count_ = 1;
-  Time lookahead_ = kTimeNever;
-  Time global_now_ = 0;  ///< harness-visible clock (last executed event)
-  std::uint64_t executed_base_ = 0;  ///< events counted before a re-partition
-
-  // Worker pool (parallel mode). Workers sleep on the condition variable
-  // between run_until calls; inside a call they stay in a barrier loop —
-  // command barrier (read cmd_/window_end_), execute, exec barrier, drain
-  // mailboxes, drain barrier, back to the command barrier — so a window
-  // costs three spin barriers and zero futex wake-ups. The coordinator
-  // computes window bounds and runs global/harness events while the workers
-  // wait at the command barrier.
-  enum class Cmd { Window, Exit };
-  std::vector<std::thread> workers_;
-  std::mutex start_mu_;
-  std::condition_variable start_cv_;
-  std::uint64_t window_gen_ = 0;
-  bool exit_workers_ = false;
-  Cmd cmd_ = Cmd::Exit;   ///< written by the coordinator between barriers
-  Time window_end_ = 0;   ///< likewise
-  SpinBarrier barrier_;
+  Counters counters_;
+  /// The node whose event is executing; kNoNode for the harness and for
+  /// global-lane events. Picks an event's lane in schedule_at().
+  NodeId current_node_ = kNoNode;
 };
 
 }  // namespace ren::net

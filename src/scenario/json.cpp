@@ -19,9 +19,15 @@ namespace {
 /// exact double. The format is part of the determinism contract (equal
 /// doubles serialize to equal bytes regardless of how the campaign was
 /// threaded), and the exact round-trip is what lets `--merge` rebuild
-/// shard aggregates byte-identical to the unsharded report.
+/// shard aggregates byte-identical to the unsharded report. JSON has no
+/// spelling for inf or nan, so those throw instead of writing a document
+/// no parser reads back.
 std::string format_number(double v) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+  if (!std::isfinite(v)) {
+    throw std::runtime_error("json: cannot render non-finite number " +
+                             std::to_string(v));
+  }
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.0f", v);
     return buf;

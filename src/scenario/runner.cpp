@@ -253,7 +253,6 @@ class TrialExecutor {
     cfg.monitor_paranoid = opt.paranoid;
     cfg.views_paranoid = opt.paranoid;
     cfg.batches_paranoid = opt.paranoid;
-    cfg.sim_threads = std::max(1, opt.sim_threads);
     exp_ = std::make_unique<sim::Experiment>(std::move(cfg));
     cp_ = exp_->control_plane();
     // Traffic scenarios register the host<->host data flow up front so its
@@ -379,9 +378,8 @@ class TrialExecutor {
   // --- Flow-churn lifecycle ------------------------------------------------
 
   /// Flow-churn generator tick cadence. Arrivals between ticks batch up and
-  /// install at the next tick boundary; ticks are harness-lane events, which
-  /// the epoch-lockstep kernel executes only at barriers — that is what
-  /// keeps the churn timeline bit-identical at any --sim-threads value.
+  /// install at the next tick boundary; ticks are global-lane events, so
+  /// they sort before every node event at the same time.
   static constexpr Time kChurnTick = msec(10);
   /// Rng::stream_seed stream id of the churn generator's private stream.
   static constexpr std::uint64_t kChurnStream = 0x466c6f774368ULL;  // "FlowCh"
@@ -874,6 +872,18 @@ TrialOutcome trial_outcome_from_json(const Json& rj) {
   return out;
 }
 
+namespace {
+
+/// RunnerOptions::sim_threads survives only for callers that assign it 1.
+void require_serial(const RunnerOptions& opt) {
+  if (opt.sim_threads != 1) {
+    throw std::invalid_argument(
+        "RunnerOptions::sim_threads must be 1 (the kernel is serial)");
+  }
+}
+
+}  // namespace
+
 std::uint64_t trial_seed(std::uint64_t base_seed, const std::string& topology,
                          int controllers, int trial) {
   std::uint64_t h = mix64(base_seed);
@@ -888,26 +898,9 @@ TrialOutcome run_trial(const Scenario& s, const std::string& topology,
                        const RunnerOptions& opt) {
   const std::uint64_t seed =
       trial_seed(s.base_seed, topology, controllers, trial);
+  require_serial(opt);
   TrialExecutor exec(s, topology, controllers, axes, seed, opt);
-  TrialOutcome out = exec.run();
-  if (opt.paranoid_sim) {
-    // Differential mode: replay the trial on the serial reference kernel and
-    // demand a byte-identical outcome (same idiom as --paranoid: the
-    // optimized path shadows the reference path).
-    RunnerOptions serial = opt;
-    serial.sim_threads = 1;
-    serial.paranoid_sim = false;
-    TrialExecutor ref(s, topology, controllers, axes, seed, serial);
-    const TrialOutcome want = ref.run();
-    if (trial_outcome_json(out).pretty() != trial_outcome_json(want).pretty() ||
-        out.counters_fp != want.counters_fp) {
-      throw std::runtime_error(
-          "paranoid-sim: sim_threads=" + std::to_string(opt.sim_threads) +
-          " outcome diverged from the serial kernel (trial " +
-          std::to_string(trial) + ", topology " + topology + ")");
-    }
-  }
-  return out;
+  return exec.run();
 }
 
 TrialOutcome run_trial(const Scenario& s, const std::string& topology,
@@ -951,6 +944,7 @@ CampaignResult run_campaign(const Scenario& s, const RunnerOptions& opt) {
       opt.shard_index >= opt.shard_count) {
     throw std::invalid_argument("run_campaign: shard must satisfy 0 <= k < n");
   }
+  require_serial(opt);
   const std::vector<AxisPoint> axis_points = expand_axis_points(s);
 
   struct GridPoint {
@@ -1002,14 +996,6 @@ CampaignResult run_campaign(const Scenario& s, const RunnerOptions& opt) {
                     ? opt.threads
                     : static_cast<int>(std::thread::hardware_concurrency());
   if (threads < 1) threads = 1;
-  // Budget nested parallelism: each trial may itself run sim_threads shard
-  // workers, so cap the trial pool at hw / sim_threads to keep trial-level x
-  // simulation-level threads within the machine.
-  if (opt.sim_threads > 1) {
-    int hw = static_cast<int>(std::thread::hardware_concurrency());
-    if (hw < 1) hw = 1;
-    threads = std::min(threads, std::max(1, hw / opt.sim_threads));
-  }
   // Size the pool by the trials this process actually runs, not the whole
   // grid: under --shard k/n only every n-th grid point is ours, and a pool
   // sized by grid.size() would spawn workers with nothing to do.

@@ -1,10 +1,10 @@
 // The campaign runner: expands a Scenario over its parameter grid
 // (topology x controller-count x generic axes x seed), executes the trials
-// on a thread pool — each trial is one Experiment, serial by default or on
-// `sim_threads` epoch-lockstep shards (bit-identical either way, so the
-// paper's interleaving model is preserved inside a trial while the campaign
-// uses every core) — and aggregates the per-trial measurements into
-// percentile summaries with a deterministic JSON rendering.
+// on a thread pool — each trial is one Experiment on the serial simulation
+// kernel, so the paper's interleaving model is preserved inside a trial
+// while the campaign uses every core — and aggregates the per-trial
+// measurements into percentile summaries with a deterministic JSON
+// rendering.
 //
 // Determinism contract: a campaign's JSON output depends only on the
 // scenario (including base_seed) and the timer profile, never on the thread
@@ -46,15 +46,10 @@ struct RunnerOptions {
   /// union of all n shard reports equals the unsharded campaign.
   int shard_index = 0;  ///< 0-based, < shard_count
   int shard_count = 1;
-  /// Simulation shards per trial (Simulator::configure_parallel); 1 = the
-  /// serial kernel. Outcomes are bit-identical at any value, so this is a
-  /// pure wall-clock knob. The trial pool is budgeted so that trial-level x
-  /// simulation-level parallelism never oversubscribes the machine.
+  /// Must be 1 (run_trial/run_campaign throw std::invalid_argument
+  /// otherwise): the simulation kernel is serial. Kept only for callers that
+  /// still assign it; goes with the next change to the benchmark.
   int sim_threads = 1;
-  /// Differential-test mode: every trial is re-run on the serial kernel and
-  /// the two TrialOutcome JSON renderings plus the Counters fingerprints
-  /// must match byte-for-byte; the trial fails on any divergence.
-  bool paranoid_sim = false;
 };
 
 /// One concrete point of the generic axes: (axis name, value) in the
@@ -122,7 +117,7 @@ struct TrialOutcome {
   double tbl_lookup_cost = 0;  ///< modeled lookup cost, summed
   /// Order-independent digest of the trial's final simulator Counters. Not
   /// part of the JSON rendering (shard-merged reports stay byte-identical);
-  /// used by --paranoid-sim and the determinism tests.
+  /// pinned by the kernel event-order test.
   std::uint64_t counters_fp = 0;
 };
 
@@ -205,8 +200,8 @@ struct CampaignResult {
                                      const RunnerOptions& opt);
 
 /// The canonical JSON rendering of one trial (the raw-export cell format).
-/// Byte-equality of two renderings is the determinism contract checked by
-/// --paranoid-sim and the sim_threads determinism tests.
+/// Byte-equality of two renderings is the determinism contract the tests
+/// check across trial-pool sizes and shard merges.
 [[nodiscard]] Json trial_outcome_json(const TrialOutcome& t);
 
 /// The inverse of trial_outcome_json for a completed trial (ok = true;

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
 #include "flows/resilient_paths.hpp"
+#include "scenario/scenario.hpp"
 #include "topo/source.hpp"
 #include "util/log.hpp"
 
@@ -13,14 +15,18 @@ namespace ren::sim {
 
 namespace {
 
-long long integral_axis(const std::string& name, double value, long long min) {
-  const double r = std::round(value);
-  if (value != r || r < static_cast<double>(min)) {
+long long integral_axis(const std::string& name, double value, long long min,
+                        long long max) {
+  if (!std::isfinite(value) || value != std::round(value) ||
+      value < static_cast<double>(min) || value > static_cast<double>(max)) {
     throw std::invalid_argument("axis \"" + name + "\": value must be an " +
-                                "integer >= " + std::to_string(min));
+                                "integer in [" + std::to_string(min) + ", " +
+                                std::to_string(max) + "]");
   }
-  return static_cast<long long>(r);
+  return static_cast<long long>(value);
 }
+
+constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 }  // namespace
 
@@ -34,12 +40,17 @@ const std::vector<std::string>& axis_names() {
 
 void apply_axis(ExperimentConfig& cfg, const std::string& name, double value) {
   if (name == "kappa") {
-    cfg.kappa = static_cast<int>(integral_axis(name, value, 0));
+    cfg.kappa = static_cast<int>(integral_axis(name, value, 0, kIntMax));
   } else if (name == "theta") {
-    cfg.theta = static_cast<int>(integral_axis(name, value, 1));
+    cfg.theta = static_cast<int>(integral_axis(name, value, 1, kIntMax));
   } else if (name == "task_delay_ms") {
-    if (!(value > 0)) {
-      throw std::invalid_argument("axis \"task_delay_ms\": value must be > 0");
+    // The delay in microseconds must fit Time; the comparison is strict
+    // because the largest Time rounds up to 2^63 as a double.
+    if (!(value > 0) ||
+        !(value * 1000.0 < static_cast<double>(kTimeNever))) {
+      throw std::invalid_argument(
+          "axis \"task_delay_ms\": value must be > 0 and fit in "
+          "microseconds of simulated time");
     }
     cfg.task_delay = usec(std::llround(value * 1000.0));
     // Keep the profile's 5:1 task:detect ratio with a 5 ms floor — the rule
@@ -51,15 +62,16 @@ void apply_axis(ExperimentConfig& cfg, const std::string& name, double value) {
     }
     cfg.link_loss = value;
   } else if (name == "victims") {
-    cfg.victims = static_cast<int>(integral_axis(name, value, 1));
+    cfg.victims = static_cast<int>(integral_axis(name, value, 1, kIntMax));
   } else if (name == "churn_rate") {
-    if (!(value > 0)) {
-      throw std::invalid_argument("axis \"churn_rate\": value must be > 0");
+    if (!(value > 0) || !std::isfinite(value)) {
+      throw std::invalid_argument(
+          "axis \"churn_rate\": value must be finite and > 0");
     }
     cfg.churn_rate = value;
   } else if (name == "table_capacity") {
-    cfg.max_rules =
-        static_cast<std::size_t>(integral_axis(name, value, 1));
+    cfg.max_rules = static_cast<std::size_t>(integral_axis(
+        name, value, 1, static_cast<long long>(scenario::kMaxSpecInt)));
   } else {
     std::string known;
     for (const auto& n : axis_names()) known += " " + n;
@@ -76,6 +88,10 @@ Experiment::Experiment(ExperimentConfig config)
 }
 
 void Experiment::build() {
+  if (config_.sim_threads != 1) {
+    throw std::invalid_argument(
+        "ExperimentConfig::sim_threads must be 1 (the kernel is serial)");
+  }
   const int n_switches = topo_.switch_graph.n();
   const int n_controllers = config_.controllers;
 
@@ -171,8 +187,6 @@ void Experiment::build() {
   for (std::size_t i = 0; i < sim_.node_count(); ++i) {
     sim_.node(static_cast<NodeId>(i)).start();
   }
-
-  if (config_.sim_threads != 1) sim_.configure_parallel(config_.sim_threads);
 
   core::LegitimacyMonitor::Config m_cfg;
   m_cfg.kappa = config_.kappa;

@@ -69,8 +69,9 @@ struct ExperimentConfig {
   std::size_t max_rules = 1u << 20;
   std::size_t max_replies = 0;        ///< 0 = auto: 2(N_C+N_S)+4
   std::size_t max_managers = 64;
-  /// Simulation shards (worker threads) for the epoch-lockstep parallel
-  /// kernel; 1 = serial. Outcomes are bit-identical at any value.
+  /// Must be 1 (the Experiment constructor throws std::invalid_argument
+  /// otherwise): the simulation kernel is serial. Kept only for callers that
+  /// still assign it; goes with the next change to the benchmark.
   int sim_threads = 1;
   bool with_hosts = false;            ///< attach a host pair at max distance
   /// Event budget: run_until_legitimate additionally gives up once the

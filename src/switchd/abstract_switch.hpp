@@ -80,7 +80,7 @@ class AbstractSwitch : public net::Node {
 
   /// Attach/detach a Byzantine adversary (faults/adversary.hpp; not owned,
   /// nullptr = benign). Interposes on outbound query replies and frames.
-  /// Harness/barrier context only.
+  /// Harness context only.
   void set_adversary(faults::Adversary* a) { adversary_ = a; }
   [[nodiscard]] faults::Adversary* adversary() const { return adversary_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/simulator.hpp"
-
 namespace ren::transport {
 
 namespace {
@@ -12,11 +10,9 @@ namespace {
 /// Refill `slot` with `frame` in place when the buffer is uniquely owned
 /// (no packet still rides it through the network), else allocate a fresh
 /// one. The in-place path assigns the Frame members directly instead of
-/// re-constructing the variant. Under a multi-shard simulation the
-/// uniqueness test is not a synchronisation point (the last reference may
-/// have been dropped by a peer shard), so always allocate fresh there.
+/// re-constructing the variant.
 void refill(std::shared_ptr<proto::Payload>& slot, proto::Frame&& frame) {
-  if (slot && slot.use_count() == 1 && !net::Simulator::concurrent_context()) {
+  if (slot && slot.use_count() == 1) {
     if (auto* f = std::get_if<proto::Frame>(slot.get())) {
       *f = std::move(frame);
     } else {
@@ -102,8 +98,7 @@ void Endpoint::on_frame(NodeId peer, const proto::Frame& frame) {
     // planner) sees the payload as uniquely owned again and can rotate it
     // in place; keep the payload buffer itself for reuse when possible.
     if (s.act_frame) {
-      if (s.act_frame.use_count() == 1 &&
-          !net::Simulator::concurrent_context()) {
+      if (s.act_frame.use_count() == 1) {
         std::get<proto::Frame>(*s.act_frame).payload.reset();
       } else {
         s.act_frame.reset();

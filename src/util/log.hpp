@@ -10,8 +10,8 @@ namespace ren {
 enum class LogLevel : int { None = 0, Error = 1, Info = 2, Debug = 3, Trace = 4 };
 
 /// Global log level (not thread-local, not atomic). Set it before a run:
-/// the parallel simulator's shard workers read it concurrently, so changing
-/// it while a multi-shard simulation runs is a data race.
+/// the campaign runner's trial-pool threads read it concurrently, so
+/// changing it while a campaign runs is a data race.
 LogLevel log_level();
 void set_log_level(LogLevel level);
 

@@ -16,10 +16,10 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { reseed(seed); }
 
   /// SplitMix64 stream split: derive the seed of an independent stream from
-  /// a base seed and a stream id. The parallel simulation kernel gives every
-  /// node the stream `Rng(Rng::stream_seed(seed, node_id))`; the derivation
-  /// depends only on (seed, stream), never on execution order, so per-node
-  /// draw sequences are identical for any shard count.
+  /// a base seed and a stream id. The simulation kernel gives every node the
+  /// stream `Rng(Rng::stream_seed(seed, node_id))`; the derivation depends
+  /// only on (seed, stream), so a node's draw sequence follows its own
+  /// trajectory, untouched by draws of other nodes or the harness.
   static constexpr std::uint64_t stream_seed(std::uint64_t seed,
                                              std::uint64_t stream) {
     std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (stream + 1);

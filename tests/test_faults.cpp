@@ -1,7 +1,7 @@
 // Fault-family tests: restore-path edge cases in faults::injector, the
 // Byzantine adversary / channel-corruption tentpole, and the determinism
-// contracts the adversarial fault family must honor (bit-identical trials
-// at any --sim-threads, zero-knob byte-identity, barrier-only injection).
+// contracts the adversarial fault family must honor (zero-knob
+// byte-identity, watchdog gating).
 #include <gtest/gtest.h>
 
 #include "faults/adversary.hpp"
@@ -182,23 +182,6 @@ Scenario byzantine_probe_scenario() {
   return s;
 }
 
-// Adversarial trials are bit-identical at any simulation shard count: the
-// adversary RNG streams are per-node, the channel corruption draws from the
-// packet's event, and the watchdog only reads at barriers.
-TEST(AdversaryScenario, TrialsAreShardCountInvariant) {
-  const Scenario s = byzantine_probe_scenario();
-  RunnerOptions serial, sharded;
-  serial.sim_threads = 1;
-  sharded.sim_threads = 4;
-  const auto a = scenario::run_trial(s, "B4", 3, 0, serial);
-  const auto b = scenario::run_trial(s, "B4", 3, 0, sharded);
-  ASSERT_TRUE(a.ok) << a.error;
-  ASSERT_TRUE(b.ok) << b.error;
-  EXPECT_EQ(scenario::trial_outcome_json(a).pretty(),
-            scenario::trial_outcome_json(b).pretty());
-  EXPECT_EQ(a.counters_fp, b.counters_fp);
-}
-
 // The watchdog record exists exactly for adversarial scenarios — benign
 // trials must not even carry the JSON key (zero-knob byte-identity).
 TEST(AdversaryScenario, WatchdogOnlyForAdversarialScenarios) {
@@ -221,27 +204,6 @@ TEST(AdversaryScenario, WatchdogOnlyForAdversarialScenarios) {
   EXPECT_TRUE(byz.wd_restabilized);
   EXPECT_GT(byz.wd_below_s, 0.0);
   EXPECT_GE(byz.wd_episodes, 1);
-}
-
-// Satellite: a corrupt_all_state storm under --sim-threads > 1 must stay
-// byte-identical to the serial kernel — global mutations run at shard-window
-// barriers. paranoid_sim replays the trial serially and fails on divergence.
-TEST(AdversaryScenario, ParanoidSimCorruptionStormUnderShards) {
-  Scenario s;
-  s.name = "corrupt_probe";
-  s.topologies = {"B4"};
-  s.controllers = {3};
-  s.trials = 1;
-  s.expect_converged(sec(0), "bootstrap", sec(60));
-  s.corrupt_all(sec(2));
-  s.channel_faults(sec(2), /*loss=*/0.02, /*corrupt=*/0.05);
-  s.stop_adversary(sec(6));
-  s.expect_converged(sec(6), "recover", sec(120));
-  RunnerOptions opt;
-  opt.sim_threads = 4;
-  opt.paranoid_sim = true;
-  const auto out = scenario::run_trial(s, "B4", 3, 0, opt);
-  EXPECT_TRUE(out.ok) << out.error;
 }
 
 // Spec-level validation of the adversarial event family.

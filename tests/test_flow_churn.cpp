@@ -1,6 +1,4 @@
-// Flow-churn workload: generator determinism, the campaign runner's
-// sim-threads byte-identity contract under churn, the paranoid-sim
-// differential over the table-pressure builtin, malformed-spec rejection,
+// Flow-churn workload: generator determinism, malformed-spec rejection,
 // and the campaign report schema for the "table" / "watchdog" blocks
 // (docs/scenarios.md documents these fields; the schema tests here keep the
 // docs honest).
@@ -15,7 +13,6 @@
 namespace ren {
 namespace {
 
-using scenario::AxisPoint;
 using scenario::Scenario;
 
 // --- Generator ---------------------------------------------------------------
@@ -128,67 +125,6 @@ TEST(ChurnGenerator, RejectsInvalidConfigs) {
   bad([](auto& c) { c.priorities = 0; });
   EXPECT_THROW(flows::ChurnGenerator(line_graph(1), small_churn(), 1, 0),
                std::invalid_argument);
-}
-
-// --- Runner determinism ------------------------------------------------------
-
-Scenario churn_scenario() {
-  Scenario s;
-  s.name = "churn_determinism";
-  s.description = "short churn window for the sim-threads identity contract";
-  s.topologies = {"B4"};
-  s.controllers = {3};
-  s.trials = 1;
-  s.base_seed = 11;
-  s.expect_converged(sec(0), "bootstrap", sec(60));
-  s.start_flow_churn(sec(1), /*rate=*/2000.0, /*mean_duration=*/msec(100));
-  s.stop_flow_churn(sec(3));
-  s.expect_converged(sec(3), "drained", sec(60));
-  return s;
-}
-
-TEST(FlowChurnDeterminism, TrialOutcomeIdenticalAcrossSimThreads) {
-  const Scenario s = churn_scenario();
-  const AxisPoint axes = {{"table_capacity", 192}};
-  std::string first_json;
-  std::uint64_t first_fp = 0;
-  for (const int sim_threads : {1, 2, 4, 8}) {
-    scenario::RunnerOptions opt;
-    opt.threads = 1;
-    opt.sim_threads = sim_threads;
-    const auto out = scenario::run_trial(s, "B4", 3, axes, /*trial=*/0, opt);
-    ASSERT_TRUE(out.ok) << "sim_threads=" << sim_threads << ": " << out.error;
-    ASSERT_TRUE(out.has_table);
-    EXPECT_GT(out.tbl_arrivals, 0);
-    const std::string json = scenario::trial_outcome_json(out).pretty();
-    if (first_json.empty()) {
-      first_json = json;
-      first_fp = out.counters_fp;
-    } else {
-      EXPECT_EQ(json, first_json) << "sim_threads=" << sim_threads;
-      EXPECT_EQ(out.counters_fp, first_fp) << "sim_threads=" << sim_threads;
-    }
-  }
-}
-
-TEST(FlowChurnDeterminism, ParanoidSimPassesOnTableOverflowRecovery) {
-  // The builtin's full timeline (churn + controller kill + link failure)
-  // re-executed on the serial kernel must reproduce the sharded run byte
-  // for byte — the harness-lane churn ticks ride the epoch barriers.
-  Scenario s = scenario::builtin("table_overflow_recovery");
-  s.topologies = {"B4"};
-  s.controllers = {3};
-  s.trials = 1;
-  scenario::RunnerOptions opt;
-  opt.threads = 1;
-  opt.sim_threads = 2;
-  opt.paranoid_sim = true;
-  const AxisPoint axes = {{"table_capacity", 640}};
-  const auto out = scenario::run_trial(s, "B4", 3, axes, /*trial=*/0, opt);
-  ASSERT_TRUE(out.ok) << out.error;
-  ASSERT_TRUE(out.has_table);
-  EXPECT_GT(out.tbl_arrivals, 0);
-  EXPECT_EQ(out.tbl_departures, out.tbl_arrivals);  // stop flushes the rest
 }
 
 // --- Spec validation ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -44,6 +45,11 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("[1.2.3]"), std::runtime_error);
   EXPECT_THROW(Json::parse("[1-2]"), std::runtime_error);
   EXPECT_THROW(Json::parse("[1e]"), std::runtime_error);
+  // JSON has no inf or nan: rendering one is an error, not a bare token.
+  EXPECT_THROW((void)Json(std::numeric_limits<double>::infinity()).dump(),
+               std::runtime_error);
+  EXPECT_THROW((void)Json(std::numeric_limits<double>::quiet_NaN()).pretty(),
+               std::runtime_error);
 }
 
 // --- Spec round-trip --------------------------------------------------------
@@ -124,6 +130,22 @@ TEST(ScenarioAxes, BuilderValidatesNamesAndValues) {
   s.axis("kappa", {4});
   ASSERT_EQ(s.axes.size(), 4u);
   EXPECT_EQ(s.axes[0].values, (std::vector<double>{4}));
+  // Non-finite values and values the target type cannot hold.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const char* name : {"kappa", "theta", "victims", "task_delay_ms",
+                           "churn_rate", "table_capacity", "link_loss"}) {
+    EXPECT_THROW(s.axis(name, {inf}), std::invalid_argument) << name;
+    EXPECT_THROW(s.axis(name, {nan}), std::invalid_argument) << name;
+  }
+  for (const char* name :
+       {"kappa", "theta", "victims", "task_delay_ms", "table_capacity"}) {
+    EXPECT_THROW(s.axis(name, {1e300}), std::invalid_argument) << name;
+  }
+  EXPECT_THROW(s.axis("kappa", {2147483648.0}), std::invalid_argument);
+  EXPECT_THROW(s.axis("table_capacity", {9007199254740994.0}),
+               std::invalid_argument);
+  s.axis("table_capacity", {9007199254740992.0});  // 2^53 is still exact
 }
 
 TEST(ScenarioAxes, SpecRoundTripIsIdentity) {

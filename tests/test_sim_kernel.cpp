@@ -1,12 +1,12 @@
 // The serial simulation kernel's event order, pinned. Every trial outcome
 // and the counters fingerprint are a function of the (time, lane, lane-seq)
 // pop order; the campaign byte baselines cover the rendered outcomes but not
-// counters_fp, so these literals are what catch a reordered event. They were
-// recorded from the kernel with a separate global-lane queue; a change here
-// invalidates every recorded outcome.
+// counters_fp, so these literals are what catch a reordered event. A change
+// here invalidates every recorded outcome.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "test_helpers.hpp"
@@ -48,6 +48,25 @@ TEST(SimKernel, SerialEventOrderIsPinned) {
     for (const auto& cp : out.checkpoints) seconds.push_back(cp.seconds);
     EXPECT_EQ(seconds, pin.checkpoint_seconds) << pin.scenario;
   }
+}
+
+// The kernel is serial; the sim_threads fields only survive for callers
+// that assign them 1, and any other value is an error rather than a no-op.
+TEST(SimKernel, SimThreadsOtherThanOneThrows) {
+  auto cfg = testing::fast_config("B4", 3);
+  cfg.sim_threads = 2;
+  EXPECT_THROW(sim::Experiment{cfg}, std::invalid_argument);
+
+  scenario::Scenario s = scenario::builtin("partition_and_heal");
+  s.topologies = {"B4"};
+  s.controllers = {3};
+  s.trials = 1;
+  scenario::RunnerOptions opt;
+  opt.threads = 1;
+  opt.sim_threads = 2;
+  EXPECT_THROW((void)scenario::run_trial(s, "B4", 3, 0, opt),
+               std::invalid_argument);
+  EXPECT_THROW((void)scenario::run_campaign(s, opt), std::invalid_argument);
 }
 
 }  // namespace

@@ -54,12 +54,6 @@ void usage(std::FILE* to) {
                "  --trials N             seeded repetitions per grid cell\n"
                "  --seed S               campaign base seed (0 .. 2^53)\n"
                "  --threads N            worker threads (default: all cores)\n"
-               "  --sim-threads N        simulation shards per trial (epoch-\n"
-               "                         lockstep parallel kernel; outcomes are\n"
-               "                         bit-identical for any N, and the trial\n"
-               "                         pool shrinks so N x trials stays within\n"
-               "                         the machine; see --list-topos for a\n"
-               "                         suggested N per topology)\n"
                "  --shard K/N            run shard K of N (K = 1..N); the union\n"
                "                         of all N shard reports is the full\n"
                "                         campaign (seeds depend only on the grid)\n"
@@ -73,9 +67,6 @@ void usage(std::FILE* to) {
                "                         controller's res/fusion views and\n"
                "                         planned outbound batches (byte-equal\n"
                "                         encodings) per tick (slow)\n"
-               "  --paranoid-sim         re-run every trial on the serial\n"
-               "                         kernel and require a byte-identical\n"
-               "                         outcome (with --sim-threads; slow)\n"
                "  --paper-timers         paper Section 6.3 timers instead of fast\n"
                "  --out FILE             write the JSON report here (default stdout)\n"
                "  --verbose              enable Info-level simulation logging\n");
@@ -127,11 +118,11 @@ int main(int argc, char** argv) {
   std::vector<int> controllers;
   std::vector<std::pair<std::string, std::vector<double>>> axis_overrides;
   std::vector<std::string> merge_inputs;
-  int trials = 0, threads = 0, sim_threads = 1;
+  int trials = 0, threads = 0;
   int shard_index = 0, shard_count = 1;
   std::uint64_t seed = 0;
   bool have_seed = false, paper_timers = false, print_spec = false;
-  bool include_raw = false, paranoid = false, paranoid_sim = false;
+  bool include_raw = false, paranoid = false;
   bool merge_mode = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -153,20 +144,16 @@ int main(int argc, char** argv) {
       }
       return 0;
     } else if (arg == "--list-topos") {
-      // "shards" is the suggested --sim-threads for the fabric (work-per-
-      // epoch vs diameter heuristic, net::suggest_sim_shards).
-      std::printf("%-36s %-18s %7s %7s %9s %7s  %s\n", "spec", "kind", "nodes",
-                  "links", "diameter", "shards", "summary");
+      std::printf("%-36s %-18s %7s %7s %9s  %s\n", "spec", "kind", "nodes",
+                  "links", "diameter", "summary");
       for (const auto& t : topo::list_topos()) {
         if (t.nodes > 0) {
-          const int shards =
-              net::suggest_sim_shards(t.nodes, t.links, t.diameter);
-          std::printf("%-36s %-18s %7d %7zu %9d %7d  %s\n", t.spec.c_str(),
-                      t.kind.c_str(), t.nodes, t.links, t.diameter, shards,
+          std::printf("%-36s %-18s %7d %7zu %9d  %s\n", t.spec.c_str(),
+                      t.kind.c_str(), t.nodes, t.links, t.diameter,
                       t.summary.c_str());
         } else {
-          std::printf("%-36s %-18s %7s %7s %9s %7s  %s\n", t.spec.c_str(),
-                      t.kind.c_str(), "-", "-", "-", "-", t.summary.c_str());
+          std::printf("%-36s %-18s %7s %7s %9s  %s\n", t.spec.c_str(),
+                      t.kind.c_str(), "-", "-", "-", t.summary.c_str());
         }
       }
       return 0;
@@ -217,8 +204,6 @@ int main(int argc, char** argv) {
       have_seed = true;
     } else if (arg == "--threads") {
       threads = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
-    } else if (arg == "--sim-threads") {
-      sim_threads = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
     } else if (arg == "--shard") {
       const std::string v = value();
       const auto slash = v.find('/');
@@ -237,8 +222,6 @@ int main(int argc, char** argv) {
       include_raw = true;
     } else if (arg == "--paranoid") {
       paranoid = true;
-    } else if (arg == "--paranoid-sim") {
-      paranoid_sim = true;
     } else if (arg == "--paper-timers") {
       paper_timers = true;
     } else if (arg == "--out") {
@@ -263,8 +246,7 @@ int main(int argc, char** argv) {
     // silently producing a report the flags had no effect on.
     if (print_spec || !topologies_csv.empty() || !controllers.empty() ||
         !axis_overrides.empty() || trials > 0 || have_seed || threads != 0 ||
-        sim_threads != 1 || shard_count != 1 || include_raw || paranoid ||
-        paranoid_sim || paper_timers) {
+        shard_count != 1 || include_raw || paranoid || paper_timers) {
       std::fprintf(stderr,
                    "--merge takes only shard files and --out; campaign "
                    "options have no effect on a merge\n");
@@ -338,8 +320,6 @@ int main(int argc, char** argv) {
     opt.shard_count = shard_count;
     opt.include_raw = include_raw;
     opt.paranoid = paranoid;
-    opt.sim_threads = sim_threads;
-    opt.paranoid_sim = paranoid_sim;
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = scenario::run_campaign(s, opt);
     const auto elapsed =
