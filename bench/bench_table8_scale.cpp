@@ -13,9 +13,14 @@
 // residual would be a 2 MiB contiguous block; the sparse path peaks in the
 // tens of kilobytes.
 //
+// After the first bootstrap of each fabric, a compile probe times
+// RuleCompiler::compile against its oracle, compile_oracle, on the converged
+// true view for every controller, and checks the outputs are identical
+// (compile_speedup / compile_identical in the JSON).
+//
 // Acceptance: every fabric (including fat-tree k=16 and the >= 1,000-node
 // WAN) converges to a legitimate state, with no dense-sized allocation in
-// the connectivity audit. --quick (CI) runs one trial per fabric; the full
+// the connectivity audit and compile output identical to the oracle. --quick (CI) runs one trial per fabric; the full
 // run takes the median of three seeds. Writes BENCH_table8_scale.json.
 #include <atomic>
 #include <chrono>
@@ -84,6 +89,10 @@ struct FabricRow {
   bool converged = false;
   double boot_sim_s = 0;   ///< median simulated seconds to legitimacy
   double boot_wall_s = 0;  ///< median wall seconds per trial
+  double compile_s = 0;    ///< compile() wall seconds, all controllers
+  double oracle_s = 0;     ///< compile_oracle() wall seconds, same inputs
+  double compile_speedup = 0;
+  bool compile_identical = false;
 };
 
 /// Fast-timer profile: time-to-legitimacy in *simulated* seconds is what the
@@ -127,6 +136,28 @@ void audit_connectivity(FabricRow& row, const flows::Graph& g) {
                  std::max<std::uint64_t>(row.dense_residual_bytes, 4096);
 }
 
+/// Times compile() against compile_oracle() on the converged true view,
+/// once per controller, and checks that the outputs are identical.
+void probe_compile(sim::Experiment& exp, FabricRow& row) {
+  const flows::TopoView& truth = exp.monitor().true_view();
+  std::map<NodeId, bool> transit;
+  for (auto* sw : exp.switches()) transit.insert({sw->id(), true});
+  for (auto* c : exp.controllers()) transit.insert({c->id(), false});
+  const flows::RuleCompiler compiler({row.kappa});
+  row.compile_identical = true;
+  for (auto* c : exp.controllers()) {
+    const auto t0 = Clock::now();
+    const auto fast = compiler.compile(truth, c->id(), transit);
+    const auto t1 = Clock::now();
+    const auto oracle = compiler.compile_oracle(truth, c->id(), transit);
+    const auto t2 = Clock::now();
+    row.compile_s += std::chrono::duration<double>(t1 - t0).count();
+    row.oracle_s += std::chrono::duration<double>(t2 - t1).count();
+    if (!flows::identical_flows(*fast, *oracle)) row.compile_identical = false;
+  }
+  row.compile_speedup = row.compile_s > 0 ? row.oracle_s / row.compile_s : 0;
+}
+
 bool run_fabric(const std::string& spec, int trials, FabricRow& row) {
   row.spec = spec;
   const topo::Topology t = topo::resolve(spec);
@@ -164,6 +195,7 @@ bool run_fabric(const std::string& spec, int trials, FabricRow& row) {
     }
     sim_s.add(boot.seconds);
     wall_s.add(wall);
+    if (trial == 0) probe_compile(exp, row);
   }
   row.converged = true;
   row.boot_sim_s = sim_s.median();
@@ -200,21 +232,23 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Table 8 at scale — time to legitimacy on 80..1280-node fabrics",
       "Table 8 methodology on fat-tree k=8/16 and a 1k-node random WAN");
-  std::printf("%-34s %6s %6s %4s %7s %6s %10s %10s %11s\n", "fabric", "nodes",
-              "links", "diam", "lambda", "kappa", "boot (s)", "wall (s)",
-              "max alloc");
+  std::printf("%-34s %6s %6s %4s %7s %6s %10s %10s %11s %9s\n", "fabric",
+              "nodes", "links", "diam", "lambda", "kappa", "boot (s)",
+              "wall (s)", "max alloc", "compile");
 
   bool all_pass = true;
   scenario::Json rows{scenario::JsonArray{}};
   for (const char* spec : kFabrics) {
     FabricRow row;
     if (!run_fabric(spec, trials, row)) all_pass = false;
-    if (!row.alloc_ok) all_pass = false;
-    std::printf("%-34s %6d %6zu %4d %7d %6d %10.2f %10.2f %9" PRIu64 " B%s\n",
+    if (!row.alloc_ok || !row.compile_identical) all_pass = false;
+    std::printf("%-34s %6d %6zu %4d %7d %6d %10.2f %10.2f %9" PRIu64
+                " B %8.1fx%s%s\n",
                 row.spec.c_str(), row.nodes, row.links, row.diameter,
                 row.lambda, row.kappa, row.boot_sim_s, row.boot_wall_s,
-                row.connectivity_max_alloc,
-                row.alloc_ok ? "" : "  << DENSE-SIZED ALLOCATION");
+                row.connectivity_max_alloc, row.compile_speedup,
+                row.alloc_ok ? "" : "  << DENSE-SIZED ALLOCATION",
+                row.compile_identical ? "" : "  << COMPILE != ORACLE");
 
     scenario::Json rj;
     rj.set("spec", row.spec);
@@ -232,6 +266,10 @@ int main(int argc, char** argv) {
     rj.set("dense_residual_bytes",
            static_cast<double>(row.dense_residual_bytes));
     rj.set("alloc_ok", row.alloc_ok);
+    rj.set("compile_s", row.compile_s);
+    rj.set("oracle_s", row.oracle_s);
+    rj.set("compile_speedup", row.compile_speedup);
+    rj.set("compile_identical", row.compile_identical);
     rows.push_back(std::move(rj));
   }
 
@@ -247,7 +285,7 @@ int main(int argc, char** argv) {
 
   std::printf("%s\n", all_pass
                           ? "PASS (all fabrics legitimate, sparse-sized "
-                            "allocations only)"
+                            "allocations only, compile == oracle)"
                           : "FAIL (see rows above)");
   return all_pass ? 0 : 1;
 }

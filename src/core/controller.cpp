@@ -51,6 +51,7 @@ Controller::Controller(NodeId id, Config config)
 }
 
 void Controller::start() {
+  endpoint_.set_max_sessions(sim_->node_count());
   const Time it_off = static_cast<Time>(sim_->node_rng(id()).next_below(
       static_cast<std::uint64_t>(config_.task_delay)));
   const Time det_off = static_cast<Time>(sim_->node_rng(id()).next_below(

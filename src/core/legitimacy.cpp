@@ -219,6 +219,13 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
   // Reference compilation, merged with the controller's data flows exactly
   // like Controller::rebuild_merged_rules does.
   const auto expected = compiler_.compile_cached(truth, c->id(), transit);
+  if (config_.paranoid &&
+      !flows::identical_flows(
+          *expected, *compiler_.compile_oracle(truth, c->id(), transit))) {
+    throw std::logic_error("LegitimacyMonitor paranoid divergence: "
+                           "compile != compile_oracle for controller " +
+                           std::to_string(c->id()));
+  }
   std::map<NodeId, proto::RuleListPtr> out;
   if (c->data_flows().empty()) {
     out = expected->per_switch;

@@ -25,8 +25,9 @@
 // per-item memos (per-controller view, per-switch managers/owners, per
 // (switch, controller) rule list, cached ground truth and reference
 // compilations) confine the work to the changed slice. Config::paranoid
-// shadows every incremental verdict with a fresh full evaluation and throws
-// on divergence — the differential harness used by tests and CI.
+// shadows every incremental verdict with a fresh full evaluation, and every
+// reference compilation with RuleCompiler::compile_oracle, and throws on
+// divergence — the differential harness used by tests and CI.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,8 @@ class LegitimacyMonitor {
   struct Config {
     int kappa = 2;
     /// Differential-test mode: run the full check alongside the incremental
-    /// one on every sample and throw std::logic_error when verdicts diverge.
+    /// one on every sample, check each reference compilation against the
+    /// compiler's oracle, and throw std::logic_error on any divergence.
     bool paranoid = false;
   };
 

@@ -213,6 +213,9 @@ void FlatView::assign(const TopoView& view) {
   }
   mark_.assign(ids_.size(), 0);
   stamp_ = 0;
+  parent_.resize(ids_.size());
+  blocked_.assign(nbr_.size(), 0);
+  block_stamp_ = 1;
 }
 
 int FlatView::index_of(NodeId id) const {
@@ -250,9 +253,66 @@ void FlatView::reachable_from(NodeId from, std::vector<NodeId>& out) {
 }
 
 bool FlatView::reached(NodeId id) const {
-  if (stamp_ == 0) return false;  // no reachable_from() since assign()
+  if (stamp_ == 0) return false;  // no search since assign()
   const int idx = index_of(id);
   return idx >= 0 && mark_[static_cast<std::size_t>(idx)] == stamp_;
+}
+
+int FlatView::edge_index(int u, int v) const {
+  const auto first = nbr_.begin() + off_[static_cast<std::size_t>(u)];
+  const auto last = nbr_.begin() + off_[static_cast<std::size_t>(u) + 1];
+  // Neighbor ids are sorted and indices follow id order, so indices are too.
+  const auto it = std::lower_bound(first, last, v);
+  return it != last && *it == v ? static_cast<int>(it - nbr_.begin()) : -1;
+}
+
+void FlatView::clear_blocked() {
+  if (++block_stamp_ == 0) {  // stamp wrapped: reset once, restart at 1
+    std::fill(blocked_.begin(), blocked_.end(), 0);
+    block_stamp_ = 1;
+  }
+}
+
+void FlatView::block_both(int u, int v) {
+  for (const int e : {edge_index(u, v), edge_index(v, u)}) {
+    if (e >= 0) blocked_[static_cast<std::size_t>(e)] = block_stamp_;
+  }
+}
+
+bool FlatView::search(int src, int dst,
+                      const std::vector<std::uint8_t>& relay) {
+  if (++stamp_ == 0) {
+    std::fill(mark_.begin(), mark_.end(), 0);
+    stamp_ = 1;
+  }
+  queue_.clear();
+  queue_.push_back(src);
+  mark_[static_cast<std::size_t>(src)] = stamp_;
+  parent_[static_cast<std::size_t>(src)] = src;
+  if (src == dst) return true;
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::int32_t u = queue_[head];
+    if (u != src && relay[static_cast<std::size_t>(u)] == 0) continue;
+    const std::int32_t end = off_[static_cast<std::size_t>(u) + 1];
+    for (std::int32_t e = off_[static_cast<std::size_t>(u)]; e < end; ++e) {
+      const std::int32_t v = nbr_[static_cast<std::size_t>(e)];
+      if (mark_[static_cast<std::size_t>(v)] == stamp_ ||
+          blocked_[static_cast<std::size_t>(e)] == block_stamp_) {
+        continue;
+      }
+      mark_[static_cast<std::size_t>(v)] = stamp_;
+      parent_[static_cast<std::size_t>(v)] = u;
+      if (v == dst) return true;
+      queue_.push_back(v);
+    }
+  }
+  return dst < 0;
+}
+
+int FlatView::parent(int idx) const {
+  return stamp_ != 0 && mark_[static_cast<std::size_t>(idx)] == stamp_
+             ? parent_[static_cast<std::size_t>(idx)]
+             : -1;
 }
 
 std::uint64_t TopoView::fingerprint() const {

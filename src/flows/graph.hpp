@@ -108,7 +108,8 @@ class TopoView {
 /// epoch-stamped: re-assigning or re-running BFS bumps the stamp instead of
 /// clearing, and the scratch buffers are retained across assign() calls, so
 /// a long-lived FlatView (one per cached controller view) allocates nothing
-/// in steady state.
+/// in steady state. The same arrays, plus a parent array and blocked-edge
+/// stamps, carry the rule compiler's path searches.
 class FlatView {
  public:
   FlatView() = default;
@@ -130,8 +131,34 @@ class FlatView {
   /// `reached()` afterwards answers membership in O(1). Does nothing when
   /// `from` is not in the snapshot.
   void reachable_from(NodeId from, std::vector<NodeId>& out);
-  /// Membership in the most recent reachable_from() run.
+  /// Membership in the most recent reachable_from() or search() run.
   [[nodiscard]] bool reached(NodeId id) const;
+
+  // --- Path search (RuleCompiler::compile) ----------------------------------
+  // Works on compact indices. Blocked edges are epoch-stamped like the
+  // visited array: unblocking everything is one stamp bump.
+
+  /// CSR position of the directed edge u -> v, or -1 when it is absent.
+  [[nodiscard]] int edge_index(int u, int v) const;
+  /// Unblock every edge.
+  void clear_blocked();
+  /// Block u -> v and v -> u, whichever of them exist.
+  void block_both(int u, int v);
+  /// BFS from `src` over unblocked edges, recording parents. A node other
+  /// than `src` is expanded only when `relay[idx]` is nonzero (it may still
+  /// be reached as an endpoint). Neighbors are scanned in id order, so the
+  /// tree is the deterministic "first shortest path" tree. Stops as soon as
+  /// `dst` is reached; `dst` < 0 grows the whole tree. Returns whether `dst`
+  /// was reached (always true for `dst` < 0).
+  bool search(int src, int dst, const std::vector<std::uint8_t>& relay);
+  /// Parent of `idx` in the last search() (`src` is its own parent), or -1
+  /// when that search did not reach it.
+  [[nodiscard]] int parent(int idx) const;
+  /// Indices the last search() reached, in BFS order (`src` first). A
+  /// search that stopped at `dst` leaves `dst` out.
+  [[nodiscard]] const std::vector<std::int32_t>& order() const {
+    return queue_;
+  }
 
  private:
   std::vector<NodeId> ids_;           // sorted node ids (map order)
@@ -139,8 +166,11 @@ class FlatView {
   std::vector<std::int32_t> off_;     // CSR offsets (size n+1)
   std::vector<std::int32_t> nbr_;     // CSR neighbor indices
   std::vector<std::uint32_t> mark_;   // epoch-stamped visited array
-  std::vector<std::int32_t> queue_;   // BFS scratch
+  std::vector<std::int32_t> queue_;   // BFS scratch (BFS order)
+  std::vector<std::int32_t> parent_;  // search() parents, valid where marked
+  std::vector<std::uint32_t> blocked_;  // epoch-stamped, indexed by CSR edge
   std::uint32_t stamp_ = 0;
+  std::uint32_t block_stamp_ = 1;
 };
 
 }  // namespace ren::flows

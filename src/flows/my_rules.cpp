@@ -31,6 +31,36 @@ std::map<NodeId, bool> effective_transit(
   return transit;
 }
 
+/// Calls f(n, transit) for every view node in id order, with the flag
+/// effective_transit() would store, without materializing the map.
+template <class F>
+void for_each_effective_transit(const TopoView& view, NodeId owner,
+                                const std::map<NodeId, bool>& is_transit,
+                                F&& f) {
+  auto it = is_transit.begin();
+  for (const auto& [n, _] : view.adj()) {
+    while (it != is_transit.end() && it->first < n) ++it;
+    const bool known = it != is_transit.end() && it->first == n;
+    f(n, n != owner && (!known || it->second));
+  }
+}
+
+std::uint64_t mix_transit(std::uint64_t h, NodeId n, bool t) {
+  h ^= (static_cast<std::uint64_t>(n) * 2 + (t ? 1 : 0)) +
+       0x9e3779b97f4a7c15ULL;
+  return h * 1099511628211ULL;
+}
+
+/// combined_fingerprint(view, effective_transit(view, owner, is_transit)).
+std::uint64_t effective_fingerprint(const TopoView& view, NodeId owner,
+                                    const std::map<NodeId, bool>& is_transit) {
+  std::uint64_t h = view.fingerprint();
+  for_each_effective_transit(view, owner, is_transit, [&h](NodeId n, bool t) {
+    h = mix_transit(h, n, t);
+  });
+  return h;
+}
+
 using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
 
 /// Shortest s->t path whose interior nodes are transit, avoiding edges in
@@ -92,14 +122,115 @@ std::vector<std::vector<NodeId>> disjoint_view_paths(
 std::uint64_t RuleCompiler::combined_fingerprint(
     const TopoView& view, const std::map<NodeId, bool>& transit) {
   std::uint64_t h = view.fingerprint();
-  for (const auto& [n, t] : transit) {
-    h ^= (static_cast<std::uint64_t>(n) * 2 + (t ? 1 : 0)) + 0x9e3779b97f4a7c15ULL;
-    h *= 1099511628211ULL;
-  }
+  for (const auto& [n, t] : transit) h = mix_transit(h, n, t);
   return h;
 }
 
+bool identical_flows(const CompiledFlows& a, const CompiledFlows& b) {
+  return a.view_fingerprint == b.view_fingerprint &&
+         a.first_hops == b.first_hops &&
+         std::equal(a.per_switch.begin(), a.per_switch.end(),
+                    b.per_switch.begin(), b.per_switch.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first && *x.second == *y.second;
+                    });
+}
+
 CompiledFlowsPtr RuleCompiler::compile(
+    const TopoView& view, NodeId owner,
+    const std::map<NodeId, bool>& is_transit) const {
+  auto flows = std::make_shared<CompiledFlows>();
+  Scratch& s = scratch_;
+  FlatView& g = s.flat;
+  g.assign(view);
+  const auto n = static_cast<std::size_t>(g.n());
+  flows->view_fingerprint = effective_fingerprint(view, owner, is_transit);
+  s.relay.resize(n);
+  std::size_t i = 0;  // FlatView indices follow the view's id order
+  for_each_effective_transit(view, owner, is_transit,
+                             [&](NodeId, bool t) { s.relay[i++] = t ? 1 : 0; });
+  const int root = g.index_of(owner);
+  if (root < 0 || config_.kappa < 0) return flows;
+
+  // Primary tree: every k=0 path is a walk up it.
+  g.search(root, -1, s.relay);
+  s.order = g.order();
+  s.tree.resize(n);
+  for (const std::int32_t v : s.order) {
+    s.tree[static_cast<std::size_t>(v)] = g.parent(v);
+  }
+  s.building.resize(n);
+  // Loads the root -> d path into s.path by walking `up` from d.
+  auto load_path = [&s, root](std::int32_t d, auto&& up) {
+    s.path.clear();
+    for (std::int32_t v = d; v != root; v = up(v)) s.path.push_back(v);
+    s.path.push_back(root);
+    std::reverse(s.path.begin(), s.path.end());
+  };
+
+  for (const std::int32_t d : s.order) {
+    if (d == root) continue;
+    const NodeId dest = g.id_at(d);
+    s.hops.clear();
+    load_path(d, [&s](std::int32_t v) {
+      return s.tree[static_cast<std::size_t>(v)];
+    });
+    emit_path(0, dest);
+
+    g.clear_blocked();
+    for (int k = 1; k <= config_.kappa; ++k) {
+      for (std::size_t j = 0; j + 1 < s.path.size(); ++j) {
+        g.block_both(s.path[j], s.path[j + 1]);
+      }
+      if (!g.search(root, d, s.relay)) break;
+      load_path(d, [&g](std::int32_t v) { return g.parent(v); });
+      emit_path(k, dest);
+    }
+    flows->first_hops.emplace(dest, s.hops);
+  }
+
+  for (std::size_t v = 0; v < n; ++v) {
+    proto::RuleList& rules = s.building[v];
+    if (rules.empty()) continue;
+    std::sort(rules.begin(), rules.end(), rule_order);
+    rules.erase(std::unique(rules.begin(), rules.end()), rules.end());
+    flows->per_switch.emplace_hint(
+        flows->per_switch.end(), g.id_at(static_cast<int>(v)),
+        std::make_shared<const proto::RuleList>(std::move(rules)));
+  }
+  return flows;
+}
+
+/// Rules and first hop of the k-th path in `scratch_.path` toward `dest`,
+/// exactly as compile_oracle() emits them.
+void RuleCompiler::emit_path(int k, NodeId dest) const {
+  Scratch& s = scratch_;
+  const FlatView& g = s.flat;
+  const std::vector<std::int32_t>& path = s.path;
+  const NodeId owner = g.id_at(path.front());
+  const Priority prt = nprt() - 1 - static_cast<Priority>(k);
+  const NodeId hop = g.id_at(path[1]);
+  if (std::find(s.hops.begin(), s.hops.end(), hop) == s.hops.end()) {
+    s.hops.push_back(hop);
+  }
+  // Primary reverse rules use the wildcard source, backups the endpoint.
+  const NodeId back_src = k == 0 ? kNoNode : dest;
+  for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+    const NodeId sw = g.id_at(path[i]);
+    auto& rules = s.building[static_cast<std::size_t>(path[i])];
+    rules.push_back(
+        proto::Rule{owner, sw, owner, dest, prt, g.id_at(path[i + 1])});
+    rules.push_back(
+        proto::Rule{owner, sw, back_src, owner, prt, g.id_at(path[i - 1])});
+  }
+  const std::int32_t d = path.back();
+  if (s.relay[static_cast<std::size_t>(d)] != 0) {
+    s.building[static_cast<std::size_t>(d)].push_back(proto::Rule{
+        owner, dest, back_src, owner, prt, g.id_at(path[path.size() - 2])});
+  }
+}
+
+CompiledFlowsPtr RuleCompiler::compile_oracle(
     const TopoView& view, NodeId owner,
     const std::map<NodeId, bool>& is_transit) const {
   auto flows = std::make_shared<CompiledFlows>();
@@ -170,8 +301,7 @@ CompiledFlowsPtr RuleCompiler::compile(
 CompiledFlowsPtr RuleCompiler::compile_cached(
     const TopoView& view, NodeId owner,
     const std::map<NodeId, bool>& is_transit) {
-  const auto transit = effective_transit(view, owner, is_transit);
-  const std::uint64_t fp = combined_fingerprint(view, transit);
+  const std::uint64_t fp = effective_fingerprint(view, owner, is_transit);
   for (std::size_t i = 0; i < cache_.size(); ++i) {
     if (cache_[i].fingerprint == fp && cache_[i].owner == owner) {
       CacheEntry hit = cache_[i];
@@ -199,7 +329,8 @@ DataFlow RuleCompiler::compile_data_flow(
   const auto transit = effective_transit(view, owner, is_transit);
 
   // Paths between the attachment switches; both endpoints relay here, so
-  // mark them transit for the search.
+  // mark them transit for the search. One pair and kappa+1 paths, off the
+  // hot path: the oracle helper is fast enough, no second fast path.
   auto search_transit = transit;
   search_transit[attach_a] = true;
   search_transit[attach_b] = true;

@@ -23,6 +23,21 @@
 //
 // Compilations are cached by (view, transit) fingerprint; rule lists are
 // immutable and shared by pointer with in-flight messages and switch tables.
+//
+// Fast path (compile): the view is snapshot into a flows::FlatView (CSR over
+// compact indices). One full BFS from the owner, expanding transit nodes
+// only, yields every primary path as a walk up its tree: the per-destination
+// early-exit BFS of the definition assigns exactly the same parents. Backup
+// paths are early-exit searches on the same CSR with epoch-stamped visited,
+// parent and blocked-edge arrays (both directions of every earlier path edge
+// of the destination are blocked). Rule lists are built per compact index
+// and then sorted and de-duplicated, as the definition does.
+//
+// Oracle (compile_oracle): the definition itself — kappa+1 early-exit BFSs
+// per destination over std::map parents and a std::set of used edges. It
+// stays as the reference the fast path must match byte for byte: the
+// differential tests, the legitimacy monitor's paranoid mode and
+// bench_table8_scale's compile probe all compare the two.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +67,10 @@ struct CompiledFlows {
   std::map<NodeId, std::vector<NodeId>> first_hops;
 };
 using CompiledFlowsPtr = std::shared_ptr<const CompiledFlows>;
+
+/// Content equality: fingerprint, first hops and every per-switch rule list
+/// compared by value (the lists are shared pointers).
+bool identical_flows(const CompiledFlows& a, const CompiledFlows& b);
 
 /// A host-to-host data flow (Section 6.4.3 experiments) compiled by the
 /// managing controller: per-switch rules plus the hosts' first hops.
@@ -83,7 +102,15 @@ class RuleCompiler {
   /// Compile all rules controller `owner` must install given its `view`.
   /// `is_transit(n)` tells whether n may relay packets (switches only);
   /// nodes of unknown kind are treated as switches until they reply.
+  /// Reuses this compiler's scratch buffers, so a compiler must not be
+  /// shared between threads.
   [[nodiscard]] CompiledFlowsPtr compile(
+      const TopoView& view, NodeId owner,
+      const std::map<NodeId, bool>& is_transit) const;
+
+  /// The from-scratch definition compile() must reproduce byte for byte
+  /// (see the file comment). For tests, paranoid mode and benches only.
+  [[nodiscard]] CompiledFlowsPtr compile_oracle(
       const TopoView& view, NodeId owner,
       const std::map<NodeId, bool>& is_transit) const;
 
@@ -111,6 +138,21 @@ class RuleCompiler {
     CompiledFlowsPtr flows;
   };
   std::vector<CacheEntry> cache_;  // tiny LRU (most recent first)
+
+  // compile() scratch, kept across calls so a recompile allocates only its
+  // output.
+  struct Scratch {
+    FlatView flat;
+    std::vector<std::uint8_t> relay;   ///< effective transit per index
+    std::vector<std::int32_t> order;   ///< primary tree, BFS order
+    std::vector<std::int32_t> tree;    ///< primary tree parents
+    std::vector<std::int32_t> path;    ///< current path, owner first
+    std::vector<NodeId> hops;          ///< current destination's first hops
+    std::vector<proto::RuleList> building;  ///< rules per switch index
+  };
+  mutable Scratch scratch_;
+
+  void emit_path(int k, NodeId dest) const;
 };
 
 }  // namespace ren::flows

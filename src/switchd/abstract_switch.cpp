@@ -27,6 +27,7 @@ AbstractSwitch::AbstractSwitch(NodeId id, Config config)
               }}) {}
 
 void AbstractSwitch::start() {
+  endpoint_.set_max_sessions(sim_->node_count());
   // Stagger timers across nodes so synchronized bursts do not mask queueing.
   // Drawn from the node's own stream: the offsets depend only on (seed, id),
   // never on the order nodes happen to start in.

@@ -39,7 +39,11 @@ namespace ren::transport {
 
 struct Config {
   std::uint32_t label_domain = 1u << 16;  ///< bounded label space
-  std::size_t max_sessions = 4096;        ///< bound on per-node session state
+  /// Bound on per-node session state (per direction). Nodes in a
+  /// simulation replace it with the node count N at start — a node has at
+  /// most one session per peer, and the paper bounds per-node state by N —
+  /// so the default only applies to free-standing endpoints.
+  std::size_t max_sessions = 4096;
   /// When true (Renaissance semantics), submitting a new message replaces
   /// an unacknowledged in-flight one: every batch/reply carries the full
   /// refreshed state, so the newest message always supersedes. This is what
@@ -94,6 +98,12 @@ class Endpoint {
   /// demand. `keep_sorted` must be sorted ascending — the hot path hands in
   /// its already-sorted peer scratch instead of materializing a std::set.
   void retain_only(std::span<const NodeId> keep_sorted);
+
+  /// Replace Config::max_sessions (see there).
+  void set_max_sessions(std::size_t bound) { config_.max_sessions = bound; }
+  [[nodiscard]] std::size_t max_sessions() const {
+    return config_.max_sessions;
+  }
 
   [[nodiscard]] bool idle(NodeId peer) const;
   [[nodiscard]] std::size_t session_count() const {

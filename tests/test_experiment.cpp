@@ -22,6 +22,20 @@ TEST(Experiment, BuildsDenseIdsInLayerOrder) {
   EXPECT_EQ(exp.sim().node_count(), 25u);
 }
 
+TEST(Experiment, TransportSessionBoundFollowsNodeCount) {
+  // A controller on a 4096-switch WAN has 4098 peers: a fixed bound of 4096
+  // sessions dropped live sessions on every prune.
+  Experiment exp(fast_config("random_wan:nodes=4096,m=2,seed=1", 3));
+  const std::size_t n = exp.sim().node_count();
+  ASSERT_EQ(n, 4099u);
+  for (std::size_t k = 0; k < exp.controller_count(); ++k) {
+    EXPECT_EQ(exp.controller(k).endpoint().max_sessions(), n);
+  }
+  for (const auto* s : exp.switches()) {
+    ASSERT_EQ(s->endpoint().max_sessions(), n) << "switch " << s->id();
+  }
+}
+
 TEST(Experiment, ControllersAttachToKappaPlusOneSwitches) {
   for (int kappa : {0, 1, 2, 3}) {
     auto cfg = fast_config("Telstra", 2, kappa);

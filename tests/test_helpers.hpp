@@ -33,10 +33,11 @@ inline void bootstrap_or_fail(sim::Experiment& exp, Time limit = sec(60)) {
 }
 
 /// Runs trial `trial` of every built-in fault timeline on B4 with
-/// RunnerOptions::paranoid, which arms all three in-process differentials:
-/// the incremental legitimacy monitor against its full check, and each
-/// controller's cached views and planned batches against from-scratch
-/// builds. A divergence throws inside the trial and surfaces as !ok.
+/// RunnerOptions::paranoid, which arms all in-process differentials: the
+/// incremental legitimacy monitor against its full check, its reference
+/// compiles against RuleCompiler::compile_oracle, and each controller's
+/// cached views and planned batches against from-scratch builds. A
+/// divergence throws std::logic_error out of the trial and fails the test.
 inline void expect_builtin_timelines_pass_paranoid(int trial) {
   scenario::RunnerOptions opt;
   opt.threads = 1;

@@ -222,6 +222,32 @@ TEST(Transport, RetainOnlyDropsSessions) {
   EXPECT_TRUE(h.wire.empty());
 }
 
+TEST(Transport, RetainOnlyKeepsKeepSetsBeyond4096Peers) {
+  // A controller on random_wan:nodes=4096 keeps 4098 peers. With the bound
+  // at the node count, a prune keeps every session of such a keep-set; the
+  // bound itself still trims an oversized one.
+  constexpr NodeId kPeers = 5000;
+  Endpoint e(0, Config{},
+             Endpoint::Hooks{[](NodeId, proto::PayloadPtr, std::uint32_t) {},
+                             [](NodeId, proto::MessagePtr) {},
+                             [](NodeId) {}});
+  e.set_max_sessions(static_cast<std::size_t>(kPeers) + 1);
+  const auto msg = proto::make_message(text_message(0, 1));
+  std::vector<NodeId> keep;
+  for (NodeId p = 1; p <= kPeers; ++p) {
+    e.submit(p, msg);
+    keep.push_back(p);
+  }
+  e.retain_only(keep);
+  EXPECT_EQ(e.session_count(), static_cast<std::size_t>(kPeers));
+  for (NodeId p : {1, 2048, 4097, kPeers}) {
+    EXPECT_TRUE(e.debug_send_session(p).exists) << "peer " << p;
+  }
+  e.set_max_sessions(4096);
+  e.retain_only(keep);
+  EXPECT_EQ(e.session_count(), 4096u);
+}
+
 TEST(Transport, RecoversAfterStateCorruption) {
   // Property sweep: from an arbitrarily corrupted session state, fresh
   // messages flow again after a bounded number of exchanges (Delta_comm).

@@ -63,7 +63,8 @@ void usage(std::FILE* to) {
                "  --raw                  include raw per-trial samples in the report\n"
                "  --paranoid             differential-check every cached layer\n"
                "                         against its from-scratch oracle: the\n"
-               "                         legitimacy monitor per sample, each\n"
+               "                         legitimacy monitor per sample and its\n"
+               "                         reference rule compiles, each\n"
                "                         controller's res/fusion views and\n"
                "                         planned outbound batches (byte-equal\n"
                "                         encodings) per tick (slow)\n"
