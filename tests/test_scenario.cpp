@@ -514,9 +514,10 @@ std::string read_test_data(const std::string& name) {
 TEST(CampaignBaseline, ReportsMatchCommittedBytes) {
   // The byte contract: each campaign re-renders exactly as its committed
   // file, written by `ren_scenarios --scenario NAME --controllers 3
-  // --trials 2` with the topologies, --seed and --raw of its case. The two
+  // --trials 2` with the topologies, --seed and --raw of its case. The
   // --raw campaigns carry the gated watchdog and table blocks in both cell
-  // and trial form; failover_under_load is the churn-free CI baseline.
+  // and trial form; failover_under_load is the churn-free CI baseline, and
+  // cascading_switch_failures pins the switch-kill connectivity probe.
   struct Case {
     const char* file;
     const char* scenario;
@@ -530,6 +531,8 @@ TEST(CampaignBaseline, ReportsMatchCommittedBytes) {
        true},
       {"no_churn_baseline.json", "failover_under_load", {"B4", "Clos"}, 1,
        false},
+      {"cascading_switch_failures_raw.json", "cascading_switch_failures",
+       {"B4"}, 3, true},
   };
   for (const Case& c : cases) {
     Scenario s = scenario::builtin(c.scenario);
