@@ -2,7 +2,6 @@
 // paths cost proportionally more rules and slightly longer bootstraps, and
 // buy data-plane survival of more simultaneous link failures.
 #include "bench_common.hpp"
-#include "flows/resilient_paths.hpp"
 
 namespace {
 
@@ -13,23 +12,9 @@ using namespace ren;
 double single_failure_survival(sim::Experiment& exp) {
   auto& c = exp.controller(0);
   c.set_frozen(true);
-  std::map<NodeId, switchd::AbstractSwitch*> by_id;
-  for (auto* s : exp.switches()) by_id[s->id()] = s;
-  auto next_hop = [&](NodeId at, NodeId src,
-                      NodeId dst) -> std::optional<NodeId> {
-    auto it = by_id.find(at);
-    if (it == by_id.end()) return std::nullopt;
-    for (const auto& cand : it->second->rule_table().candidates(src, dst)) {
-      if (exp.sim().network().link_operational(at, cand.fwd)) return cand.fwd;
-    }
-    if (exp.sim().network().link_operational(at, dst)) return dst;
-    return std::nullopt;
-  };
-  auto link_up = [&](NodeId a, NodeId b) {
-    return exp.sim().network().link_operational(a, b);
-  };
   int total = 0, ok = 0;
   auto& net = exp.sim().network();
+  const switchd::RuleForwarding forwarding(net, exp.switches());
   for (std::size_t li = 0; li < net.link_count(); ++li) {
     auto& link = net.link(static_cast<int>(li));
     link.set_state(net::LinkState::TransientDown);
@@ -42,10 +27,7 @@ double single_failure_survival(sim::Experiment& exp) {
         if (it != f->first_hops.end()) first = it->second;
       }
       ++total;
-      ok += flows::rule_walk(c.id(), s->id(), first, next_hop, link_up, 128)
-                    .delivered
-                ? 1
-                : 0;
+      ok += forwarding.walk(c.id(), s->id(), first, 128).delivered ? 1 : 0;
     }
     link.set_state(net::LinkState::Up);
   }

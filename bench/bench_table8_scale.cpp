@@ -8,10 +8,11 @@
 //
 // The connectivity path is also audited here: before each bootstrap the
 // bench runs edge_connectivity() on the fabric under a global operator-new
-// probe and fails if any single allocation reaches n*n bytes — the footprint
-// of the dense residual matrix this PR removed. On the 1k-node WAN a dense
-// residual would be a 2 MiB contiguous block; the sparse path peaks in the
-// tens of kilobytes.
+// probe (alloc_probe.hpp) and fails if any single allocation reaches n*n
+// bytes — the footprint of a dense residual matrix, which the sparse
+// max-flow (SparseMaxFlow) replaced. On the 1k-node WAN a dense residual
+// would be a 2 MiB contiguous block; the sparse path peaks in the tens of
+// kilobytes.
 //
 // After the first bootstrap of each fabric, a compile probe times
 // RuleCompiler::compile against its oracle, compile_oracle, on the converged
@@ -22,43 +23,13 @@
 // WAN) converges to a legitimate state, with no dense-sized allocation in
 // the connectivity audit and compile output identical to the oracle. --quick (CI) runs one trial per fabric; the full
 // run takes the median of three seeds. Writes BENCH_table8_scale.json.
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <new>
 
+#include "alloc_probe.hpp"
 #include "bench_common.hpp"
-
-// --- Allocation probe ----------------------------------------------------------
-// Tracks the largest single allocation while enabled. A dense n x n residual
-// cannot hide from this: it is one contiguous operator-new call.
-
-namespace {
-std::atomic<bool> g_probe{false};
-std::atomic<std::uint64_t> g_probe_allocs{0};
-std::atomic<std::uint64_t> g_probe_max_bytes{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_probe.load(std::memory_order_relaxed)) {
-    g_probe_allocs.fetch_add(1, std::memory_order_relaxed);
-    std::uint64_t cur = g_probe_max_bytes.load(std::memory_order_relaxed);
-    while (size > cur &&
-           !g_probe_max_bytes.compare_exchange_weak(
-               cur, size, std::memory_order_relaxed)) {
-    }
-  }
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -118,6 +89,7 @@ sim::ExperimentConfig scale_config(const std::string& spec, int kappa,
 /// edge_connectivity() under the allocation probe. Fails the row when any
 /// single allocation is as large as the dense n x n residual would be.
 void audit_connectivity(FabricRow& row, const flows::Graph& g) {
+  using namespace bench;
   g_probe_allocs.store(0, std::memory_order_relaxed);
   g_probe_max_bytes.store(0, std::memory_order_relaxed);
   g_probe.store(true, std::memory_order_relaxed);
@@ -185,11 +157,11 @@ bool run_fabric(const std::string& spec, int trials, FabricRow& row) {
                   trial, boot.last_reason.c_str());
       return false;
     }
-    // Exercise the monitor's connectivity oracle on the full control-plane
-    // graph (fabric + controller attachment links): a fabric that just
-    // converged at row.kappa must support it.
+    // Check the monitor's lambda - 1 on the full control-plane graph
+    // (fabric + controller attachment links): a fabric that just converged
+    // at row.kappa must support it.
     if (exp.monitor().achievable_kappa() < row.kappa) {
-      std::printf("%-34s oracle reports achievable kappa %d < %d used\n",
+      std::printf("%-34s monitor reports achievable kappa %d < %d used\n",
                   spec.c_str(), exp.monitor().achievable_kappa(), row.kappa);
       return false;
     }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "flows/resilient_paths.hpp"
-
 namespace ren::core {
 
 LegitimacyMonitor::LegitimacyMonitor(
@@ -32,32 +30,21 @@ std::vector<switchd::AbstractSwitch*> LegitimacyMonitor::live_switches() const {
   return out;
 }
 
-flows::TopoView LegitimacyMonitor::build_truth() const {
-  flows::TopoView truth;
-  std::vector<NodeId> nodes;
+std::vector<NodeId> LegitimacyMonitor::live_ids() const {
+  std::vector<NodeId> ids;
   for (const auto* c : controllers_) {
-    if (c->alive()) nodes.push_back(c->id());
+    if (c->alive()) ids.push_back(c->id());
   }
   for (const auto* s : switches_) {
-    if (s->alive()) nodes.push_back(s->id());
+    if (s->alive()) ids.push_back(s->id());
   }
-  std::sort(nodes.begin(), nodes.end());
-  for (NodeId n : nodes) truth.add_node(n);
-  const net::Network& net = sim_.network();
-  for (NodeId n : nodes) {
-    for (const auto& e : net.adjacency(n)) {
-      if (net.link(e.link).state() == net::LinkState::PermanentDown) continue;
-      if (!std::binary_search(nodes.begin(), nodes.end(), e.neighbor)) continue;
-      truth.add_edge(n, e.neighbor);
-    }
-  }
-  return truth;
+  return ids;
 }
 
 const flows::TopoView& LegitimacyMonitor::true_view() const {
   const std::uint64_t topo = sim_.network().epoch();
   if (!truth_valid_ || truth_epoch_ != topo) {
-    truth_ = build_truth();
+    truth_ = flows::live_topology(sim_.network(), live_ids());
     truth_epoch_ = topo;
     truth_valid_ = true;
     ++stats_.truth_rebuilds;
@@ -69,21 +56,15 @@ int LegitimacyMonitor::achievable_kappa() {
   const std::uint64_t topo = sim_.network().epoch();
   if (kappa_valid_ && kappa_epoch_ == topo) return achievable_kappa_;
   // Compact the true fabric into an index-dense Graph (node ids go sparse
-  // once nodes die) and hand it to the oracle — whose fingerprint check
-  // keeps all certificate state when e.g. only liveness flapped back.
+  // once nodes die); FlatView indices follow sorted id order.
   const flows::TopoView& truth = true_view();
-  std::map<NodeId, int> index;  // std::map: sorted, deterministic indices
+  flows::FlatView flat;
+  flat.assign(truth);
+  flows::Graph g(flat.n());
   for (const auto& [n, nbrs] : truth.adj()) {
-    (void)nbrs;
-    index.emplace(n, static_cast<int>(index.size()));
+    for (NodeId v : nbrs) g.add_edge(flat.index_of(n), flat.index_of(v));
   }
-  flows::Graph g(static_cast<int>(index.size()));
-  for (const auto& [n, nbrs] : truth.adj()) {
-    const int u = index.at(n);
-    for (NodeId v : nbrs) g.add_edge(u, index.at(v));
-  }
-  oracle_.assign(g);
-  achievable_kappa_ = std::max(0, oracle_.edge_connectivity() - 1);
+  achievable_kappa_ = std::max(0, g.edge_connectivity() - 1);
   kappa_epoch_ = topo;
   kappa_valid_ = true;
   return achievable_kappa_;
@@ -146,7 +127,8 @@ LegitimacyMonitor::Status LegitimacyMonitor::check() {
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_full() {
-  const flows::TopoView truth = build_truth();
+  const flows::TopoView truth =
+      flows::live_topology(sim_.network(), live_ids());
   ++stats_.truth_rebuilds;
   return evaluate(truth, /*fresh=*/true);
 }
@@ -325,22 +307,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
   }
   ++stats_.walk_sweeps;
 
-  std::map<NodeId, switchd::AbstractSwitch*> switch_by_id;
-  for (auto* s : live_switches()) switch_by_id[s->id()] = s;
-
-  auto next_hop = [&](NodeId at, NodeId src,
-                      NodeId dst) -> std::optional<NodeId> {
-    auto it = switch_by_id.find(at);
-    if (it == switch_by_id.end()) return std::nullopt;  // controller/host relay
-    for (const auto& cand : it->second->rule_table().candidates(src, dst)) {
-      if (sim_.network().link_operational(at, cand.fwd)) return cand.fwd;
-    }
-    if (sim_.network().link_operational(at, dst)) return dst;  // adjacency
-    return std::nullopt;
-  };
-  auto link_up = [&](NodeId a, NodeId b) {
-    return sim_.network().link_operational(a, b);
-  };
+  const switchd::RuleForwarding forwarding(sim_.network(), switches_);
   const int ttl = 4 * static_cast<int>(truth.node_count()) + 8;
 
   for (Controller* c : live_controllers()) {
@@ -358,7 +325,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
                  it != flows_ptr->first_hops.end()) {
         first = it->second;
       }
-      auto fwd = flows::rule_walk(c->id(), node, first, next_hop, link_up, ttl);
+      auto fwd = forwarding.walk(c->id(), node, first, ttl);
       if (!fwd.delivered) {
         return {false, "no path " + std::to_string(c->id()) + " -> " +
                            std::to_string(node)};
@@ -367,8 +334,8 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
       std::vector<NodeId> rfirst;
       if (sim_.network().link_operational(node, c->id())) {
         rfirst = {c->id()};
-      } else if (switch_by_id.count(node) != 0) {
-        if (auto nh = next_hop(node, node, c->id())) rfirst = {*nh};
+      } else if (forwarding.forwards(node)) {
+        if (auto nh = forwarding.next_hop(node, node, c->id())) rfirst = {*nh};
       } else {
         // Another controller: use its own compiled first hops.
         for (Controller* o : live_controllers()) {
@@ -381,7 +348,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
           }
         }
       }
-      auto rev = flows::rule_walk(node, c->id(), rfirst, next_hop, link_up, ttl);
+      auto rev = forwarding.walk(node, c->id(), rfirst, ttl);
       if (!rev.delivered) {
         return {false, "no path " + std::to_string(node) + " -> " +
                            std::to_string(c->id())};

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "core/controller.hpp"
-#include "flows/connectivity.hpp"
 #include "flows/graph.hpp"
 #include "flows/my_rules.hpp"
 #include "net/simulator.hpp"
@@ -99,17 +98,13 @@ class LegitimacyMonitor {
 
   /// The largest kappa the *current* real fabric could support:
   /// lambda(Gc) - 1, since a kappa-fault-resilient flow needs kappa+1
-  /// edge-disjoint paths. Cached per topology epoch on an incremental
-  /// connectivity oracle, so sampling an unchanged fabric is O(1) and a
-  /// changed fabric pays one sparse evaluation (no n x n residual exists
-  /// anywhere in this path). Degradation diagnostics — e.g. the B4
-  /// cascading-failure investigation — compare it against Config::kappa.
+  /// edge-disjoint paths. Cached per topology epoch, so sampling an
+  /// unchanged fabric is O(1) and a changed fabric pays one
+  /// Graph::edge_connectivity() over the compacted true view (sparse
+  /// max-flow: no n x n residual exists anywhere in this path).
+  /// Degradation diagnostics — e.g. the B4 cascading-failure investigation
+  /// — compare it against Config::kappa.
   [[nodiscard]] int achievable_kappa();
-
-  /// Work counters of the connectivity oracle behind achievable_kappa().
-  [[nodiscard]] const flows::ConnectivityOracle::Stats& oracle_stats() const {
-    return oracle_.stats();
-  }
 
   [[nodiscard]] std::vector<Controller*> live_controllers() const;
   [[nodiscard]] std::vector<switchd::AbstractSwitch*> live_switches() const;
@@ -122,7 +117,8 @@ class LegitimacyMonitor {
   [[nodiscard]] Status check_rules(const flows::TopoView& truth, bool fresh);
   [[nodiscard]] Status check_walks(const flows::TopoView& truth, bool fresh);
 
-  [[nodiscard]] flows::TopoView build_truth() const;
+  /// Ids of the live controllers and switches (the nodes of Gc).
+  [[nodiscard]] std::vector<NodeId> live_ids() const;
   /// FNV hash of the live controller id set (memo key component).
   [[nodiscard]] std::uint64_t live_signature() const;
   /// Epoch over everything rule walks depend on: topology + controller
@@ -152,8 +148,7 @@ class LegitimacyMonitor {
   mutable std::uint64_t truth_epoch_ = 0;
   mutable flows::TopoView truth_;
 
-  // Connectivity certificate over the true fabric (achievable_kappa).
-  flows::ConnectivityOracle oracle_;
+  // lambda(Gc) - 1 cached per topology epoch (achievable_kappa).
   bool kappa_valid_ = false;
   std::uint64_t kappa_epoch_ = 0;
   int achievable_kappa_ = 0;

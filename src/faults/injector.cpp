@@ -18,27 +18,10 @@ std::vector<NodeId> live_control_ids(const ControlPlane& cp) {
   return ids;
 }
 
-bool view_connected(const flows::TopoView& v) {
-  if (v.node_count() == 0) return true;
-  const NodeId start = v.adj().begin()->first;
-  return v.reachable_set(start).size() == v.node_count();
-}
-
 }  // namespace
 
 flows::TopoView control_topology(const ControlPlane& cp) {
-  flows::TopoView view;
-  const auto ids = live_control_ids(cp);
-  for (NodeId n : ids) view.add_node(n);
-  const net::Network& net = cp.sim->network();
-  for (NodeId n : ids) {
-    for (const auto& e : net.adjacency(n)) {
-      if (net.link(e.link).state() == net::LinkState::PermanentDown) continue;
-      if (!std::binary_search(ids.begin(), ids.end(), e.neighbor)) continue;
-      view.add_edge(n, e.neighbor);
-    }
-  }
-  return view;
+  return flows::live_topology(cp.sim->network(), live_control_ids(cp));
 }
 
 void kill_node(ControlPlane& cp, NodeId id) {
@@ -142,20 +125,11 @@ NodeId kill_random_switch(ControlPlane& cp, Rng& rng) {
     candidates.push_back(s);
   }
   rng.shuffle(candidates);
-  // The live topology does not change while probing candidates, so build it
-  // once; each candidate only needs the "what if this switch vanished" copy
-  // (the per-candidate rebuild made one kill O(candidates x edges)).
-  const flows::TopoView current = control_topology(cp);
+  // The live topology does not change while probing candidates: flatten it
+  // once and ask each candidate on the snapshot.
+  flows::ConnectivityProbe probe(control_topology(cp));
   for (auto* s : candidates) {
-    flows::TopoView probe;
-    for (const auto& [n, nbrs] : current.adj()) {
-      if (n == s->id()) continue;
-      probe.add_node(n);
-      for (NodeId v : nbrs) {
-        if (v != s->id()) probe.add_edge(n, v);
-      }
-    }
-    if (view_connected(probe)) {
+    if (probe.connected_without_node(s->id())) {
       kill_node(cp, s->id());
       return s->id();
     }
@@ -188,23 +162,10 @@ std::pair<NodeId, NodeId> fail_random_link(ControlPlane& cp, Rng& rng,
     }
   }
   rng.shuffle(candidates);
-  // One live-topology build for the whole probe loop — rebuilding it per
-  // candidate made a single link failure O(candidates x edges) and dominated
-  // fault injection on 1k-node fabrics.
-  const flows::TopoView view = control_topology(cp);
+  // One live-topology snapshot for the whole probe loop.
+  flows::ConnectivityProbe probe(flows::live_topology(net, ids));
   for (const auto& [a, b] : candidates) {
-    if (keep_connected) {
-      // Rebuild without this edge.
-      flows::TopoView probe;
-      for (const auto& [n, nbrs] : view.adj()) {
-        probe.add_node(n);
-        for (NodeId v : nbrs) {
-          if ((n == a && v == b) || (n == b && v == a)) continue;
-          probe.add_edge(n, v);
-        }
-      }
-      if (!view_connected(probe)) continue;
-    }
+    if (keep_connected && !probe.connected_without_edge(a, b)) continue;
     fail_link(cp, a, b);
     return {a, b};
   }

@@ -43,7 +43,7 @@ struct ControlPlane {
 };
 
 /// The current control-plane topology over live nodes and non-permanently-
-/// failed links (the injector's notion of Gc).
+/// failed links (the injector's notion of Gc; flows::live_topology).
 flows::TopoView control_topology(const ControlPlane& cp);
 
 /// Fail-stop a specific node (controller or switch), recording the links the

@@ -1,7 +1,6 @@
 #include "flows/connectivity.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace ren::flows {
 
@@ -75,173 +74,6 @@ int SparseMaxFlow::run(int s, int t, int cap_limit) {
     ++flow;
   }
   return flow;
-}
-
-// --- ConnectivityOracle ------------------------------------------------------
-
-void ConnectivityOracle::assign(const Graph& g) {
-  ++stats_.assigns;
-  const std::uint64_t fp = g.fingerprint();
-  if (bound_ && fp == fingerprint_) {
-    ++stats_.memo_hits;
-    return;
-  }
-  ++stats_.rebinds;
-  bound_ = true;
-  fingerprint_ = fp;
-  graph_ = g;
-  flow_.assign(g);
-  lambda_ = -1;
-  pair_memo_.clear();
-  lower_bound_.clear();
-
-  const auto n = static_cast<std::size_t>(g.n());
-  parent_.assign(n, -1);
-  queue_.clear();
-  queue_.reserve(n);
-  std::size_t slots = 0;
-  for (int u = 0; u < g.n(); ++u) slots += g.neighbors(u).size();
-  used_stamp_.assign(slots, 0);
-  stamp_ = 0;
-}
-
-int ConnectivityOracle::edge_connectivity() {
-  if (!bound_) throw std::logic_error("ConnectivityOracle: assign() first");
-  if (lambda_ >= 0) {
-    ++stats_.memo_hits;
-    return lambda_;
-  }
-  const int n = graph_.n();
-  if (n < 2 || !graph_.connected()) return lambda_ = 0;
-  // lambda(G) = min over t != 0 of maxflow(0, t); every cut separates node 0
-  // from some t. Capping each run at the best-so-far is sound for a min, and
-  // the degree of node 0 is an upper bound to start from.
-  int best = static_cast<int>(graph_.neighbors(0).size());
-  for (int t = 1; t < n && best > 0; ++t) {
-    const int d = static_cast<int>(graph_.neighbors(t).size());
-    if (d >= best) {
-      // A capped run returning `best` can't lower the min; only nodes whose
-      // degree is already below it can. Still run it capped: degree >= best
-      // does not imply flow >= best.
-      ++stats_.maxflow_runs;
-      best = std::min(best, flow_.run(0, t, best));
-    } else {
-      ++stats_.maxflow_runs;
-      best = std::min(best, flow_.run(0, t, d));
-    }
-  }
-  return lambda_ = best;
-}
-
-int ConnectivityOracle::pair_connectivity(int s, int t) {
-  if (!bound_) throw std::logic_error("ConnectivityOracle: assign() first");
-  if (s == t) return 0;
-  const auto key = std::minmax(s, t);
-  if (auto it = pair_memo_.find(key); it != pair_memo_.end()) {
-    ++stats_.memo_hits;
-    return it->second;
-  }
-  ++stats_.maxflow_runs;
-  const int v = flow_.run(s, t, graph_.n());
-  pair_memo_[key] = v;
-  lower_bound_[key] = v;  // exact value is also the tightest lower bound
-  return v;
-}
-
-bool ConnectivityOracle::at_least(int s, int t, int k) {
-  if (!bound_) throw std::logic_error("ConnectivityOracle: assign() first");
-  if (k <= 0) return true;
-  if (s == t) return false;
-  const int ds = static_cast<int>(graph_.neighbors(s).size());
-  const int dt = static_cast<int>(graph_.neighbors(t).size());
-  if (std::min(ds, dt) < k) {
-    ++stats_.degree_hits;
-    return false;
-  }
-  const auto key = std::minmax(s, t);
-  if (auto it = pair_memo_.find(key); it != pair_memo_.end()) {
-    ++stats_.memo_hits;
-    return it->second >= k;
-  }
-  auto [lb_it, inserted] = lower_bound_.try_emplace(key, 0);
-  if (lb_it->second >= k) {
-    ++stats_.memo_hits;
-    return true;
-  }
-  const int greedy = greedy_lower_bound(s, t, k);
-  lb_it->second = std::max(lb_it->second, greedy);
-  if (greedy >= k) {
-    ++stats_.greedy_hits;
-    return true;
-  }
-  // Greedy is only a lower bound (its paths need not extend to a maximum
-  // disjoint set), so a miss needs the exact answer — capped at k.
-  ++stats_.maxflow_runs;
-  const int exact = flow_.run(s, t, k);
-  if (exact < k) pair_memo_[key] = exact;  // capped at k but flow stopped
-                                           // short of the cap => exact value
-  lb_it->second = std::max(lb_it->second, exact);
-  return exact >= k;
-}
-
-int ConnectivityOracle::greedy_lower_bound(int s, int t, int target) {
-  // Repeated BFS over arcs not yet claimed by an earlier path. Each round
-  // extracts one shortest s-t path and marks its arcs (both directions of
-  // each undirected edge) used. No residual cancellation — that is what
-  // keeps it a lower bound and O(target * m).
-  //
-  // Arc slot identity: slot i of node u is u's i-th sorted neighbor, and the
-  // global slot index is offset(u) + i, where offset accumulates degrees.
-  const int n = graph_.n();
-  std::vector<std::int32_t> offset(static_cast<std::size_t>(n) + 1, 0);
-  for (int u = 0; u < n; ++u) {
-    offset[static_cast<std::size_t>(u) + 1] =
-        offset[static_cast<std::size_t>(u)] +
-        static_cast<std::int32_t>(graph_.neighbors(u).size());
-  }
-  if (++stamp_ == 0) {
-    std::fill(used_stamp_.begin(), used_stamp_.end(), 0);
-    stamp_ = 1;
-  }
-  auto slot_of = [&](int u, int v) {
-    const auto& nbrs = graph_.neighbors(u);
-    const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-    return offset[static_cast<std::size_t>(u)] +
-           static_cast<std::int32_t>(it - nbrs.begin());
-  };
-  int found = 0;
-  while (found < target) {
-    std::fill(parent_.begin(), parent_.end(), -1);
-    parent_[static_cast<std::size_t>(s)] = s;
-    queue_.clear();
-    queue_.push_back(s);
-    bool hit = false;
-    for (std::size_t head = 0; head < queue_.size() && !hit; ++head) {
-      const std::int32_t u = queue_[head];
-      const auto& nbrs = graph_.neighbors(u);
-      const std::int32_t base = offset[static_cast<std::size_t>(u)];
-      for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        const int v = nbrs[i];
-        if (parent_[static_cast<std::size_t>(v)] != -1) continue;
-        if (used_stamp_[static_cast<std::size_t>(base) + i] == stamp_) continue;
-        parent_[static_cast<std::size_t>(v)] = u;
-        if (v == t) {
-          hit = true;
-          break;
-        }
-        queue_.push_back(v);
-      }
-    }
-    if (!hit) break;
-    for (int v = t; v != s;) {
-      const int u = parent_[static_cast<std::size_t>(v)];
-      used_stamp_[static_cast<std::size_t>(slot_of(u, v))] = stamp_;
-      used_stamp_[static_cast<std::size_t>(slot_of(v, u))] = stamp_;
-      v = u;
-    }
-    ++found;
-  }
-  return found;
 }
 
 }  // namespace ren::flows

@@ -1,28 +1,15 @@
-// Sparse connectivity machinery for 1k+ switch fabrics.
+// Sparse unit-capacity max-flow for 1k+ switch fabrics.
 //
 // The seed computed unit-capacity max-flows over a flat n x n residual
 // matrix — a 2 MiB allocation per (s, t) pair at 1,000 nodes, touched n-1
-// times by edge_connectivity(). Two replacements:
-//
-//  * SparseMaxFlow  — Edmonds-Karp over a paired-arc adjacency list (CSR of
-//                     arc ids, residual capacities per arc). Memory is O(m),
-//                     buffers are reused across runs on the same graph, and
-//                     a run resets only the 2m arc capacities.
-//  * ConnectivityOracle — an incremental connectivity-certificate cache on
-//                     top of SparseMaxFlow: keyed on the graph's content
-//                     fingerprint, it memoizes the global edge connectivity
-//                     and per-pair values, and answers threshold queries
-//                     ("are s,t at least k-edge-connected?") from a greedy
-//                     disjoint-path lower-bound certificate whenever
-//                     possible, falling back to an exact max-flow capped at
-//                     k. Re-assigning the same graph (same fingerprint)
-//                     keeps every memo — that is what makes repeated
-//                     Definition-1-adjacent checks on an unchanged fabric
-//                     O(1) after the first evaluation.
+// times by edge_connectivity(). SparseMaxFlow replaces it: Edmonds-Karp over
+// a paired-arc adjacency list (CSR of arc ids, residual capacities per arc).
+// Memory is O(m), buffers are reused across runs on the same graph, and a
+// run resets only the 2m arc capacities. Graph::edge_connectivity() is its
+// one production caller.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "flows/graph.hpp"
@@ -55,67 +42,6 @@ class SparseMaxFlow {
   std::vector<std::int8_t> cap_;      // arc id -> residual capacity (0..2)
   std::vector<std::int32_t> parent_;  // BFS: arc that discovered each node
   std::vector<std::int32_t> queue_;   // BFS scratch
-};
-
-/// Incremental connectivity-certificate cache over one graph version.
-///
-/// assign() binds the oracle to a graph snapshot; when the snapshot's
-/// fingerprint matches the previous one the certificate state (global
-/// lambda, per-pair memos) survives, so a monitor that re-checks an
-/// unchanged fabric pays nothing. A changed fingerprint drops every memo.
-class ConnectivityOracle {
- public:
-  struct Stats {
-    std::uint64_t assigns = 0;        ///< assign() calls
-    std::uint64_t rebinds = 0;        ///< assigns that found a changed graph
-    std::uint64_t greedy_hits = 0;    ///< threshold answers from the greedy
-                                      ///< disjoint-path certificate alone
-    std::uint64_t degree_hits = 0;    ///< threshold answers from degree bounds
-    std::uint64_t maxflow_runs = 0;   ///< exact (capped) max-flow evaluations
-    std::uint64_t memo_hits = 0;      ///< per-pair / lambda memo replays
-  };
-
-  /// Bind to `g`. Cheap when the content fingerprint is unchanged.
-  void assign(const Graph& g);
-
-  /// True when assign() has been called at least once.
-  [[nodiscard]] bool bound() const { return bound_; }
-
-  /// lambda(G): global edge connectivity. Memoized per graph version.
-  int edge_connectivity();
-
-  /// Exact number of edge-disjoint s-t paths. Memoized per (s, t).
-  int pair_connectivity(int s, int t);
-
-  /// Are there >= k edge-disjoint s-t paths? Answered by (in order) the
-  /// endpoint degree bound, the per-pair memo, a greedy disjoint-path
-  /// lower-bound certificate, and finally an exact max-flow capped at k.
-  bool at_least(int s, int t, int k);
-
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
-
- private:
-  /// Greedy BFS edge-disjoint path count (a lower bound on the true value),
-  /// stopping once `target` paths were found.
-  int greedy_lower_bound(int s, int t, int target);
-
-  bool bound_ = false;
-  std::uint64_t fingerprint_ = 0;
-  Graph graph_;  ///< bound snapshot (the greedy walk needs adjacency)
-  SparseMaxFlow flow_;
-  int lambda_ = -1;  ///< memoized edge connectivity, -1 = not yet computed
-  std::map<std::pair<int, int>, int> pair_memo_;  ///< exact values
-  /// (s, t) -> best known lower bound (greedy certificates accumulate here;
-  /// a threshold query below the bound never reruns the search).
-  std::map<std::pair<int, int>, int> lower_bound_;
-  Stats stats_;
-
-  // Greedy-walk scratch, reused across queries.
-  std::vector<std::int32_t> parent_;
-  std::vector<std::int32_t> queue_;
-  std::vector<std::uint32_t> used_stamp_;  ///< per directed arc slot
-  std::uint32_t stamp_ = 0;
 };
 
 }  // namespace ren::flows

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "flows/connectivity.hpp"
+#include "net/network.hpp"
 
 namespace ren::flows {
 
@@ -24,17 +25,6 @@ void Graph::add_edge(int a, int b) {
   };
   insert_sorted(adj_[static_cast<std::size_t>(a)], b);
   insert_sorted(adj_[static_cast<std::size_t>(b)], a);
-}
-
-void Graph::remove_edge(int a, int b) {
-  auto erase_sorted = [](std::vector<int>& v, int x) {
-    auto it = std::lower_bound(v.begin(), v.end(), x);
-    if (it != v.end() && *it == x) v.erase(it);
-  };
-  if (a < n() && b < n()) {
-    erase_sorted(adj_[static_cast<std::size_t>(a)], b);
-    erase_sorted(adj_[static_cast<std::size_t>(b)], a);
-  }
 }
 
 bool Graph::has_edge(int a, int b) const {
@@ -75,12 +65,6 @@ int Graph::diameter() const {
   return best;
 }
 
-int Graph::edge_disjoint_path_count(int s, int t) const {
-  if (s == t) return 0;
-  SparseMaxFlow flow(*this);
-  return flow.run(s, t, n());
-}
-
 int Graph::edge_connectivity() const {
   if (n() < 2) return 0;
   if (!connected()) return 0;
@@ -95,24 +79,6 @@ int Graph::edge_connectivity() const {
     best = std::min(best, flow.run(0, t, best));
   }
   return best;
-}
-
-std::uint64_t Graph::fingerprint() const {
-  // FNV-1a over the sorted adjacency structure, node count included so that
-  // isolated trailing nodes change the hash.
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ULL;
-  };
-  mix(static_cast<std::uint64_t>(n()));
-  for (int u = 0; u < n(); ++u) {
-    mix(static_cast<std::uint64_t>(u) + 0x9e37);
-    for (int v : adj_[static_cast<std::size_t>(u)]) {
-      mix(static_cast<std::uint64_t>(v) + 0x85eb);
-    }
-  }
-  return h;
 }
 
 // --- TopoView ---------------------------------------------------------------
@@ -159,22 +125,20 @@ std::vector<NodeId> TopoView::reachable_set(NodeId from) const {
   return out;
 }
 
-bool TopoView::reachable(NodeId from, NodeId to) const {
-  if (from == to) return has_node(from);
-  if (!has_node(from)) return false;
-  std::set<NodeId> seen{from};
-  std::deque<NodeId> q{from};
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop_front();
-    if (const auto* nbrs = neighbors(u)) {
-      for (NodeId v : *nbrs) {
-        if (v == to) return true;
-        if (seen.insert(v).second) q.push_back(v);
-      }
+TopoView live_topology(const net::Network& net,
+                       std::vector<NodeId> live_ids) {
+  std::sort(live_ids.begin(), live_ids.end());
+  TopoView view;
+  for (NodeId n : live_ids) view.add_node(n);
+  for (NodeId n : live_ids) {
+    for (const auto& e : net.adjacency(n)) {
+      if (net.link(e.link).state() == net::LinkState::PermanentDown) continue;
+      if (!std::binary_search(live_ids.begin(), live_ids.end(), e.neighbor))
+        continue;
+      view.add_edge(n, e.neighbor);
     }
   }
-  return false;
+  return view;
 }
 
 // --- FlatView ---------------------------------------------------------------
@@ -313,6 +277,36 @@ int FlatView::parent(int idx) const {
   return stamp_ != 0 && mark_[static_cast<std::size_t>(idx)] == stamp_
              ? parent_[static_cast<std::size_t>(idx)]
              : -1;
+}
+
+// --- ConnectivityProbe ------------------------------------------------------
+
+ConnectivityProbe::ConnectivityProbe(const TopoView& view) {
+  flat_.assign(view);
+  relay_.assign(static_cast<std::size_t>(flat_.n()), 1);
+}
+
+bool ConnectivityProbe::connected_without_node(NodeId x) {
+  const int skip = flat_.index_of(x);
+  const int remaining = flat_.n() - (skip >= 0 ? 1 : 0);
+  if (remaining == 0) return true;
+  flat_.clear_blocked();
+  if (skip >= 0) relay_[static_cast<std::size_t>(skip)] = 0;
+  flat_.search(skip == 0 ? 1 : 0, -1, relay_);
+  if (skip >= 0) relay_[static_cast<std::size_t>(skip)] = 1;
+  const bool skip_reached = skip >= 0 && flat_.parent(skip) >= 0;
+  return static_cast<int>(flat_.order().size()) - (skip_reached ? 1 : 0) ==
+         remaining;
+}
+
+bool ConnectivityProbe::connected_without_edge(NodeId a, NodeId b) {
+  if (empty()) return true;
+  flat_.clear_blocked();
+  const int ia = flat_.index_of(a);
+  const int ib = flat_.index_of(b);
+  if (ia >= 0 && ib >= 0) flat_.block_both(ia, ib);
+  flat_.search(0, -1, relay_);
+  return static_cast<int>(flat_.order().size()) == flat_.n();
 }
 
 std::uint64_t TopoView::fingerprint() const {

@@ -1,11 +1,19 @@
-// Graph primitives shared by the rule compiler, the topology generators and
-// the controllers' topology views.
+// Graph primitives shared by the rule compiler, the topology generators,
+// the fault injector and the controllers' topology views.
 //
-// Two representations:
-//  * Graph     — compact, index-based, for generators and whole-network
-//                algorithms (diameter, edge connectivity).
-//  * TopoView  — sparse, NodeId-keyed, for what a controller *believes* the
-//                topology to be (paper: G(S) built from query replies).
+// Three types, one job each:
+//  * Graph     — compact, index-based, undirected: the physical fabric as
+//                generators and loaders produce it, and whole-network
+//                algorithms on it (diameter, edge connectivity).
+//  * TopoView  — sparse, NodeId-keyed, directed: what a controller *believes*
+//                the topology to be (paper: G(S) built from query replies),
+//                and the live ground truth. A container: build, compare,
+//                fingerprint. Its std::set walks (reachable_set here,
+//                disjoint_view_paths in my_rules) serve as oracles and for
+//                the off-hot-path data-flow compile.
+//  * FlatView  — an index-dense CSR snapshot of a TopoView that every search
+//                over a view runs on: controller reachability, the rule
+//                compiler's path searches, and fault-connectivity probes.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +21,10 @@
 #include <vector>
 
 #include "util/types.hpp"
+
+namespace ren::net {
+class Network;
+}
 
 namespace ren::flows {
 
@@ -29,7 +41,6 @@ class Graph {
   /// Add an undirected edge (idempotent). Keeps adjacency sorted, which
   /// makes path computations deterministic ("first shortest path").
   void add_edge(int a, int b);
-  void remove_edge(int a, int b);
   [[nodiscard]] bool has_edge(int a, int b) const;
   [[nodiscard]] const std::vector<int>& neighbors(int v) const {
     return adj_[static_cast<std::size_t>(v)];
@@ -42,12 +53,6 @@ class Graph {
   [[nodiscard]] int diameter() const;
   /// Global edge connectivity lambda(G) (unit-capacity max-flow based).
   [[nodiscard]] int edge_connectivity() const;
-  /// Max number of edge-disjoint paths between s and t (unit-cap max-flow).
-  [[nodiscard]] int edge_disjoint_path_count(int s, int t) const;
-
-  /// Stable content hash (FNV-1a over the sorted adjacency). Used to key
-  /// connectivity-certificate caches on a specific graph version.
-  [[nodiscard]] std::uint64_t fingerprint() const;
 
   friend bool operator==(const Graph&, const Graph&) = default;
 
@@ -88,9 +93,6 @@ class TopoView {
 
   /// Nodes reachable from `from` along directed edges (including `from`).
   [[nodiscard]] std::vector<NodeId> reachable_set(NodeId from) const;
-  /// Early-exit BFS: stops as soon as `to` is dequeued-to instead of
-  /// materializing (and then linearly scanning) the full reachable set.
-  [[nodiscard]] bool reachable(NodeId from, NodeId to) const;
 
   /// Stable content hash for caching compiled rules per view.
   [[nodiscard]] std::uint64_t fingerprint() const;
@@ -100,6 +102,13 @@ class TopoView {
  private:
   std::map<NodeId, std::vector<NodeId>> adj_;  // sorted unique out-neighbors
 };
+
+/// The live control-plane topology (the paper's Gc): the nodes `live_ids`
+/// (any order) and, between them, every link of `net` that is not
+/// PermanentDown, in both directions. The fault injector and the legitimacy
+/// monitor both build their ground truth here.
+[[nodiscard]] TopoView live_topology(const net::Network& net,
+                                     std::vector<NodeId> live_ids);
 
 /// An index-dense snapshot of a TopoView: node ids are mapped to compact
 /// indices 0..n-1 (in the view's sorted node order) with CSR adjacency, so
@@ -171,6 +180,26 @@ class FlatView {
   std::vector<std::uint32_t> blocked_;  // epoch-stamped, indexed by CSR edge
   std::uint32_t stamp_ = 0;
   std::uint32_t block_stamp_ = 1;
+};
+
+/// "Does the view stay connected without this node / this edge?" for many
+/// candidates over one snapshot. The view is flattened once; each question
+/// is one FlatView::search from the smallest remaining node, in which a
+/// removed node may be reached but is never expanded (its relay bit is
+/// zero) and a removed edge is blocked both ways. Connected means that
+/// search reaches every remaining node; nothing remaining counts as
+/// connected.
+class ConnectivityProbe {
+ public:
+  explicit ConnectivityProbe(const TopoView& view);
+
+  [[nodiscard]] bool empty() const { return flat_.n() == 0; }
+  [[nodiscard]] bool connected_without_node(NodeId x);
+  [[nodiscard]] bool connected_without_edge(NodeId a, NodeId b);
+
+ private:
+  FlatView flat_;
+  std::vector<std::uint8_t> relay_;  // all ones between probes
 };
 
 }  // namespace ren::flows

@@ -10,7 +10,7 @@
 #include "core/legitimacy.hpp"        // Definition 1 checker
 #include "detect/theta_detector.hpp"  // local topology discovery
 #include "faults/injector.hpp"        // benign + transient fault injection
-#include "flows/connectivity.hpp"     // sparse max-flow + certificate cache
+#include "flows/connectivity.hpp"     // sparse unit-capacity max-flow
 #include "flows/graph.hpp"            // topology views & graph algorithms
 #include "flows/my_rules.hpp"         // kappa-fault-resilient rule compiler
 #include "flows/resilient_paths.hpp"  // verification helpers

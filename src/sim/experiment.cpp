@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "flows/resilient_paths.hpp"
 #include "scenario/scenario.hpp"
 #include "topo/source.hpp"
 #include "util/log.hpp"
@@ -276,26 +275,10 @@ Experiment::ConvergenceResult Experiment::run_until_legitimate(Time limit) {
 std::vector<NodeId> Experiment::data_path_between(tcp::Host* from,
                                                   tcp::Host* to) {
   if (from == nullptr || to == nullptr) return {};
-  std::map<NodeId, switchd::AbstractSwitch*> by_id;
-  for (auto* s : switches_) {
-    if (s->alive()) by_id[s->id()] = s;
-  }
-  auto next_hop = [&](NodeId at, NodeId src,
-                      NodeId dst) -> std::optional<NodeId> {
-    auto it = by_id.find(at);
-    if (it == by_id.end()) return std::nullopt;
-    for (const auto& cand : it->second->rule_table().candidates(src, dst)) {
-      if (sim_.network().link_operational(at, cand.fwd)) return cand.fwd;
-    }
-    if (sim_.network().link_operational(at, dst)) return dst;
-    return std::nullopt;
-  };
-  auto link_up = [&](NodeId a, NodeId b) {
-    return sim_.network().link_operational(a, b);
-  };
   const auto walk =
-      flows::rule_walk(from->id(), to->id(), {from->attach()}, next_hop,
-                       link_up, 4 * static_cast<int>(sim_.node_count()));
+      switchd::RuleForwarding(sim_.network(), switches_)
+          .walk(from->id(), to->id(), {from->attach()},
+                4 * static_cast<int>(sim_.node_count()));
   return walk.delivered ? walk.path : std::vector<NodeId>{};
 }
 
@@ -322,20 +305,12 @@ std::pair<NodeId, NodeId> Experiment::pick_failover_link(
     if (mid >= off) order.push_back(mid - off);
     if (off > 0 && mid + off < edges.size()) order.push_back(mid + off);
   }
+  // Probing a candidate never changes the live topology (survives_locally
+  // restores the link's state), so one snapshot answers every candidate.
   auto cp = control_plane();
+  flows::ConnectivityProbe probe(faults::control_topology(cp));
   auto keeps_connected = [&](NodeId a, NodeId b) {
-    flows::TopoView probe;
-    const flows::TopoView current = faults::control_topology(cp);
-    for (const auto& [n, nbrs] : current.adj()) {
-      probe.add_node(n);
-      for (NodeId v : nbrs) {
-        if ((n == a && v == b) || (n == b && v == a)) continue;
-        probe.add_edge(n, v);
-      }
-    }
-    return probe.node_count() > 0 &&
-           probe.reachable_set(probe.adj().begin()->first).size() ==
-               probe.node_count();
+    return !probe.empty() && probe.connected_without_edge(a, b);
   };
   auto survives_locally = [&](NodeId a, NodeId b) {
     net::Link* l = sim_.network().find_link(a, b);

@@ -227,4 +227,44 @@ void AbstractSwitch::corrupt_state(Rng& rng, NodeId node_space) {
   ++manager_epoch_;  // corruption may have touched anything
 }
 
+// --- RuleForwarding ---------------------------------------------------------
+
+RuleForwarding::RuleForwarding(const net::Network& net,
+                               const std::vector<AbstractSwitch*>& switches)
+    : net_(net) {
+  for (AbstractSwitch* s : switches) {
+    if (!s->alive()) continue;
+    const auto idx = static_cast<std::size_t>(s->id());
+    if (idx >= live_.size()) live_.resize(idx + 1, nullptr);
+    live_[idx] = s;
+  }
+}
+
+AbstractSwitch* RuleForwarding::live_switch(NodeId id) const {
+  return id >= 0 && static_cast<std::size_t>(id) < live_.size()
+             ? live_[static_cast<std::size_t>(id)]
+             : nullptr;
+}
+
+std::optional<NodeId> RuleForwarding::next_hop(NodeId at, NodeId src,
+                                               NodeId dst) const {
+  AbstractSwitch* s = live_switch(at);
+  if (s == nullptr) return std::nullopt;
+  for (const auto& cand : s->rule_table().candidates(src, dst)) {
+    if (net_.link_operational(at, cand.fwd)) return cand.fwd;
+  }
+  if (net_.link_operational(at, dst)) return dst;  // adjacency
+  return std::nullopt;
+}
+
+flows::WalkResult RuleForwarding::walk(NodeId src, NodeId dst,
+                                       const std::vector<NodeId>& first_hops,
+                                       int ttl) const {
+  return flows::rule_walk(
+      src, dst, first_hops,
+      [this](NodeId at, NodeId s, NodeId d) { return next_hop(at, s, d); },
+      [this](NodeId a, NodeId b) { return net_.link_operational(a, b); },
+      ttl);
+}
+
 }  // namespace ren::switchd

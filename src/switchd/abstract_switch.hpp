@@ -17,9 +17,11 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "detect/theta_detector.hpp"
+#include "flows/resilient_paths.hpp"
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 #include "switchd/rule_table.hpp"
@@ -111,6 +113,34 @@ class AbstractSwitch : public net::Node {
   transport::Endpoint endpoint_;
   std::map<NodeId, NodeId> last_port_;  ///< peer -> most recent in-port
   faults::Adversary* adversary_ = nullptr;
+};
+
+/// The data plane's forwarding step over the installed rules, as rule walks
+/// (flows::rule_walk) take it: at a live switch, the first rule candidate
+/// for (src, dst) whose out-link is operational, else `dst` itself over an
+/// operational link; nothing at any other node (controllers and hosts do
+/// not relay). Bound to the switches that are alive at construction.
+class RuleForwarding {
+ public:
+  RuleForwarding(const net::Network& net,
+                 const std::vector<AbstractSwitch*>& switches);
+
+  /// Whether `id` is one of the bound live switches.
+  [[nodiscard]] bool forwards(NodeId id) const {
+    return live_switch(id) != nullptr;
+  }
+  [[nodiscard]] std::optional<NodeId> next_hop(NodeId at, NodeId src,
+                                               NodeId dst) const;
+  /// flows::rule_walk with next_hop() over the network's operational links.
+  [[nodiscard]] flows::WalkResult walk(NodeId src, NodeId dst,
+                                       const std::vector<NodeId>& first_hops,
+                                       int ttl) const;
+
+ private:
+  [[nodiscard]] AbstractSwitch* live_switch(NodeId id) const;
+
+  const net::Network& net_;
+  std::vector<AbstractSwitch*> live_;  ///< indexed by node id
 };
 
 }  // namespace ren::switchd

@@ -112,5 +112,18 @@ TEST(Legitimacy, TrueViewExcludesHostsAndDeadNodes) {
   EXPECT_FALSE(exp.monitor().true_view().has_node(3));
 }
 
+TEST(Legitimacy, AchievableKappaFollowsTheLiveFabric) {
+  // lambda(Gc) - 1 over the live nodes, recomputed when the fabric changes.
+  sim::Experiment exp(fast_config("B4", 2));
+  EXPECT_EQ(exp.monitor().achievable_kappa(), 1);
+  exp.sim().kill_node(2);  // leaves a bridge
+  EXPECT_EQ(exp.monitor().achievable_kappa(), 0);
+  // Without switch 0 the ids start at 1; the compaction into an index-dense
+  // Graph absorbs that.
+  sim::Experiment sparse(fast_config("B4", 2));
+  sparse.sim().kill_node(0);
+  EXPECT_EQ(sparse.monitor().achievable_kappa(), 1);
+}
+
 }  // namespace
 }  // namespace ren::core

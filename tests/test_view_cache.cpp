@@ -339,8 +339,6 @@ TEST(FlatView, MatchesTopoViewReachabilityOnRandomDigraphs) {
       const bool want =
           std::find(expect.begin(), expect.end(), node) != expect.end();
       ASSERT_EQ(flat.reached(node), want) << "node " << node;
-      ASSERT_EQ(v.reachable(src, node), want) << "early-exit BFS, node "
-                                              << node;
     }
     ASSERT_FALSE(flat.reached(static_cast<NodeId>(n) * stride + 1));
   }
