@@ -2,6 +2,8 @@
 // three-tag evaluation variant. The extra retained round keeps the
 // previous kappa-fault-resilient flows installed while new ones roll out,
 // which shows up as a shallower throughput valley around reconfigurations.
+// Both variants run the built-in `throughput_window` timeline (30 s window,
+// mid-path link failure at its 10th second) on B4 with the paper's timers.
 #include "bench_common.hpp"
 
 int main() {
@@ -10,28 +12,24 @@ int main() {
                       "throughput valley depth around the failover");
   std::printf("%-10s %10s %12s %12s %12s\n", "variant", "steady", "valley",
               "recovered", "retx-max%");
+  const scenario::Scenario s = scenario::builtin("throughput_window");
   for (int retention : {2, 3}) {
     auto cfg = bench::paper_config("B4", 3, 1);
-    cfg.with_hosts = true;
     cfg.rule_retention = retention;
-    cfg.link_latency = 16'000 / (2 * (5 + 2));
-    sim::Experiment exp(cfg);
-    sim::Experiment::ThroughputRun run;
-    run.duration = sec(30);
-    run.fail_at = sec(10);
-    run.tcp.rwnd = 1u << 20;
-    const auto r = exp.run_throughput(run);
-    if (!r.ok) {
+    cfg.link_latency = 16'000 / (2 * (5 + 2));  // ~16 ms host-to-host RTT
+    const auto out = scenario::run_timeline(s, cfg);
+    if (out.windows.empty() || out.windows[0].mbits_series.size() < 30) {
       std::printf("%-10d (did not converge)\n", retention);
       continue;
     }
-    const double steady = (r.mbits[6] + r.mbits[7] + r.mbits[8]) / 3;
+    const auto& mbits = out.windows[0].mbits_series;
+    const double steady = (mbits[6] + mbits[7] + mbits[8]) / 3;
     double valley = steady;
     for (int i = 9; i < 15; ++i)
-      valley = std::min(valley, r.mbits[static_cast<std::size_t>(i)]);
-    const double recovered = (r.mbits[26] + r.mbits[27] + r.mbits[28]) / 3;
+      valley = std::min(valley, mbits[static_cast<std::size_t>(i)]);
+    const double recovered = (mbits[26] + mbits[27] + mbits[28]) / 3;
     double retx = 0;
-    for (double v : r.retx_pct) retx = std::max(retx, v);
+    for (double v : out.windows[0].retx_pct) retx = std::max(retx, v);
     std::printf("%-10d %10.0f %12.0f %12.0f %12.1f\n", retention, steady,
                 valley, recovered, retx);
   }

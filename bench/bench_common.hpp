@@ -25,21 +25,13 @@ namespace ren::bench {
 inline constexpr int kRuns = 20;               // paper: 20 repetitions
 inline constexpr std::uint64_t kBaseSeed = 1;  // seeds kBaseSeed..+runs-1
 
-inline int theta_for(const std::string& topology) {
-  return (topology == "B4" || topology == "Clos") ? 10 : 30;
-}
-
+/// The paper's timer profile (sim::paper_profile) with the given fabric,
+/// controller count and seed.
 inline sim::ExperimentConfig paper_config(const std::string& topology,
                                           int controllers,
                                           std::uint64_t seed) {
-  sim::ExperimentConfig cfg;
-  cfg.topology = topology;
+  sim::ExperimentConfig cfg = sim::paper_profile(topology);
   cfg.controllers = controllers;
-  cfg.kappa = 2;
-  cfg.task_delay = msec(500);
-  cfg.detect_interval = msec(100);
-  cfg.theta = theta_for(topology);
-  cfg.rule_retention = 3;  // the Section 6.2 evaluation variant
   cfg.seed = seed;
   return cfg;
 }

@@ -35,7 +35,7 @@ Controller::Controller(NodeId id, Config config)
       planner_(id,
                BatchPlanner::Config{config.rule_retention,
                                     config.memory_adaptive,
-                                    config.paranoid_batches},
+                                    config.paranoid},
                BatchPlanner::Hooks{
                    [this](NodeId j) { return rules_for_switch(j); },
                    [this](NodeId victim) { note_deletion(victim); },
@@ -45,7 +45,7 @@ Controller::Controller(NodeId id, Config config)
                          std::size_t>(this->id())] += commands;
                      endpoint_.submit(peer, std::move(msg));
                    }}) {
-  views_.set_paranoid(config_.paranoid_views);
+  views_.set_paranoid(config_.paranoid);
   curr_tag_ = tags_.next();
   prev_tag_ = proto::kNullTag;
 }
@@ -206,26 +206,32 @@ void Controller::rebuild_merged_rules(
   ++change_epoch_;
   merged_rules_.clear();
   if (data_flows_.empty()) return;  // rules_for_switch falls through
+  merged_rules_ = merge_data_flows(current_flows_->per_switch, data_flows_,
+                                   compiler_, refer_view, id(), refer_transit);
+}
 
-  // Compile each registered data flow against the same reference view and
-  // merge per switch with the control rules.
+std::map<NodeId, proto::RuleListPtr> merge_data_flows(
+    const std::map<NodeId, proto::RuleListPtr>& control,
+    const std::vector<Controller::DataFlowSpec>& data_flows,
+    const flows::RuleCompiler& compiler, const flows::TopoView& view,
+    NodeId owner, const std::map<NodeId, bool>& transit) {
   std::map<NodeId, proto::RuleList> merged;
-  for (const auto& [sid, list] : current_flows_->per_switch) {
-    merged[sid] = *list;
-  }
-  for (const auto& spec : data_flows_) {
-    flows::DataFlow df = compiler_.compile_data_flow(
-        refer_view, id(), spec.host_a, spec.attach_a, spec.host_b,
-        spec.attach_b, refer_transit);
+  for (const auto& [sid, list] : control) merged[sid] = *list;
+  for (const auto& spec : data_flows) {
+    const flows::DataFlow df =
+        compiler.compile_data_flow(view, owner, spec.host_a, spec.attach_a,
+                                   spec.host_b, spec.attach_b, transit);
     for (const auto& [sid, list] : df.per_switch) {
       auto& dst = merged[sid];
       dst.insert(dst.end(), list->begin(), list->end());
     }
   }
+  std::map<NodeId, proto::RuleListPtr> out;
   for (auto& [sid, list] : merged) {
     std::sort(list.begin(), list.end(), flows::rule_order);
-    merged_rules_[sid] = std::make_shared<const proto::RuleList>(std::move(list));
+    out[sid] = std::make_shared<const proto::RuleList>(std::move(list));
   }
+  return out;
 }
 
 proto::RuleListPtr Controller::rules_for_switch(NodeId j) {

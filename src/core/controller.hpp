@@ -58,13 +58,11 @@ class Controller : public net::Node {
     std::size_t max_replies = 1024;  ///< >= 2(N_C+N_S) per the paper
     bool memory_adaptive = true;     ///< false = Section 8.1 variant
     int rule_retention = 2;          ///< 3 = Section 6.2 variant
-    /// Differential-test mode: shadow every cached view with a from-scratch
-    /// build and throw std::logic_error on divergence (slow; tests/CI only).
-    bool paranoid_views = false;
-    /// Differential-test mode: shadow every planned batch with a
-    /// from-scratch build and throw std::logic_error unless the wire
-    /// encodings are byte-equal (slow; tests/CI only).
-    bool paranoid_batches = false;
+    /// Differential-test mode: shadow every cached view and every planned
+    /// batch with a from-scratch build and throw std::logic_error on
+    /// divergence — batches must match byte for byte on the wire (slow;
+    /// tests/CI only).
+    bool paranoid = false;
   };
 
   Controller(NodeId id, Config config);
@@ -212,5 +210,16 @@ class Controller : public net::Node {
   std::function<void(bool)> iteration_probe_;
   std::function<void(bool)> fanout_probe_;
 };
+
+/// The control rules `control` merged per switch with the rules of every
+/// flow in `data_flows`, each compiled by `compiler` for `owner` against the
+/// same `view` and `transit`; every list sorted by flows::rule_order. The one
+/// definition of a controller's combined install set: the controller merges
+/// on its own view, the legitimacy monitor on the true one.
+[[nodiscard]] std::map<NodeId, proto::RuleListPtr> merge_data_flows(
+    const std::map<NodeId, proto::RuleListPtr>& control,
+    const std::vector<Controller::DataFlowSpec>& data_flows,
+    const flows::RuleCompiler& compiler, const flows::TopoView& view,
+    NodeId owner, const std::map<NodeId, bool>& transit);
 
 }  // namespace ren::core

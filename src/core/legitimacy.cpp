@@ -198,8 +198,8 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
     return rc.per_switch;
   }
   ++stats_.reference_compiles;
-  // Reference compilation, merged with the controller's data flows exactly
-  // like Controller::rebuild_merged_rules does.
+  // Reference compilation, merged with the controller's data flows by the
+  // same merge_data_flows the controller installs from.
   const auto expected = compiler_.compile_cached(truth, c->id(), transit);
   if (config_.paranoid &&
       !flows::identical_flows(
@@ -208,29 +208,13 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
                            "compile != compile_oracle for controller " +
                            std::to_string(c->id()));
   }
-  std::map<NodeId, proto::RuleListPtr> out;
-  if (c->data_flows().empty()) {
-    out = expected->per_switch;
-  } else {
-    std::map<NodeId, proto::RuleList> building;
-    for (const auto& [sid, list] : expected->per_switch) building[sid] = *list;
-    for (const auto& spec : c->data_flows()) {
-      flows::DataFlow df = compiler_.compile_data_flow(
-          truth, c->id(), spec.host_a, spec.attach_a, spec.host_b,
-          spec.attach_b, transit);
-      for (const auto& [sid, list] : df.per_switch) {
-        auto& dst = building[sid];
-        dst.insert(dst.end(), list->begin(), list->end());
-      }
-    }
-    for (auto& [sid, list] : building) {
-      std::sort(list.begin(), list.end(), flows::rule_order);
-      out[sid] = std::make_shared<const proto::RuleList>(std::move(list));
-    }
-  }
+  rc.per_switch = c->data_flows().empty()
+                      ? expected->per_switch
+                      : merge_data_flows(expected->per_switch,
+                                         c->data_flows(), compiler_, truth,
+                                         c->id(), transit);
   rc.truth_fingerprint = fp;
   rc.data_flow_revision = c->data_flow_revision();
-  rc.per_switch = std::move(out);
   return rc.per_switch;
 }
 

@@ -27,11 +27,11 @@
 // scratch (flat CSR arrays, BFS queue, visited stamps) lives in the three
 // long-lived slots, so a steady-state tick allocates nothing here.
 //
-// Config::paranoid_views mirrors the PR 2 differential-mode pattern: every
-// refresh() outcome (hit, rotation or rebuild) is shadowed by from-scratch
-// builds — with reachability recomputed through the *independent*
-// TopoView::reachable_set() implementation — and any divergence throws
-// std::logic_error.
+// Controller::Config::paranoid mirrors the legitimacy monitor's
+// differential mode: every refresh() outcome (hit, rotation or rebuild) is
+// shadowed by from-scratch builds — with reachability recomputed through
+// the *independent* TopoView::reachable_set() implementation — and any
+// divergence throws std::logic_error.
 #pragma once
 
 #include <cstdint>

@@ -26,12 +26,6 @@ void EventQueue::schedule_at(Time at, Action action, std::int32_t lane,
 }
 
 void EventQueue::schedule_packet(Time at, NodeId from, NodeId to, int link,
-                                 Packet packet) {
-  schedule_packet(at, from, to, link, std::move(packet), kGlobalLane,
-                  next_seq_++);
-}
-
-void EventQueue::schedule_packet(Time at, NodeId from, NodeId to, int link,
                                  Packet packet, std::int32_t lane,
                                  std::uint64_t seq) {
   Event ev;
@@ -62,17 +56,6 @@ bool EventQueue::pop(Event& out) {
 bool EventQueue::pop_until(Time limit, Event& out) {
   if (heap_.empty() || heap_.front().at > limit) return false;
   return pop(out);
-}
-
-bool EventQueue::step() {
-  Event ev;
-  if (!pop(ev)) return false;
-  if (ev.action) {
-    ev.action();
-  } else {
-    packet_handler_(ev.from, ev.to, ev.link, ev.packet);
-  }
-  return true;
 }
 
 }  // namespace ren::net

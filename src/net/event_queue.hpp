@@ -13,8 +13,7 @@
 // by far, and a std::function closure would cost a heap allocation plus a
 // payload copy per hop; instead they are stored inline (the Packet payload
 // is a shared immutable pointer, so moving an event moves two pointers) and
-// dispatched by the simulator, or — for standalone use — through one
-// installed handler.
+// dispatched by the simulator, which pops every event.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +28,6 @@ namespace ren::net {
 class EventQueue {
  public:
   using Action = std::function<void()>;
-  /// Installed once for standalone use (step()); receives packet events.
-  using PacketHandler =
-      std::function<void(NodeId from, NodeId to, int link, Packet& packet)>;
 
   /// The harness/global lane. Node `id` schedules on lane `id + 1`.
   static constexpr std::int32_t kGlobalLane = 0;
@@ -49,10 +45,6 @@ class EventQueue {
     [[nodiscard]] bool is_packet() const { return !action; }
   };
 
-  void set_packet_handler(PacketHandler handler) {
-    packet_handler_ = std::move(handler);
-  }
-
   /// Schedule `action` at absolute time `at` on the global lane with this
   /// queue's own sequence counter (standalone use, and the simulator's
   /// harness events).
@@ -64,9 +56,7 @@ class EventQueue {
                    std::uint64_t seq);
 
   /// Allocation-free fast path: deliver `packet` (from -> to over `link`)
-  /// at time `at`. Without an explicit key: global lane, own counter.
-  void schedule_packet(Time at, NodeId from, NodeId to, int link,
-                       Packet packet);
+  /// at time `at` under the (lane, seq) key the simulator assigns.
   void schedule_packet(Time at, NodeId from, NodeId to, int link,
                        Packet packet, std::int32_t lane, std::uint64_t seq);
 
@@ -87,10 +77,6 @@ class EventQueue {
   /// pop(), but only while the next event's time is <= `limit`.
   bool pop_until(Time limit, Event& out);
 
-  /// Standalone drive: pop and dispatch the next event (action directly,
-  /// packets through the installed handler); false when empty.
-  bool step();
-
   /// Total events executed so far.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
@@ -109,7 +95,6 @@ class EventQueue {
   // queue's top() is const, which would force a copy of the event (and its
   // closure) per step; pop_heap lets the event be moved out.
   std::vector<Event> heap_;
-  PacketHandler packet_handler_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -45,15 +45,6 @@ std::vector<NodeId> Network::neighbors_connected(NodeId n) const {
   return out;
 }
 
-std::vector<NodeId> Network::neighbors_operational(NodeId n) const {
-  std::vector<NodeId> out;
-  for (const Edge& e : adjacency_[static_cast<std::size_t>(n)]) {
-    if (links_[static_cast<std::size_t>(e.link)].operational())
-      out.push_back(e.neighbor);
-  }
-  return out;
-}
-
 bool Network::link_operational(NodeId a, NodeId b) const {
   const Link* l = find_link(a, b);
   return l != nullptr && l->operational();

@@ -57,9 +57,6 @@ class Network {
   /// Neighbors of `n` in Gc: links that are not permanently down.
   [[nodiscard]] std::vector<NodeId> neighbors_connected(NodeId n) const;
 
-  /// Neighbors of `n` in Go: links that are currently operational.
-  [[nodiscard]] std::vector<NodeId> neighbors_operational(NodeId n) const;
-
   /// True when the a-b link exists and is operational (Go membership).
   [[nodiscard]] bool link_operational(NodeId a, NodeId b) const;
 

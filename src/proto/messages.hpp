@@ -177,8 +177,9 @@ inline std::size_t wire_size(const Message& m) {
 //
 // A deterministic byte rendering of a message, including the full rule
 // bytes. Not a real wire format: it exists so differential modes (e.g.
-// Config::paranoid_batches) can assert that two independently constructed
-// messages are byte-equal without hand-writing field-by-field comparisons.
+// Controller::Config::paranoid) can assert that two independently
+// constructed messages are byte-equal without hand-writing field-by-field
+// comparisons.
 
 namespace detail {
 inline void put_u64(std::string& out, std::uint64_t v) {

@@ -43,25 +43,13 @@ std::uint64_t mix64(std::uint64_t z) {
 sim::ExperimentConfig profile_config(const Scenario& s,
                                      const std::string& topology,
                                      int controllers, const AxisPoint& axes,
-                                     std::uint64_t seed, bool paper_timers) {
-  sim::ExperimentConfig cfg;
-  cfg.topology = topology;
+                                     std::uint64_t seed,
+                                     const RunnerOptions& opt) {
+  sim::ExperimentConfig cfg = opt.paper_timers ? sim::paper_profile(topology)
+                                               : sim::fast_profile(topology);
   cfg.controllers = controllers;
-  cfg.kappa = 2;
   cfg.seed = seed;
-  if (paper_timers) {
-    cfg.task_delay = msec(500);
-    cfg.detect_interval = msec(100);
-    cfg.monitor_interval = msec(250);
-    cfg.theta = (topology == "B4" || topology == "Clos") ? 10 : 30;
-  } else {
-    cfg.task_delay = msec(50);
-    cfg.detect_interval = msec(10);
-    cfg.monitor_interval = msec(25);
-    cfg.link_latency = usec(100);
-    cfg.theta = 10;
-  }
-  cfg.rule_retention = 3;
+  cfg.paranoid = opt.paranoid;
   if (s.calibrate_rtt) {
     // The Section 6.4.3 throughput setup: per-topology latency so the
     // host-to-host RTT lands near 16 ms (the hosts sit at diameter + 2
@@ -226,15 +214,13 @@ void read_into(bool& dst, const Json& v) { dst = v.as_bool(); }
 /// The per-trial timeline interpreter.
 class TrialExecutor {
  public:
-  TrialExecutor(const Scenario& s, const std::string& topology,
-                int controllers, const AxisPoint& axes, std::uint64_t seed,
-                const RunnerOptions& opt)
+  TrialExecutor(const Scenario& s, sim::ExperimentConfig cfg)
       : scenario_(s),
         // The scenario fault stream is separate from the experiment's
         // internal streams so adding internal randomness never reshuffles
         // which victims a scenario picks.
-        fault_rng_(mix64(seed ^ 0x5ce9a5ce9a5ce9aULL)),
-        seed_(seed) {
+        fault_rng_(mix64(cfg.seed ^ 0x5ce9a5ce9a5ce9aULL)),
+        seed_(cfg.seed) {
     // The stabilization watchdog arms only for adversarial scenarios: its
     // fine-grained advance + sampling would otherwise change nothing but
     // still run, and benign campaign reports must stay byte-identical to
@@ -247,12 +233,7 @@ class TrialExecutor {
     table_active_ = std::any_of(
         s.events.begin(), s.events.end(),
         [](const Event& e) { return e.kind == EventKind::StartFlowChurn; });
-    auto cfg =
-        profile_config(s, topology, controllers, axes, seed, opt.paper_timers);
     cfg.with_hosts = s.needs_hosts();
-    cfg.monitor_paranoid = opt.paranoid;
-    cfg.views_paranoid = opt.paranoid;
-    cfg.batches_paranoid = opt.paranoid;
     exp_ = std::make_unique<sim::Experiment>(std::move(cfg));
     cp_ = exp_->control_plane();
     // Traffic scenarios register the host<->host data flow up front so its
@@ -668,10 +649,8 @@ class TrialExecutor {
       exp_->sim().run_until(exp_->sim().now() + exp_->config().task_delay);
     }
     traffic_stats_ = std::make_unique<tcp::FlowStats>(exp_->sim().now());
-    tcp::RenoConfig tcp_cfg;
-    tcp_cfg.rwnd = 1u << 20;
-    b->make_receiver(a->id(), tcp_cfg, traffic_stats_.get());
-    auto& sender = a->make_sender(b->id(), tcp_cfg, traffic_stats_.get());
+    b->make_receiver(a->id(), traffic_stats_.get());
+    auto& sender = a->make_sender(b->id(), traffic_stats_.get());
     window_label_ = label;
     traffic_start_ = exp_->sim().now();
     sender.start(traffic_start_);
@@ -893,14 +872,18 @@ std::uint64_t trial_seed(std::uint64_t base_seed, const std::string& topology,
   return h;
 }
 
+TrialOutcome run_timeline(const Scenario& s, sim::ExperimentConfig cfg) {
+  return TrialExecutor(s, std::move(cfg)).run();
+}
+
 TrialOutcome run_trial(const Scenario& s, const std::string& topology,
                        int controllers, const AxisPoint& axes, int trial,
                        const RunnerOptions& opt) {
-  const std::uint64_t seed =
-      trial_seed(s.base_seed, topology, controllers, trial);
   require_serial(opt);
-  TrialExecutor exec(s, topology, controllers, axes, seed, opt);
-  return exec.run();
+  return run_timeline(
+      s, profile_config(s, topology, controllers, axes,
+                        trial_seed(s.base_seed, topology, controllers, trial),
+                        opt));
 }
 
 TrialOutcome run_trial(const Scenario& s, const std::string& topology,

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "scenario/scenario.hpp"
+#include "sim/experiment.hpp"
 #include "util/stats.hpp"
 #include "util/types.hpp"
 
@@ -187,9 +188,19 @@ struct CampaignResult {
                                        const std::string& topology,
                                        int controllers, int trial);
 
-/// Execute one trial synchronously (exposed for tests and the ported
-/// benches; run_campaign is a thread pool over this). The AxisPoint overload
-/// applies the given axis values on top of the timer profile.
+/// Interpret the scenario's timeline on one Experiment built from `cfg`,
+/// used as given except that with_hosts follows the timeline (set when it
+/// has traffic events). cfg.seed also seeds the scenario's fault, adversary
+/// and churn streams. The one timeline interpreter: run_trial is this on
+/// the campaign's profile config.
+[[nodiscard]] TrialOutcome run_timeline(const Scenario& s,
+                                        sim::ExperimentConfig cfg);
+
+/// Execute one trial of a campaign grid point synchronously: the timer
+/// profile (RunnerOptions::paper_timers, paranoid) plus the scenario's
+/// calibrate_rtt and max_events, seeded with trial_seed, through
+/// run_timeline. run_campaign is a thread pool over this. The AxisPoint
+/// overload applies the given axis values on top of the profile.
 [[nodiscard]] TrialOutcome run_trial(const Scenario& s,
                                      const std::string& topology,
                                      int controllers, const AxisPoint& axes,

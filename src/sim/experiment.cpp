@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 #include <stdexcept>
 
 #include "scenario/scenario.hpp"
@@ -28,6 +27,28 @@ long long integral_axis(const std::string& name, double value, long long min,
 constexpr long long kIntMax = std::numeric_limits<int>::max();
 
 }  // namespace
+
+ExperimentConfig fast_profile(std::string topology) {
+  ExperimentConfig cfg;
+  cfg.topology = std::move(topology);
+  cfg.task_delay = msec(50);
+  cfg.detect_interval = msec(10);
+  cfg.monitor_interval = msec(25);
+  cfg.link_latency = usec(100);
+  cfg.theta = 10;
+  return cfg;
+}
+
+ExperimentConfig paper_profile(std::string topology) {
+  ExperimentConfig cfg;
+  cfg.theta = (topology == "B4" || topology == "Clos") ? 10 : 30;
+  cfg.topology = std::move(topology);
+  cfg.task_delay = msec(500);
+  cfg.detect_interval = msec(100);
+  cfg.monitor_interval = msec(250);
+  cfg.rule_retention = 3;
+  return cfg;
+}
 
 const std::vector<std::string>& axis_names() {
   static const std::vector<std::string> names = {
@@ -103,7 +124,6 @@ void Experiment::build() {
   // Switches: ids 0..n_switches-1 (same ids as the topology graph).
   switchd::AbstractSwitch::Config sw_cfg;
   sw_cfg.max_rules = config_.max_rules;
-  sw_cfg.max_managers = config_.max_managers;
   sw_cfg.tick_interval = config_.task_delay;
   sw_cfg.detect_interval = config_.detect_interval;
   sw_cfg.theta = config_.theta;
@@ -121,8 +141,7 @@ void Experiment::build() {
   c_cfg.max_replies = max_replies;
   c_cfg.memory_adaptive = config_.memory_adaptive;
   c_cfg.rule_retention = config_.rule_retention;
-  c_cfg.paranoid_views = config_.views_paranoid;
-  c_cfg.paranoid_batches = config_.batches_paranoid;
+  c_cfg.paranoid = config_.paranoid;
   for (int k = 0; k < n_controllers; ++k) {
     controllers_.push_back(&sim_.emplace_node<core::Controller>(
         static_cast<NodeId>(n_switches + k), c_cfg));
@@ -131,13 +150,11 @@ void Experiment::build() {
   // Physical links: the switch fabric.
   net::LinkParams lp;
   lp.latency = config_.link_latency;
-  lp.bandwidth_bps = config_.link_bandwidth_bps;
-  lp.max_queue_delay = config_.link_max_queue_delay;
+  lp.bandwidth_bps = 1e9;  // paper: 1000 Mbit/s
   lp.faults.loss = config_.link_loss;
   lp.faults.duplicate = config_.link_duplicate;
   lp.faults.reorder = config_.link_reorder;
   lp.faults.reorder_delay_max = 2 * config_.link_latency;
-  lp.faults.corrupt = config_.link_corrupt;
   for (int u = 0; u < n_switches; ++u) {
     for (int v : topo_.switch_graph.neighbors(u)) {
       if (u < v) sim_.add_link(u, v, lp);
@@ -189,7 +206,7 @@ void Experiment::build() {
 
   core::LegitimacyMonitor::Config m_cfg;
   m_cfg.kappa = config_.kappa;
-  m_cfg.paranoid = config_.monitor_paranoid;
+  m_cfg.paranoid = config_.paranoid;
   monitor_ = std::make_unique<core::LegitimacyMonitor>(sim_, controllers_,
                                                        switches_, m_cfg);
 }
@@ -371,57 +388,6 @@ std::pair<NodeId, NodeId> Experiment::fail_data_path_link(
   REN_LOG(Info, "t=%.3fs failed link %d-%d", to_seconds(sim_.now()),
           link.first, link.second);
   return link;
-}
-
-Experiment::ThroughputResult Experiment::run_throughput(
-    const ThroughputRun& run) {
-  ThroughputResult result;
-  if (host_a_ == nullptr || host_b_ == nullptr) {
-    throw std::logic_error("run_throughput requires with_hosts=true");
-  }
-
-  // 1. Bootstrap the control plane.
-  const auto boot = run_until_legitimate(sec(300));
-  if (!boot.converged) return result;
-
-  // 2. Provision the host<->host flow; wait until the rules are walkable
-  //    end-to-end.
-  register_default_data_flow();
-  const Time install_deadline = sim_.now() + sec(30);
-  while (sim_.now() < install_deadline && current_data_path().empty()) {
-    sim_.run_until(sim_.now() + config_.task_delay);
-  }
-  result.primary_path = current_data_path();
-  if (result.primary_path.empty()) return result;
-
-  // 3. Start the TCP flow.
-  tcp::FlowStats stats(sim_.now());
-  host_b_->make_receiver(host_a_->id(), run.tcp, &stats);
-  auto& sender = host_a_->make_sender(host_b_->id(), run.tcp, &stats);
-  const Time t0 = sim_.now();
-  sender.start(t0);
-
-  // 4. Schedule the mid-path link failure (freezing controllers first in
-  //    the no-recovery variant of Fig. 16).
-  sim_.schedule_at(t0 + run.fail_at, [this, &run, &result] {
-    if (!run.with_recovery) {
-      for (auto* c : controllers_) c->set_frozen(true);
-    }
-    result.failed_link = fail_data_path_link(run.detection_delay);
-  });
-
-  // 5. Run the measurement window and collect the per-second series.
-  sim_.run_until(t0 + run.duration);
-  sender.stop();
-  for (auto* c : controllers_) c->set_frozen(false);
-
-  const int seconds = static_cast<int>(run.duration / sec(1));
-  result.mbits = stats.mbits_series(seconds);
-  result.retx_pct = stats.retransmission_pct(seconds);
-  result.bad_pct = stats.bad_tcp_pct(seconds);
-  result.ooo_pct = stats.out_of_order_pct(seconds);
-  result.ok = true;
-  return result;
 }
 
 }  // namespace ren::sim

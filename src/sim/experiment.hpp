@@ -1,8 +1,9 @@
 // The experiment harness: builds a complete Renaissance deployment (switch
 // fabric + attached controllers + optional host pair), drives it to a
-// legitimate state, injects faults, and measures the quantities the paper's
-// evaluation reports (bootstrap/recovery time, message overhead, TCP
-// throughput around a failover).
+// legitimate state, and offers the fault and data-path hooks the scenario
+// engine's timelines use to measure what the paper's evaluation reports
+// (bootstrap/recovery time, message overhead, TCP throughput around a
+// failover).
 #pragma once
 
 #include <cstdint>
@@ -44,31 +45,24 @@ struct ExperimentConfig {
   bool memory_adaptive = true;        ///< false = Section 8.1 variant
   std::uint64_t seed = 1;
 
-  Time link_latency = msec(1);
-  double link_bandwidth_bps = 1e9;    ///< paper: 1000 Mbit/s
-  Time link_max_queue_delay = msec(50);
+  Time link_latency = msec(1);        ///< one-way; bandwidth is 1000 Mbit/s
   double link_loss = 0.0;
   double link_duplicate = 0.0;
   double link_reorder = 0.0;
-  double link_corrupt = 0.0;          ///< payload corruption probability
 
   Time monitor_interval = msec(250);  ///< legitimacy sampling ceiling
   /// Epoch-gated adaptive sampling: between checks the harness advances in
   /// fine steps and consults the monitor as soon as some change epoch moved,
   /// falling back to monitor_interval as the ceiling between checks.
   bool adaptive_monitor = true;
-  /// Differential-test mode: shadow every incremental verdict with a full
-  /// check and throw on divergence (slow; tests/CI only).
-  bool monitor_paranoid = false;
-  /// Differential-test mode: shadow every cached controller view with a
-  /// from-scratch build and throw on divergence (slow; tests/CI only).
-  bool views_paranoid = false;
-  /// Differential-test mode: shadow every planned batch with a from-scratch
-  /// build and throw unless byte-equal (slow; tests/CI only).
-  bool batches_paranoid = false;
+  /// Differential-test mode: every cached layer runs its from-scratch
+  /// oracle alongside and throws std::logic_error on divergence — the
+  /// monitor's incremental verdict against a full check, each controller's
+  /// cached views against fresh builds, and each planned batch against a
+  /// byte-equal from-scratch build (slow; tests/CI only).
+  bool paranoid = false;
   std::size_t max_rules = 1u << 20;
   std::size_t max_replies = 0;        ///< 0 = auto: 2(N_C+N_S)+4
-  std::size_t max_managers = 64;
   /// Must be 1 (the Experiment constructor throws std::invalid_argument
   /// otherwise): the simulation kernel is serial. Kept only for callers that
   /// still assign it; goes with the next change to the benchmark.
@@ -81,6 +75,22 @@ struct ExperimentConfig {
   /// congestion ceiling the paper plots.
   std::uint64_t max_events = 0;
 };
+
+// --- Timer profiles -----------------------------------------------------------
+// The two starting points every driver uses (campaign runner, benches,
+// tests). Each sets `topology` plus the profile's timers and leaves every
+// other field at its default.
+
+/// The fast profile: 50 ms task delay, 10 ms detection, 25 ms monitor
+/// sampling, 100 us links, theta = 10. The algorithm is timer-rate oblivious
+/// (Section 3), so shrinking the paper's intervals only compresses simulated
+/// wall-clock, not the logic under test.
+[[nodiscard]] ExperimentConfig fast_profile(std::string topology);
+
+/// The paper's Section 6.3 timers: 500 ms task delay, 100 ms detection,
+/// theta = 10 on B4 and Clos and 30 on the larger networks, and the
+/// three-tag evaluation variant.
+[[nodiscard]] ExperimentConfig paper_profile(std::string topology);
 
 // --- Scenario axes ------------------------------------------------------------
 // The generic campaign axes a scenario can sweep (scenario::Scenario::axes).
@@ -150,33 +160,12 @@ class Experiment {
   /// monitor_interval), or until `limit` simulated time elapses.
   ConvergenceResult run_until_legitimate(Time limit);
 
-  // --- Throughput experiment (Figs. 15-20) -----------------------------------
-  struct ThroughputRun {
-    Time duration = sec(30);
-    Time fail_at = sec(10);
-    /// Port-down detection window: the failed link blackholes traffic for
-    /// this long before the data plane fails over (models OVS carrier/BFD
-    /// detection latency; drives the Fig. 18 retransmission spike).
-    Time detection_delay = msec(150);
-    bool with_recovery = true;  ///< false = Fig. 16 (controllers frozen)
-    tcp::RenoConfig tcp;
-  };
-  struct ThroughputResult {
-    bool ok = false;
-    std::vector<double> mbits;     ///< per-second series (Fig. 15/16)
-    std::vector<double> retx_pct;  ///< Fig. 18
-    std::vector<double> bad_pct;   ///< Fig. 19
-    std::vector<double> ooo_pct;   ///< Fig. 20
-    std::vector<NodeId> primary_path;
-    std::pair<NodeId, NodeId> failed_link{kNoNode, kNoNode};
-  };
-  ThroughputResult run_throughput(const ThroughputRun& run);
+  // --- Data-path hooks (the scenario engine's traffic events, Figs. 15-20) --
 
   /// Register the host_a <-> host_b data flow on `owner` (default: the
   /// first *live* controller). Returns the owning controller. Throws
   /// std::logic_error without hosts or without a live controller. The one
-  /// place the "who owns the default host-pair flow" policy lives — shared
-  /// by run_throughput and the scenario engine.
+  /// place the "who owns the default host-pair flow" policy lives.
   core::Controller* register_default_data_flow(
       core::Controller* owner = nullptr);
 
@@ -185,7 +174,7 @@ class Experiment {
   /// locally): blackhole now, permanent failure after `detection_delay` (the
   /// port-down detection window). Returns the failed link, or
   /// {kNoNode, kNoNode} when the path is empty or has no candidate edge.
-  /// Shared by run_throughput and the scenario engine's fail_path_link event.
+  /// The scenario engine's fail_path_link event.
   std::pair<NodeId, NodeId> fail_data_path_link(Time detection_delay);
 
   /// The data path host_a -> host_b implied by the currently installed rules.

@@ -70,11 +70,6 @@ class AbstractSwitch : public net::Node {
   [[nodiscard]] std::uint64_t change_epoch() const {
     return manager_epoch_ + rules_.epoch();
   }
-  /// The port the given peer was last heard on (kNoNode if never).
-  [[nodiscard]] NodeId last_port_of(NodeId peer) const {
-    auto it = last_port_.find(peer);
-    return it == last_port_.end() ? kNoNode : it->second;
-  }
 
   /// Transient-fault hook: corrupt rules, managers, detector, transport and
   /// reply-routing state (tests / self-stabilization experiments).

@@ -107,7 +107,6 @@ class RuleTable {
   /// Drop every flow entry (stop_flow_churn flushes active flows).
   void clear_flows();
   void set_eviction_policy(EvictionPolicy p) { policy_ = p; }
-  [[nodiscard]] EvictionPolicy eviction_policy() const { return policy_; }
   [[nodiscard]] std::size_t flow_rules() const { return flows_.size(); }
   /// Combined occupancy counted against max_rules.
   [[nodiscard]] std::size_t occupancy() const {

@@ -10,17 +10,16 @@ void Host::transmit(NodeId peer, proto::Segment seg) {
              net::make_packet(id(), peer, proto::Payload{std::move(seg)}));
 }
 
-RenoSender& Host::make_sender(NodeId peer, RenoConfig config, FlowStats* stats) {
+RenoSender& Host::make_sender(NodeId peer, FlowStats* stats) {
   sender_ = std::make_unique<RenoSender>(
-      *sim_, id(), config, stats,
+      *sim_, id(), stats,
       [this, peer](proto::Segment s) { transmit(peer, std::move(s)); });
   return *sender_;
 }
 
-RenoReceiver& Host::make_receiver(NodeId peer, RenoConfig config,
-                                  FlowStats* stats) {
+RenoReceiver& Host::make_receiver(NodeId peer, FlowStats* stats) {
   receiver_ = std::make_unique<RenoReceiver>(
-      *sim_, config, stats,
+      *sim_, stats,
       [this, peer](proto::Segment s) { transmit(peer, std::move(s)); });
   return *receiver_;
 }

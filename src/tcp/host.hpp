@@ -22,9 +22,9 @@ class Host : public net::Node {
   [[nodiscard]] NodeId attach() const { return attach_; }
 
   /// Configure this host as the TCP sender toward `peer`.
-  RenoSender& make_sender(NodeId peer, RenoConfig config, FlowStats* stats);
+  RenoSender& make_sender(NodeId peer, FlowStats* stats);
   /// Configure this host as the TCP receiver (acks flow back to `peer`).
-  RenoReceiver& make_receiver(NodeId peer, RenoConfig config, FlowStats* stats);
+  RenoReceiver& make_receiver(NodeId peer, FlowStats* stats);
 
   [[nodiscard]] RenoSender* sender() { return sender_.get(); }
   [[nodiscard]] RenoReceiver* receiver() { return receiver_.get(); }

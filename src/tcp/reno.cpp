@@ -62,15 +62,14 @@ std::vector<double> FlowStats::out_of_order_pct(int seconds) const {
 
 // --- RenoSender --------------------------------------------------------------
 
-RenoSender::RenoSender(net::Simulator& sim, NodeId self, RenoConfig config,
-                       FlowStats* stats, SendFn send)
+RenoSender::RenoSender(net::Simulator& sim, NodeId self, FlowStats* stats,
+                       SendFn send)
     : sim_(sim),
       self_(self),
-      config_(config),
       stats_(stats),
       send_(std::move(send)) {
-  cwnd_ = static_cast<double>(config_.init_cwnd_mss) * config_.mss;
-  ssthresh_ = static_cast<double>(config_.rwnd);
+  cwnd_ = static_cast<double>(kInitCwndMss) * kMss;
+  ssthresh_ = static_cast<double>(kRwnd);
   rto_ = sec(1);
 }
 
@@ -85,10 +84,10 @@ void RenoSender::start(Time at) {
 void RenoSender::pump() {
   if (!running_) return;
   const auto window = static_cast<std::uint64_t>(
-      std::min(cwnd_, static_cast<double>(config_.rwnd)));
-  while (snd_nxt_ + config_.mss <= snd_una_ + window) {
+      std::min(cwnd_, static_cast<double>(kRwnd)));
+  while (snd_nxt_ + kMss <= snd_una_ + window) {
     send_segment(snd_nxt_, false);
-    snd_nxt_ += config_.mss;
+    snd_nxt_ += kMss;
   }
 }
 
@@ -96,11 +95,11 @@ void RenoSender::send_segment(std::uint64_t seq, bool retransmit) {
   // Wireshark-style accounting: any send of data at or below the highest
   // byte already transmitted is a retransmission (covers go-back-N resends
   // after an RTO, not just explicit fast retransmits).
-  retransmit = retransmit || (seq + config_.mss <= snd_max_);
-  snd_max_ = std::max(snd_max_, seq + config_.mss);
+  retransmit = retransmit || (seq + kMss <= snd_max_);
+  snd_max_ = std::max(snd_max_, seq + kMss);
   proto::Segment s;
   s.seq = seq;
-  s.len = config_.mss;
+  s.len = kMss;
   s.is_ack = false;
   s.sent_at = sim_.now();
   s.retransmit = retransmit;
@@ -109,7 +108,7 @@ void RenoSender::send_segment(std::uint64_t seq, bool retransmit) {
   if (retransmit) ++b.retransmissions;
   // RTT sampling state (Karn: never sample retransmitted sequence ranges).
   auto [it, inserted] =
-      inflight_times_.emplace(seq + config_.mss,
+      inflight_times_.emplace(seq + kMss,
                               std::make_pair(sim_.now(), retransmit));
   if (!inserted) it->second.second = true;  // mark range as retransmitted
   send_(std::move(s));
@@ -128,15 +127,15 @@ void RenoSender::on_rto(std::uint64_t epoch) {
   }
   // Timeout: multiplicative backoff, go-back-N from the hole.
   ssthresh_ = std::max((static_cast<double>(snd_nxt_ - snd_una_)) / 2.0,
-                       2.0 * config_.mss);
-  cwnd_ = config_.mss;
+                       2.0 * kMss);
+  cwnd_ = kMss;
   dup_acks_ = 0;
   in_recovery_ = false;
   snd_nxt_ = snd_una_;
   inflight_times_.clear();
-  rto_ = std::min<Time>(rto_ * 2, config_.rto_max);
+  rto_ = std::min<Time>(rto_ * 2, kRtoMax);
   send_segment(snd_una_, true);
-  snd_nxt_ = snd_una_ + config_.mss;
+  snd_nxt_ = snd_una_ + kMss;
   arm_rto();
 }
 
@@ -159,8 +158,8 @@ void RenoSender::on_ack(const proto::Segment& ack) {
         rttvar_ = (3 * rttvar_ + err) / 4;
         srtt_ = (7 * srtt_ + sample) / 8;
       }
-      rto_ = std::clamp<Time>(srtt_ + 4 * rttvar_, config_.rto_min,
-                              config_.rto_max);
+      rto_ = std::clamp<Time>(srtt_ + 4 * rttvar_, kRtoMin,
+                              kRtoMax);
     }
     inflight_times_.erase(inflight_times_.begin(),
                           inflight_times_.upper_bound(a));
@@ -173,13 +172,13 @@ void RenoSender::on_ack(const proto::Segment& ack) {
       } else {
         // Partial ack (NewReno-style): retransmit the next hole, deflate.
         send_segment(snd_una_, true);
-        cwnd_ = std::max(cwnd_ - static_cast<double>(acked) + config_.mss,
-                         static_cast<double>(config_.mss));
+        cwnd_ = std::max(cwnd_ - static_cast<double>(acked) + kMss,
+                         static_cast<double>(kMss));
       }
     } else if (cwnd_ < ssthresh_) {
-      cwnd_ += config_.mss;  // slow start
+      cwnd_ += kMss;  // slow start
     } else {
-      cwnd_ += static_cast<double>(config_.mss) * config_.mss / cwnd_;
+      cwnd_ += static_cast<double>(kMss) * kMss / cwnd_;
     }
     if (snd_nxt_ < snd_una_) snd_nxt_ = snd_una_;
     arm_rto();
@@ -190,14 +189,14 @@ void RenoSender::on_ack(const proto::Segment& ack) {
   if (snd_nxt_ == snd_una_) return;  // nothing outstanding; stale ack
   ++dup_acks_;
   if (in_recovery_) {
-    cwnd_ += config_.mss;  // window inflation
+    cwnd_ += kMss;  // window inflation
     pump();
   } else if (dup_acks_ == 3) {
     // Fast retransmit + fast recovery.
     ssthresh_ = std::max((static_cast<double>(snd_nxt_ - snd_una_)) / 2.0,
-                         2.0 * config_.mss);
+                         2.0 * kMss);
     send_segment(snd_una_, true);
-    cwnd_ = ssthresh_ + 3.0 * config_.mss;
+    cwnd_ = ssthresh_ + 3.0 * kMss;
     in_recovery_ = true;
     recover_point_ = snd_nxt_;
   }
@@ -205,9 +204,8 @@ void RenoSender::on_ack(const proto::Segment& ack) {
 
 // --- RenoReceiver -----------------------------------------------------------
 
-RenoReceiver::RenoReceiver(net::Simulator& sim, RenoConfig config,
-                           FlowStats* stats, SendFn send)
-    : sim_(sim), config_(config), stats_(stats), send_(std::move(send)) {}
+RenoReceiver::RenoReceiver(net::Simulator& sim, FlowStats* stats, SendFn send)
+    : sim_(sim), stats_(stats), send_(std::move(send)) {}
 
 void RenoReceiver::on_segment(const proto::Segment& seg) {
   auto& b = stats_->bucket(sim_.now());

@@ -22,13 +22,12 @@
 
 namespace ren::tcp {
 
-struct RenoConfig {
-  std::uint32_t mss = 8960;          ///< large-MTU segments (paper: 64KB MTU)
-  std::uint64_t rwnd = 1u << 20;     ///< receiver window (bytes)
-  std::uint32_t init_cwnd_mss = 4;
-  Time rto_min = msec(200);
-  Time rto_max = sec(4);
-};
+// The modeled flow's fixed parameters (the Section 6.4.3 setup).
+inline constexpr std::uint32_t kMss = 8960;  ///< large-MTU segments (paper: 64KB MTU)
+inline constexpr std::uint64_t kRwnd = 1u << 20;  ///< receiver window (bytes)
+inline constexpr std::uint32_t kInitCwndMss = 4;
+inline constexpr Time kRtoMin = msec(200);
+inline constexpr Time kRtoMax = sec(4);
 
 /// Per-second accounting buckets (the paper plots everything per second).
 struct SecondStats {
@@ -68,8 +67,8 @@ class RenoSender {
  public:
   using SendFn = std::function<void(proto::Segment)>;
 
-  RenoSender(net::Simulator& sim, NodeId self, RenoConfig config,
-             FlowStats* stats, SendFn send);
+  RenoSender(net::Simulator& sim, NodeId self, FlowStats* stats,
+             SendFn send);
 
   /// Begin transmitting an unbounded byte stream at time `at`.
   void start(Time at);
@@ -79,7 +78,6 @@ class RenoSender {
 
   [[nodiscard]] double cwnd() const { return cwnd_; }
   [[nodiscard]] std::uint64_t bytes_acked() const { return snd_una_; }
-  [[nodiscard]] Time srtt() const { return srtt_; }
 
  private:
   void pump();
@@ -89,7 +87,6 @@ class RenoSender {
 
   net::Simulator& sim_;
   NodeId self_;
-  RenoConfig config_;
   FlowStats* stats_;
   SendFn send_;
 
@@ -117,8 +114,7 @@ class RenoReceiver {
  public:
   using SendFn = std::function<void(proto::Segment)>;
 
-  RenoReceiver(net::Simulator& sim, RenoConfig config, FlowStats* stats,
-               SendFn send);
+  RenoReceiver(net::Simulator& sim, FlowStats* stats, SendFn send);
 
   void on_segment(const proto::Segment& seg);
 
@@ -126,7 +122,6 @@ class RenoReceiver {
 
  private:
   net::Simulator& sim_;
-  RenoConfig config_;
   FlowStats* stats_;
   SendFn send_;
   std::uint64_t rcv_nxt_ = 0;

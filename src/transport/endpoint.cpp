@@ -30,8 +30,7 @@ Endpoint::Endpoint(NodeId self, Config config, Hooks hooks)
 
 void Endpoint::submit(NodeId peer, proto::MessagePtr message) {
   SendSession& s = send_[peer];
-  if (config_.supersede_inflight && message != nullptr &&
-      message == s.inflight) {
+  if (message != nullptr && message == s.inflight) {
     // Idempotent resubmit: the exact payload object is already the in-flight
     // act frame, so the newest-state-supersedes contract is vacuous. Count
     // the logical send, re-emit the cached frame (the seed transmitted on
@@ -43,19 +42,12 @@ void Endpoint::submit(NodeId peer, proto::MessagePtr message) {
     transmit(peer, s);
     return;
   }
-  if (message != nullptr && message == s.next) {
-    return;  // already queued as the superseding message
-  }
-  if (!s.inflight || config_.supersede_inflight) {
-    begin_transmission(peer, s, std::move(message));
-  } else {
-    s.next = std::move(message);  // supersede any queued message
-  }
+  begin_transmission(peer, s, std::move(message));
 }
 
 void Endpoint::begin_transmission(NodeId peer, SendSession& s,
                                   proto::MessagePtr msg) {
-  s.label = (s.label + 1) % config_.label_domain;
+  s.label = (s.label + 1) % kLabelDomain;
   s.inflight = std::move(msg);
   refresh_act_frame(s);
   if (hooks_.on_new_message) hooks_.on_new_message(peer);
@@ -104,11 +96,6 @@ void Endpoint::on_frame(NodeId peer, const proto::Frame& frame) {
         s.act_frame.reset();
       }
     }
-    if (s.next) {
-      proto::MessagePtr next = std::move(s.next);
-      s.next.reset();
-      begin_transmission(peer, s, std::move(next));
-    }
   }
 }
 
@@ -143,7 +130,7 @@ bool Endpoint::idle(NodeId peer) const {
 
 void Endpoint::corrupt(Rng& rng) {
   for (auto& [peer, s] : send_) {
-    s.label = static_cast<std::uint32_t>(rng.next_below(config_.label_domain));
+    s.label = static_cast<std::uint32_t>(rng.next_below(kLabelDomain));
     if (rng.chance(0.5)) s.inflight.reset();
     // Keep retransmissions in sync with the (possibly scrambled) session
     // state, as the seed did by rebuilding the frame from s.label each send.
@@ -154,7 +141,7 @@ void Endpoint::corrupt(Rng& rng) {
     }
   }
   for (auto& [peer, r] : recv_) {
-    r.last_label = static_cast<std::uint32_t>(rng.next_below(config_.label_domain));
+    r.last_label = static_cast<std::uint32_t>(rng.next_below(kLabelDomain));
     r.delivered_any = rng.chance(0.5);
   }
 }

@@ -10,10 +10,13 @@
 // frames in channels) the session re-synchronizes after a bounded number of
 // spurious deliveries / false acknowledgments (the paper's Delta_comm <= 3).
 //
-// Senders keep a single-slot outbox per peer: submitting a new message while
-// one is in flight replaces the *next* message. This bounds memory (a
-// self-stabilization requirement) and matches Renaissance's semantics, where
-// every command batch/query reply supersedes the previous one.
+// Senders keep one message slot per peer: submitting a new message replaces
+// the unacknowledged one in flight. This bounds memory (a self-stabilization
+// requirement) and matches Renaissance's semantics, where every command
+// batch/query reply carries the full refreshed state and supersedes the
+// previous one — which also keeps the channel live while the in-band return
+// path is still broken: a repair batch never queues behind an unackable
+// predecessor.
 //
 // Zero-copy payloads: messages enter and leave as shared immutable
 // proto::MessagePtr; the Act frame payload (a proto::Payload holding the
@@ -37,20 +40,15 @@
 
 namespace ren::transport {
 
+/// Bounded label space of the alternating-label protocol.
+inline constexpr std::uint32_t kLabelDomain = 1u << 16;
+
 struct Config {
-  std::uint32_t label_domain = 1u << 16;  ///< bounded label space
   /// Bound on per-node session state (per direction). Nodes in a
   /// simulation replace it with the node count N at start — a node has at
   /// most one session per peer, and the paper bounds per-node state by N —
   /// so the default only applies to free-standing endpoints.
   std::size_t max_sessions = 4096;
-  /// When true (Renaissance semantics), submitting a new message replaces
-  /// an unacknowledged in-flight one: every batch/reply carries the full
-  /// refreshed state, so the newest message always supersedes. This is what
-  /// keeps the channel live while the in-band return path is still broken —
-  /// a repair batch must not queue behind an unackable predecessor. When
-  /// false, classic stop-and-wait: a new message waits for the current ack.
-  bool supersede_inflight = true;
 };
 
 class Endpoint {
@@ -75,12 +73,10 @@ class Endpoint {
 
   Endpoint(NodeId self, Config config, Hooks hooks);
 
-  /// Queue the shared immutable `message` for reliable delivery to `peer`,
-  /// superseding any not-yet-started message to the same peer. Under the
-  /// default supersede configuration, resubmitting the pointer that is
-  /// already in flight (or already queued) refreshes that slot in place:
-  /// no new label, no allocation. Stop-and-wait mode queues it like any
-  /// other submission so both configurations mirror the seed's accounting.
+  /// Send the shared immutable `message` reliably to `peer`, superseding
+  /// any unacknowledged message to the same peer under a fresh label.
+  /// Resubmitting the pointer that is already in flight refreshes that slot
+  /// in place: no new label, no allocation.
   void submit(NodeId peer, proto::MessagePtr message);
   /// Convenience overload for freshly built one-off messages.
   void submit(NodeId peer, proto::Message message) {
@@ -115,7 +111,6 @@ class Endpoint {
   struct SessionDebug {
     bool exists = false;
     bool inflight = false;
-    bool has_next = false;
     std::uint32_t label = 0;
   };
   [[nodiscard]] SessionDebug debug_send_session(NodeId peer) const {
@@ -124,17 +119,7 @@ class Endpoint {
     if (it == send_.end()) return d;
     d.exists = true;
     d.inflight = it->second.inflight != nullptr;
-    d.has_next = it->second.next != nullptr;
     d.label = it->second.label;
-    return d;
-  }
-  [[nodiscard]] SessionDebug debug_recv_session(NodeId peer) const {
-    SessionDebug d;
-    auto it = recv_.find(peer);
-    if (it == recv_.end()) return d;
-    d.exists = true;
-    d.inflight = it->second.delivered_any;
-    d.label = it->second.last_label;
     return d;
   }
 
@@ -145,7 +130,6 @@ class Endpoint {
   struct SendSession {
     std::uint32_t label = 0;
     proto::MessagePtr inflight;  ///< current Act payload awaiting Ack
-    proto::MessagePtr next;      ///< superseding message, if any
     /// The Act frame payload for (label, inflight), built once and reused by
     /// every retransmission. Non-const so a uniquely-owned buffer can be
     /// refilled in place when the label advances.

@@ -33,7 +33,6 @@ class Sample {
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double stddev() const;
   /// Linear-interpolation quantile, q in [0,1].
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }

@@ -1,7 +1,7 @@
 // The line-19 batch planner must be observationally equivalent to building
 // every per-peer CommandBatch from scratch each tick — under randomized
 // fault storms, across rotations/reuse/sharing, and through the built-in
-// scenario timelines with Config::paranoid_batches live. The differential
+// scenario timelines with Config::paranoid live. The differential
 // reference inside BatchPlanner::check_paranoid is written against the
 // seed's original std::set fan-out and compares canonical byte encodings.
 #include <gtest/gtest.h>
@@ -14,14 +14,7 @@ namespace {
 
 using ren::testing::bootstrap_or_fail;
 using ren::testing::fast_config;
-
-sim::ExperimentConfig paranoid_batches_config(const std::string& topology,
-                                              int controllers,
-                                              std::uint64_t seed = 1) {
-  auto cfg = fast_config(topology, controllers, /*kappa=*/2, seed);
-  cfg.batches_paranoid = true;
-  return cfg;
-}
+using ren::testing::paranoid_config;
 
 TEST(BatchKey, EqualityAndRotationClasses) {
   const auto rules = std::make_shared<const proto::RuleList>();
@@ -59,7 +52,7 @@ TEST(BatchKey, BuildBatchMatchesKeyShape) {
 }
 
 TEST(BatchPlannerParanoid, BootstrapAgrees) {
-  sim::Experiment exp(paranoid_batches_config("B4", 3));
+  sim::Experiment exp(paranoid_config("B4", 3));
   bootstrap_or_fail(exp);
   // Every fan-out on the way up ran the from-scratch differential.
   EXPECT_GT(exp.controller(0).batch_planner().stats().paranoid_checks, 0u);
@@ -95,7 +88,7 @@ TEST(BatchPlannerParanoid, SteadyStateRotatesWithoutRebuilding) {
 TEST(BatchPlannerParanoid, GateReopensOnChurnAndStaysCorrect) {
   // Fault churn must force full re-plans (the gate is input-keyed), and the
   // live differential guarantees the rotation ticks in between were exact.
-  auto cfg = paranoid_batches_config("B4", 3, /*seed=*/11);
+  auto cfg = paranoid_config("B4", 3, /*seed=*/11);
   sim::Experiment exp(cfg);
   bootstrap_or_fail(exp);
   const auto before = exp.controller(0).batch_planner().stats();
@@ -114,7 +107,7 @@ TEST(BatchPlannerParanoid, GateReopensOnChurnAndStaysCorrect) {
 }
 
 TEST(BatchPlannerParanoid, FaultStormAgrees) {
-  sim::Experiment exp(paranoid_batches_config("Clos", 3, /*seed=*/7));
+  sim::Experiment exp(paranoid_config("Clos", 3, /*seed=*/7));
   bootstrap_or_fail(exp);
   auto cp = exp.control_plane();
   Rng storm(0xba7c4b47ULL);
@@ -172,7 +165,7 @@ TEST(BatchPlanner, FigNineAccountingMatchesTheBaseline) {
       {3, {206, 252, 210}, {62, 75, 63}},
   };
   for (const Want& want : wants) {
-    sim::Experiment exp(paranoid_batches_config("B4", 3, want.seed));
+    sim::Experiment exp(paranoid_config("B4", 3, want.seed));
     const auto r = exp.run_until_legitimate(sec(60));
     ASSERT_TRUE(r.converged) << r.last_reason;
     EXPECT_EQ(r.commands, want.commands) << "seed " << want.seed;

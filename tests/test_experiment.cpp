@@ -22,6 +22,22 @@ TEST(Experiment, BuildsDenseIdsInLayerOrder) {
   EXPECT_EQ(exp.sim().node_count(), 25u);
 }
 
+TEST(Experiment, ParanoidArmsEveryOracle) {
+  // The one flag shadows all three cached layers: the monitor's verdicts,
+  // every controller's views and every controller's planned batches.
+  auto cfg = fast_config("B4", 3);
+  cfg.paranoid = true;
+  Experiment exp(cfg);
+  ren::testing::bootstrap_or_fail(exp);
+  EXPECT_GT(exp.monitor().stats().paranoid_shadows, 0u);
+  for (std::size_t k = 0; k < exp.controller_count(); ++k) {
+    EXPECT_GT(exp.controller(k).view_cache().stats().paranoid_checks, 0u)
+        << "controller " << k;
+    EXPECT_GT(exp.controller(k).batch_planner().stats().paranoid_checks, 0u)
+        << "controller " << k;
+  }
+}
+
 TEST(Experiment, TransportSessionBoundFollowsNodeCount) {
   // A controller on a 4096-switch WAN has 4098 peers: a fixed bound of 4096
   // sessions dropped live sessions on every prune.

@@ -7,22 +7,26 @@
 
 namespace ren::testing {
 
-/// Experiment configuration scaled down for fast tests: the algorithm is
-/// timer-rate oblivious (Section 3), so shrinking every interval by 10x
-/// only compresses simulated wall-clock, not the logic under test.
+/// The fast timer profile (sim::fast_profile) with the given fabric,
+/// controller count, kappa and seed.
 inline sim::ExperimentConfig fast_config(const std::string& topology,
                                          int controllers, int kappa = 2,
                                          std::uint64_t seed = 1) {
-  sim::ExperimentConfig cfg;
-  cfg.topology = topology;
+  sim::ExperimentConfig cfg = sim::fast_profile(topology);
   cfg.controllers = controllers;
   cfg.kappa = kappa;
   cfg.seed = seed;
-  cfg.task_delay = msec(50);
-  cfg.detect_interval = msec(10);
-  cfg.monitor_interval = msec(25);
-  cfg.link_latency = usec(100);
-  cfg.theta = 10;
+  return cfg;
+}
+
+/// fast_config with ExperimentConfig::paranoid: the monitor, every
+/// controller's view cache and every batch planner shadow each result with
+/// their from-scratch oracle and throw on divergence.
+inline sim::ExperimentConfig paranoid_config(const std::string& topology,
+                                             int controllers,
+                                             std::uint64_t seed = 1) {
+  sim::ExperimentConfig cfg = fast_config(topology, controllers, 2, seed);
+  cfg.paranoid = true;
   return cfg;
 }
 

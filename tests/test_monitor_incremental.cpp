@@ -14,14 +14,7 @@ namespace {
 
 using ren::testing::bootstrap_or_fail;
 using ren::testing::fast_config;
-
-sim::ExperimentConfig paranoid_config(const std::string& topology,
-                                      int controllers,
-                                      std::uint64_t seed = 1) {
-  auto cfg = fast_config(topology, controllers, 2, seed);
-  cfg.monitor_paranoid = true;
-  return cfg;
-}
+using ren::testing::paranoid_config;
 
 TEST(MonitorIncremental, ParanoidBootstrapAgrees) {
   sim::Experiment exp(paranoid_config("B4", 3));

@@ -674,6 +674,29 @@ TEST(CampaignRunner, TrafficWindowsAreRecordedAndMerged) {
             result.to_json().pretty());
 }
 
+TEST(CampaignRunner, RunTrialIsTheProfileOnRunTimeline) {
+  // One interpreter, no fork: a campaign trial is run_timeline on the fast
+  // profile seeded with trial_seed. failover_under_load has no axes, no
+  // calibrate_rtt and no max_events, so the profile is all run_trial adds.
+  const Scenario s = scenario::builtin("failover_under_load");
+  ASSERT_TRUE(s.axes.empty());
+  ASSERT_FALSE(s.calibrate_rtt);
+  ASSERT_EQ(s.max_events, 0u);
+  const auto via_trial = scenario::run_trial(s, "B4", 3, 0, {});
+  auto cfg = sim::fast_profile("B4");
+  cfg.controllers = 3;
+  cfg.seed = scenario::trial_seed(s.base_seed, "B4", 3, 0);
+  const auto via_timeline = scenario::run_timeline(s, cfg);
+  ASSERT_TRUE(via_trial.ok) << via_trial.error;
+  ASSERT_TRUE(via_timeline.ok) << via_timeline.error;
+  EXPECT_EQ(via_trial.counters_fp, via_timeline.counters_fp);
+  ASSERT_EQ(via_trial.windows.size(), 1u);
+  // The rendering carries the checkpoints, the traffic window and every
+  // report metric.
+  EXPECT_EQ(scenario::trial_outcome_json(via_trial).pretty(),
+            scenario::trial_outcome_json(via_timeline).pretty());
+}
+
 TEST(CampaignRunner, TimelineMayContinueAfterStopTraffic) {
   // Segments still in flight at the stop instant are delivered while the
   // timeline keeps running (the closed window's stats stay alive), and the

@@ -9,16 +9,16 @@ namespace {
 /// Direct sender<->receiver harness over an ideal in-memory pipe with a
 /// configurable one-way delay; no network stack involved.
 struct Pipe {
-  explicit Pipe(net::Simulator& s, RenoConfig cfg, Time delay = msec(5))
+  explicit Pipe(net::Simulator& s, Time delay = msec(5))
       : sim(s), stats(0) {
     receiver = std::make_unique<RenoReceiver>(
-        sim, cfg, &stats, [this](proto::Segment seg) {
+        sim, &stats, [this](proto::Segment seg) {
           sim.schedule(delay_, [this, seg] {
             if (!drop_acks) sender->on_ack(seg);
           });
         });
     sender = std::make_unique<RenoSender>(
-        sim, 0, cfg, &stats, [this](proto::Segment seg) {
+        sim, 0, &stats, [this](proto::Segment seg) {
           sim.schedule(delay_, [this, seg] {
             if (drop_data_until > sim.now()) return;
             if (drop_next > 0) {
@@ -42,8 +42,7 @@ struct Pipe {
 
 TEST(Reno, SlowStartGrowsWindowExponentially) {
   net::Simulator sim(1);
-  RenoConfig cfg;
-  Pipe p(sim, cfg);
+  Pipe p(sim);
   const double cwnd0 = p.sender->cwnd();
   p.sender->start(0);
   sim.run_until(msec(45));  // ~4 RTTs
@@ -53,9 +52,7 @@ TEST(Reno, SlowStartGrowsWindowExponentially) {
 
 TEST(Reno, ThroughputIsWindowLimited) {
   net::Simulator sim(1);
-  RenoConfig cfg;
-  cfg.rwnd = 1 << 20;  // 1 MiB
-  Pipe p(sim, cfg, msec(10));  // RTT 20ms
+  Pipe p(sim, msec(10));  // RTT 20ms, kRwnd = 1 MiB
   p.sender->start(0);
   sim.run_until(sec(5));
   const double mbps = static_cast<double>(p.sender->bytes_acked()) * 8.0 /
@@ -66,8 +63,7 @@ TEST(Reno, ThroughputIsWindowLimited) {
 
 TEST(Reno, FastRetransmitOnTripleDupack) {
   net::Simulator sim(1);
-  RenoConfig cfg;
-  Pipe p(sim, cfg);
+  Pipe p(sim);
   p.sender->start(0);
   sim.run_until(msec(100));
   p.drop_next = 1;  // lose exactly one segment
@@ -83,8 +79,7 @@ TEST(Reno, FastRetransmitOnTripleDupack) {
 
 TEST(Reno, WindowHalvesOnLoss) {
   net::Simulator sim(1);
-  RenoConfig cfg;
-  Pipe p(sim, cfg);
+  Pipe p(sim);
   p.sender->start(0);
   sim.run_until(msec(400));
   const double before = p.sender->cwnd();
@@ -95,8 +90,7 @@ TEST(Reno, WindowHalvesOnLoss) {
 
 TEST(Reno, RtoRecoversFromBlackout) {
   net::Simulator sim(1);
-  RenoConfig cfg;
-  Pipe p(sim, cfg);
+  Pipe p(sim);
   p.sender->start(0);
   sim.run_until(msec(200));
   const auto acked_mid = p.sender->bytes_acked();
@@ -107,30 +101,28 @@ TEST(Reno, RtoRecoversFromBlackout) {
 
 TEST(Reno, ReceiverCountsOutOfOrder) {
   net::Simulator sim(1);
-  RenoConfig cfg;
   FlowStats stats(0);
   std::vector<proto::Segment> acks;
-  RenoReceiver r(sim, cfg, &stats,
+  RenoReceiver r(sim, &stats,
                  [&acks](proto::Segment s) { acks.push_back(s); });
-  proto::Segment s1{0, cfg.mss, 0, false, 0, false};
-  proto::Segment s2{cfg.mss, cfg.mss, 0, false, 0, false};
-  proto::Segment s3{2ull * cfg.mss, cfg.mss, 0, false, 0, false};
+  proto::Segment s1{0, kMss, 0, false, 0, false};
+  proto::Segment s2{kMss, kMss, 0, false, 0, false};
+  proto::Segment s3{2ull * kMss, kMss, 0, false, 0, false};
   r.on_segment(s1);
   r.on_segment(s3);  // gap
   r.on_segment(s2);  // fills the gap
-  EXPECT_EQ(r.rcv_next(), 3ull * cfg.mss);
+  EXPECT_EQ(r.rcv_next(), 3ull * kMss);
   EXPECT_EQ(stats.buckets()[0].out_of_order, 1u);
   EXPECT_EQ(stats.buckets()[0].dup_acks, 1u);  // the ack for s3
   ASSERT_EQ(acks.size(), 3u);
-  EXPECT_EQ(acks.back().ack, 3ull * cfg.mss);
+  EXPECT_EQ(acks.back().ack, 3ull * kMss);
 }
 
 TEST(Reno, ReceiverCountsSpuriousRetransmissions) {
   net::Simulator sim(1);
-  RenoConfig cfg;
   FlowStats stats(0);
-  RenoReceiver r(sim, cfg, &stats, [](proto::Segment) {});
-  proto::Segment s1{0, cfg.mss, 0, false, 0, false};
+  RenoReceiver r(sim, &stats, [](proto::Segment) {});
+  proto::Segment s1{0, kMss, 0, false, 0, false};
   r.on_segment(s1);
   r.on_segment(s1);  // duplicate delivery
   EXPECT_EQ(stats.buckets()[0].spurious, 1u);

@@ -22,12 +22,12 @@ int payload_of(const proto::MessagePtr& m) {
 /// fault injection: every frame sent is queued; `pump` delivers them,
 /// dropping/duplicating per the configured pattern.
 struct Harness {
-  explicit Harness(Config cfg = Config{}) {
-    auto make = [this, cfg](NodeId self, NodeId peer,
+  Harness() {
+    auto make = [this](NodeId self, NodeId peer,
                             std::unique_ptr<Endpoint>& slot,
                             std::vector<int>& delivered) {
       slot = std::make_unique<Endpoint>(
-          self, cfg,
+          self, Config{},
           Endpoint::Hooks{
               [this, self](NodeId to, proto::PayloadPtr f, std::uint32_t) {
                 wire.push_back({self, to, std::get<proto::Frame>(*f)});
@@ -96,27 +96,13 @@ TEST(Transport, DuplicateFramesDeliverOnce) {
 }
 
 TEST(Transport, SupersedeReplacesInflight) {
-  Harness h;  // default: supersede_inflight = true
+  Harness h;
   h.a->submit(2, text_message(1, 1));
   // Ack never returns; a newer message must still go out.
   h.pump([](std::size_t) { return true; });
   h.a->submit(2, text_message(1, 2));
   h.pump();
   EXPECT_EQ(h.delivered_at_b.back(), 2);
-}
-
-TEST(Transport, StopAndWaitQueuesBehindInflight) {
-  Config cfg;
-  cfg.supersede_inflight = false;
-  Harness h(cfg);
-  h.a->submit(2, text_message(1, 1));
-  h.a->submit(2, text_message(1, 2));
-  h.a->submit(2, text_message(1, 3));  // supersedes 2 in the queue slot
-  h.pump();
-  // 1 delivered, its ack releases 3 (2 was superseded), next pump delivers.
-  h.pump();
-  EXPECT_EQ(h.delivered_at_b, (std::vector<int>{1, 3}));
-  EXPECT_EQ(h.new_messages[1], 2);
 }
 
 TEST(Transport, BidirectionalSessionsAreIndependent) {

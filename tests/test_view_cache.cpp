@@ -1,7 +1,7 @@
 // The per-tick controller view cache must be observationally equivalent to
 // building res(curr)/res(prev)/fusion from scratch at every consumer — under
 // randomized reply/tag/liveness churn, across slot rotations and reuse, and
-// through the built-in scenario timelines with Config::paranoid_views live.
+// through the built-in scenario timelines with Config::paranoid live.
 // The differential reference here is written against the seed's original
 // semantics (std::map view construction + TopoView::reachable_set),
 // deliberately independent of the FlatView code path under test.
@@ -18,6 +18,7 @@ namespace {
 
 using ren::testing::bootstrap_or_fail;
 using ren::testing::fast_config;
+using ren::testing::paranoid_config;
 
 // --- Reference implementation (the seed's build_res / build_fusion) ----------
 
@@ -235,18 +236,10 @@ TEST(ViewCache, HitRotationAndRebuildCounters) {
   EXPECT_GE(cache.stats().rebuilds, 2u);
 }
 
-// --- Controller-level differential (Config::paranoid_views) ------------------
-
-sim::ExperimentConfig paranoid_views_config(const std::string& topology,
-                                            int controllers,
-                                            std::uint64_t seed = 1) {
-  auto cfg = fast_config(topology, controllers, 2, seed);
-  cfg.views_paranoid = true;
-  return cfg;
-}
+// --- Controller-level differential (Config::paranoid) ------------------------
 
 TEST(ViewCacheParanoid, BootstrapAgrees) {
-  sim::Experiment exp(paranoid_views_config("B4", 3));
+  sim::Experiment exp(paranoid_config("B4", 3));
   bootstrap_or_fail(exp);
   // Every refresh on the way up ran the from-scratch differential.
   EXPECT_GT(exp.controller(0).view_cache().stats().paranoid_checks, 0u);
@@ -270,7 +263,7 @@ TEST(ViewCacheParanoid, SteadyStateReusesSlotsWithoutRebuilding) {
 }
 
 TEST(ViewCacheParanoid, FaultStormAgrees) {
-  sim::Experiment exp(paranoid_views_config("Clos", 3, /*seed=*/7));
+  sim::Experiment exp(paranoid_config("Clos", 3, /*seed=*/7));
   bootstrap_or_fail(exp);
   auto cp = exp.control_plane();
   Rng storm(0x5eed5eedULL);
