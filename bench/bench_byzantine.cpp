@@ -17,8 +17,6 @@
 // --quick (CI) runs ATT x lying with one trial. Writes BENCH_byzantine.json.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -84,27 +82,10 @@ CellReport run_cell(const std::string& topology, const std::string& mode,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_byzantine.json";
-  int trials = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = bench::positive_int(argv[++i]);
-      if (trials <= 0) {
-        std::fprintf(stderr, "usage: %s [--quick] [--json FILE] [--trials N>0]\n",
-                     argv[0]);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json FILE] [--trials N>0]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bench::JsonBenchArgs args = bench::json_bench_args(
+      argc, argv, "BENCH_byzantine.json", /*takes_trials=*/true);
+  const bool quick = args.quick;
+  int trials = args.trials;
   if (trials == 0) trials = quick ? 1 : 4;
 
   const std::vector<std::string> fabrics =
@@ -152,9 +133,7 @@ int main(int argc, char** argv) {
   doc.set("trials", trials);
   doc.set("pass", all_pass);
   doc.set("cells", std::move(jcells));
-  std::ofstream out(json_path);
-  out << doc.pretty();
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  bench::write_json(doc, args.json_path);
 
   std::printf("%s\n",
               all_pass ? "PASS (byte-identical reports at 1 and all trial "

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -102,6 +103,54 @@ inline int trials_from_argv(int argc, char** argv, int def = kRuns,
   if (trials > 0) return trials;
   if (quick != nullptr && *quick) return 1;
   return def;
+}
+
+/// The command line of the benches that report a JSON file:
+/// `[--quick] [--json FILE] [--trials N]`, --trials only where the bench
+/// takes a count. Anything else prints the usage line and exits 2.
+struct JsonBenchArgs {
+  bool quick = false;
+  std::string json_path;
+  int trials = 0;  ///< 0 = the bench's default for the mode
+};
+
+inline JsonBenchArgs json_bench_args(int argc, char** argv,
+                                     std::string default_json,
+                                     bool takes_trials) {
+  JsonBenchArgs a;
+  a.json_path = std::move(default_json);
+  const auto usage = [&] {
+    std::fprintf(stderr, "usage: %s [--quick] [--json FILE]%s\n", argv[0],
+                 takes_trials ? " [--trials N>0]" : "");
+    std::exit(2);
+  };
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--quick") {
+      a.quick = true;
+    } else if (arg == "--json" && i + 1 < argc) {
+      a.json_path = argv[++i];
+    } else if (takes_trials && arg == "--trials" && i + 1 < argc) {
+      a.trials = positive_int(argv[++i]);
+      if (a.trials == 0) usage();
+    } else {
+      usage();
+    }
+  }
+  return a;
+}
+
+/// Write `doc` to `path`; exits 1 when the file cannot be written, so a
+/// bench never reports a result file it did not produce.
+inline void write_json(const scenario::Json& doc, const std::string& path) {
+  std::ofstream out(path);
+  out << doc.pretty();
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
+  std::fprintf(stderr, "wrote %s\n", path.c_str());
 }
 
 /// The paper's evaluation axes for a figure-port scenario: all five Table 8

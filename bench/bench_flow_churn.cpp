@@ -13,8 +13,6 @@
 // gate only. Writes BENCH_flow_churn.json.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bench_common.hpp"
@@ -51,18 +49,9 @@ scenario::Scenario churn_scenario(const ChurnParams& p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_flow_churn.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json FILE]\n", argv[0]);
-      return 2;
-    }
-  }
+  const bench::JsonBenchArgs args = bench::json_bench_args(
+      argc, argv, "BENCH_flow_churn.json", /*takes_trials=*/false);
+  const bool quick = args.quick;
 
   ChurnParams p;
   // Capacity sits just above the fabric's management-rule requirement (the
@@ -144,9 +133,7 @@ int main(int argc, char** argv) {
   doc.set("volume_ok", volume_ok);
   doc.set("pressure_ok", pressure_ok);
   doc.set("pass", all_pass);
-  std::ofstream outf(json_path);
-  outf << doc.pretty();
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  bench::write_json(doc, args.json_path);
 
   std::printf("%s\n", all_pass ? "PASS" : "FAIL (see gates above)");
   return all_pass ? 0 : 1;

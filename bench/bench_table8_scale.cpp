@@ -25,8 +25,6 @@
 // run takes the median of three seeds. Writes BENCH_table8_scale.json.
 #include <chrono>
 #include <cinttypes>
-#include <cstring>
-#include <fstream>
 
 #include "alloc_probe.hpp"
 #include "bench_common.hpp"
@@ -178,27 +176,10 @@ bool run_fabric(const std::string& spec, int trials, FabricRow& row) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  std::string json_path = "BENCH_table8_scale.json";
-  int trials = 0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trials") == 0 && i + 1 < argc) {
-      trials = bench::positive_int(argv[++i]);
-      if (trials <= 0) {
-        std::fprintf(stderr, "usage: %s [--quick] [--json FILE] [--trials N>0]\n",
-                     argv[0]);
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--json FILE] [--trials N>0]\n",
-                   argv[0]);
-      return 2;
-    }
-  }
+  const bench::JsonBenchArgs args = bench::json_bench_args(
+      argc, argv, "BENCH_table8_scale.json", /*takes_trials=*/true);
+  const bool quick = args.quick;
+  int trials = args.trials;
   if (trials == 0) trials = quick ? 1 : 3;
 
   bench::print_header(
@@ -251,9 +232,7 @@ int main(int argc, char** argv) {
   doc.set("trials", trials);
   doc.set("pass", all_pass);
   doc.set("fabrics", std::move(rows));
-  std::ofstream out(json_path);
-  out << doc.pretty();
-  std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+  bench::write_json(doc, args.json_path);
 
   std::printf("%s\n", all_pass
                           ? "PASS (all fabrics legitimate, sparse-sized "

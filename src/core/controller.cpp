@@ -2,34 +2,14 @@
 
 #include <algorithm>
 
-#include "faults/adversary.hpp"
-
 namespace ren::core {
 
 Controller::Controller(NodeId id, Config config)
-    : net::Node(id, NodeKind::Controller),
+    : transport::InBandNode(id, NodeKind::Controller, config.task_delay,
+                            config.detect_interval, config.theta),
       config_(config),
       tags_(id),
       db_(ReplyDb::Config{config.max_replies, config.memory_adaptive}),
-      detector_(id, detect::ThetaDetector::Config{config.theta}),
-      endpoint_(
-          id, transport::Config{},
-          transport::Endpoint::Hooks{
-              [this](NodeId peer, proto::PayloadPtr f, std::uint32_t bytes) {
-                route_frame(peer, std::move(f), bytes);
-              },
-              [this](NodeId peer, proto::MessagePtr m) {
-                if (const auto* reply = std::get_if<proto::QueryReply>(&*m)) {
-                  on_reply(*reply);
-                } else if (const auto* batch =
-                               std::get_if<proto::CommandBatch>(&*m)) {
-                  on_peer_batch(peer, *batch);
-                }
-              },
-              [this](NodeId) {
-                ++sim_->counters().ctrl_messages_sent[static_cast<std::size_t>(
-                    this->id())];
-              }}),
       compiler_(flows::RuleCompiler::Config{config.kappa}),
       views_(id),
       planner_(id,
@@ -48,28 +28,6 @@ Controller::Controller(NodeId id, Config config)
   views_.set_paranoid(config_.paranoid);
   curr_tag_ = tags_.next();
   prev_tag_ = proto::kNullTag;
-}
-
-void Controller::start() {
-  endpoint_.set_max_sessions(sim_->node_count());
-  const Time it_off = static_cast<Time>(sim_->node_rng(id()).next_below(
-      static_cast<std::uint64_t>(config_.task_delay)));
-  const Time det_off = static_cast<Time>(sim_->node_rng(id()).next_below(
-      static_cast<std::uint64_t>(config_.detect_interval)));
-  sim_->schedule_for(id(), it_off, [this] { iterate(); });
-  sim_->schedule_for(id(), det_off, [this] { detect_tick(); });
-}
-
-void Controller::detect_tick() {
-  std::vector<NodeId> ports;
-  for (const auto& e : sim_->network().adjacency(id())) {
-    ports.push_back(e.neighbor);
-  }
-  detector_.set_candidates(ports);
-  detector_.tick([this](NodeId nbr, proto::Probe p) {
-    sim_->send(id(), nbr, net::make_packet(id(), nbr, proto::Payload{p}));
-  });
-  sim_->schedule_for(id(), config_.detect_interval, [this] { detect_tick(); });
 }
 
 // --- View maintenance -------------------------------------------------------
@@ -177,14 +135,11 @@ void Controller::run_iteration() {
   if (fanout_probe_) fanout_probe_(false);
 }
 
-void Controller::iterate() {
-  if (!frozen_) {
-    if (iteration_probe_) iteration_probe_(true);
-    run_iteration();
-    if (iteration_probe_) iteration_probe_(false);
-  }
-  endpoint_.tick();  // retransmit unacknowledged frames
-  sim_->schedule_for(id(), config_.task_delay, [this] { iterate(); });
+void Controller::run_task() {
+  if (frozen_) return;
+  if (iteration_probe_) iteration_probe_(true);
+  run_iteration();
+  if (iteration_probe_) iteration_probe_(false);
 }
 
 void Controller::note_deletion(NodeId victim) {
@@ -256,103 +211,39 @@ void Controller::register_data_flow(const DataFlowSpec& spec) {
 
 // --- Message handling --------------------------------------------------------
 
-void Controller::on_reply(proto::QueryReply reply) {
-  // Lines 20-22: capacity check (C-reset) before the tag check.
-  db_.make_room(reply.id);
-  if (reply.tag_for_querier == curr_tag_) {
-    ++stats_.replies_accepted;
-    db_.store(std::move(reply));
-  } else {
-    ++stats_.replies_discarded_tag;
+void Controller::on_message(NodeId peer, const proto::MessagePtr& message) {
+  if (const auto* reply = std::get_if<proto::QueryReply>(&*message)) {
+    // Lines 20-22: capacity check (C-reset) before the tag check.
+    db_.make_room(reply->id);
+    if (reply->tag_for_querier == curr_tag_) {
+      ++stats_.replies_accepted;
+      db_.store(*reply);
+    } else {
+      ++stats_.replies_discarded_tag;
+    }
+    return;
   }
-}
-
-void Controller::on_peer_batch(NodeId from, const proto::CommandBatch& batch) {
+  const auto* batch = std::get_if<proto::CommandBatch>(&*message);
+  if (batch == nullptr) return;
   // Line 23: controllers answer queries with their local neighborhood and
   // the echoed tag; all other commands are ignored.
-  for (const auto& cmd : batch.commands) {
+  for (const auto& cmd : batch->commands) {
     if (const auto* q = std::get_if<proto::QueryCmd>(&cmd)) {
       proto::QueryReply reply;
-      reply.id = id();
-      reply.nc = detector_.live();
-      reply.from_controller = true;
       reply.tag_for_querier = q->tag;
-      // Byzantine interposition: a lying/equivocating controller forges the
-      // advertised neighborhood or the per-querier round tag right here,
-      // before the reply enters the transport.
-      if (adversary_ != nullptr) adversary_->tamper_reply(from, reply);
-      endpoint_.submit(from, proto::Message{std::move(reply)});
+      answer_query(peer, std::move(reply));
     }
   }
 }
 
-void Controller::route_frame(NodeId peer, proto::PayloadPtr frame,
-                             std::uint32_t bytes) {
-  // Byzantine interposition on the outbound frame path: a corrupting
-  // adversary field-permutes the frame (deep copy; the shared original is
-  // untouched), a babbler remembers it and may replay an older one first.
-  if (adversary_ != nullptr) {
-    if (proto::PayloadPtr forged = adversary_->corrupt_frame(*frame)) {
-      frame = std::move(forged);
-    }
-    if (auto replay = adversary_->note_and_babble(peer, frame, bytes)) {
-      emit_frame(replay->peer, std::move(replay->frame), replay->bytes);
-    }
+NodeId Controller::rule_hop(const net::Packet& packet) {
+  if (current_flows_ == nullptr) return kNoNode;
+  auto it = current_flows_->first_hops.find(packet.dst);
+  if (it == current_flows_->first_hops.end()) return kNoNode;
+  for (NodeId h : it->second) {
+    if (sim_->network().link_operational(id(), h)) return h;
   }
-  emit_frame(peer, std::move(frame), bytes);
-}
-
-void Controller::emit_frame(NodeId peer, proto::PayloadPtr frame,
-                            std::uint32_t bytes) {
-  net::Packet pkt = net::make_packet(id(), peer, std::move(frame), bytes);
-  auto& counters = sim_->counters();
-  counters.control_bytes_sent += pkt.bytes;
-  counters.max_control_message_bytes =
-      std::max<std::uint64_t>(counters.max_control_message_bytes, pkt.bytes);
-
-  // 1. Adjacent peer: direct hand-over.
-  if (sim_->network().link_operational(id(), peer)) {
-    sim_->send(id(), peer, pkt);
-    return;
-  }
-  // 2. First hops from the compiled flows (fast-failover order).
-  if (current_flows_ != nullptr) {
-    auto it = current_flows_->first_hops.find(peer);
-    if (it != current_flows_->first_hops.end()) {
-      for (NodeId h : it->second) {
-        if (sim_->network().link_operational(id(), h)) {
-          sim_->send(id(), h, pkt);
-          return;
-        }
-      }
-    }
-  }
-  // 3. Reverse-path hint.
-  auto it = last_port_.find(peer);
-  if (it != last_port_.end() &&
-      sim_->network().link_operational(id(), it->second)) {
-    sim_->send(id(), it->second, pkt);
-    return;
-  }
-  ++sim_->counters().drops_no_rule;
-}
-
-void Controller::on_packet(NodeId from_neighbor, const net::Packet& packet) {
-  if (packet.dst != id()) {
-    // Controllers never relay traffic (paper: relay nodes are switches).
-    ++sim_->counters().drops_no_rule;
-    return;
-  }
-  if (const auto* frame = std::get_if<proto::Frame>(&*packet.payload)) {
-    last_port_[packet.src] = from_neighbor;
-    endpoint_.on_frame(packet.src, *frame);
-  } else if (const auto* probe = std::get_if<proto::Probe>(&*packet.payload)) {
-    sim_->send(id(), from_neighbor,
-               net::make_packet(id(), from_neighbor,
-                                proto::Payload{proto::ProbeReply{probe->round}}));
-  } else if (std::get_if<proto::ProbeReply>(&*packet.payload) != nullptr) {
-    detector_.on_probe_reply(from_neighbor);
-  }
+  return kNoNode;
 }
 
 void Controller::corrupt_state(Rng& rng, NodeId node_space) {

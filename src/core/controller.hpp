@@ -23,19 +23,12 @@
 #include "core/batch_planner.hpp"
 #include "core/reply_db.hpp"
 #include "core/view_cache.hpp"
-#include "detect/theta_detector.hpp"
 #include "flows/graph.hpp"
 #include "flows/my_rules.hpp"
-#include "net/node.hpp"
-#include "net/simulator.hpp"
 #include "tags/tag_generator.hpp"
-#include "transport/endpoint.hpp"
+#include "transport/in_band_node.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
-
-namespace ren::faults {
-class Adversary;
-}
 
 namespace ren::core {
 
@@ -48,7 +41,7 @@ struct ControllerStats {
   std::uint64_t replies_discarded_tag = 0;
 };
 
-class Controller : public net::Node {
+class Controller final : public transport::InBandNode {
  public:
   struct Config {
     int kappa = 2;
@@ -67,9 +60,6 @@ class Controller : public net::Node {
 
   Controller(NodeId id, Config config);
 
-  void start() override;
-  void on_packet(NodeId from_neighbor, const net::Packet& packet) override;
-
   // --- Data-plane flow provisioning (Section 6.4.3 experiments) ----------
   struct DataFlowSpec {
     NodeId host_a = kNoNode, attach_a = kNoNode;
@@ -86,13 +76,11 @@ class Controller : public net::Node {
   /// Freeze/unfreeze the do-forever loop (used by the "no recovery"
   /// throughput experiment of Fig. 16).
   void set_frozen(bool frozen) { frozen_ = frozen; }
-  [[nodiscard]] bool frozen() const { return frozen_; }
 
   // --- Introspection (legitimacy monitor, tests, benches) -----------------
   [[nodiscard]] const ControllerStats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t c_resets() const { return db_.c_resets(); }
   [[nodiscard]] proto::Tag curr_tag() const { return curr_tag_; }
-  [[nodiscard]] proto::Tag prev_tag() const { return prev_tag_; }
   [[nodiscard]] const ReplyDb& reply_db() const { return db_; }
   /// The fused topology view G(fusion) as of the last iteration.
   [[nodiscard]] const flows::TopoView& fused_view() const {
@@ -102,10 +90,6 @@ class Controller : public net::Node {
   [[nodiscard]] flows::CompiledFlowsPtr current_flows() const {
     return current_flows_;
   }
-  [[nodiscard]] const detect::ThetaDetector& detector() const {
-    return detector_;
-  }
-  [[nodiscard]] const transport::Endpoint& endpoint() const { return endpoint_; }
   /// The per-tick view cache (hit/miss/rotation counters for tests/benches).
   [[nodiscard]] const ViewCache& view_cache() const { return views_; }
   /// The line-19 batch planner (reuse/rotation counters for tests/benches).
@@ -149,15 +133,13 @@ class Controller : public net::Node {
   /// compiled state (tests / self-stabilization experiments).
   void corrupt_state(Rng& rng, NodeId node_space);
 
-  /// Attach/detach a Byzantine adversary (faults/adversary.hpp; not owned,
-  /// nullptr = benign). Interposes on outbound query replies and frames.
-  /// Harness context only.
-  void set_adversary(faults::Adversary* a) { adversary_ = a; }
-  [[nodiscard]] faults::Adversary* adversary() const { return adversary_; }
-
  private:
-  void iterate();  // run_iteration() + endpoint tick + reschedule
-  void detect_tick();
+  /// Delivered query replies (lines 20-22) and peer query batches (line 23).
+  void on_message(NodeId peer, const proto::MessagePtr& message) override;
+  /// The compiled first hops toward the packet's destination.
+  [[nodiscard]] NodeId rule_hop(const net::Packet& packet) override;
+  /// The scheduled do-forever body: frozen-gated, probe-bracketed.
+  void run_task() override;
 
   /// Synchronize the view cache with the current (replyDB, tags, detector).
   void refresh_views();
@@ -172,19 +154,11 @@ class Controller : public net::Node {
                             const std::map<NodeId, bool>& refer_transit);
   void note_deletion(NodeId victim);
 
-  void on_reply(proto::QueryReply reply);
-  void on_peer_batch(NodeId from, const proto::CommandBatch& batch);
-  /// Adversary interposition (corrupt/babble) ahead of emit_frame's routing.
-  void route_frame(NodeId peer, proto::PayloadPtr frame, std::uint32_t bytes);
-  void emit_frame(NodeId peer, proto::PayloadPtr frame, std::uint32_t bytes);
-
   Config config_;
   tags::TagGenerator tags_;
   proto::Tag curr_tag_;
   proto::Tag prev_tag_;
   ReplyDb db_;
-  detect::ThetaDetector detector_;
-  transport::Endpoint endpoint_;
   flows::RuleCompiler compiler_;
   ViewCache views_;
   BatchPlanner planner_;
@@ -193,7 +167,6 @@ class Controller : public net::Node {
 
   flows::CompiledFlowsPtr current_flows_;    ///< last compiled control flows
   flows::TopoView fusion_view_;              ///< cached G(fusion)
-  std::map<NodeId, NodeId> last_port_;       ///< peer -> most recent in-port
 
   std::vector<DataFlowSpec> data_flows_;
   std::uint64_t data_flow_revision_ = 0;
@@ -203,7 +176,6 @@ class Controller : public net::Node {
   std::uint64_t merged_revision_ = ~0ULL;
 
   bool frozen_ = false;
-  faults::Adversary* adversary_ = nullptr;
   std::uint64_t change_epoch_ = 0;
   ControllerStats stats_;
   std::function<bool(NodeId)> liveness_oracle_;

@@ -48,8 +48,6 @@ class ThetaDetector {
   [[nodiscard]] std::vector<NodeId> live() const;
   [[nodiscard]] bool is_live(NodeId n) const;
 
-  [[nodiscard]] std::uint64_t rounds() const { return round_; }
-
   /// Monotonic liveness epoch: bumps exactly when the reported set live()
   /// changes (a neighbor confirmed, suspected, rehabilitated, or a live
   /// entry dropped from the candidate ports). Detection rounds that leave

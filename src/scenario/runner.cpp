@@ -573,41 +573,30 @@ class TrialExecutor {
     // Victims are drawn from the scenario fault stream over the candidates
     // in id order, like every other injection — adding adversaries never
     // reshuffles which nodes earlier events picked.
+    std::vector<transport::InBandNode*> cand;
     if (ev.target == "switch") {
-      std::vector<switchd::AbstractSwitch*> cand;
-      for (auto* sw : exp_->switches()) {
-        if (sw->alive() && sw->adversary() == nullptr) cand.push_back(sw);
-      }
-      for (int k = 0; k < want && !cand.empty(); ++k) {
-        const auto pick =
-            static_cast<std::size_t>(fault_rng_.next_below(cand.size()));
-        auto* sw = cand[pick];
-        cand.erase(cand.begin() + static_cast<std::ptrdiff_t>(pick));
-        adversaries_.push_back(std::make_unique<faults::Adversary>(
-            sw->id(), node_space, acfg, seed_));
-        sw->set_adversary(adversaries_.back().get());
-      }
+      cand.assign(exp_->switches().begin(), exp_->switches().end());
     } else {
-      std::vector<core::Controller*> cand;
-      for (auto* c : exp_->controllers()) {
-        if (c->alive() && c->adversary() == nullptr) cand.push_back(c);
-      }
-      for (int k = 0; k < want && !cand.empty(); ++k) {
-        const auto pick =
-            static_cast<std::size_t>(fault_rng_.next_below(cand.size()));
-        auto* c = cand[pick];
-        cand.erase(cand.begin() + static_cast<std::ptrdiff_t>(pick));
-        adversaries_.push_back(std::make_unique<faults::Adversary>(
-            c->id(), node_space, acfg, seed_));
-        c->set_adversary(adversaries_.back().get());
-      }
+      cand.assign(exp_->controllers().begin(), exp_->controllers().end());
+    }
+    std::erase_if(cand, [](const transport::InBandNode* n) {
+      return !n->alive() || n->adversary() != nullptr;
+    });
+    for (int k = 0; k < want && !cand.empty(); ++k) {
+      const auto pick =
+          static_cast<std::size_t>(fault_rng_.next_below(cand.size()));
+      transport::InBandNode* n = cand[pick];
+      cand.erase(cand.begin() + static_cast<std::ptrdiff_t>(pick));
+      auto& [host, adversary] = adversaries_.emplace_back(
+          n, std::make_unique<faults::Adversary>(n->id(), node_space, acfg,
+                                                 seed_));
+      host->set_adversary(adversary.get());
     }
   }
 
   void stop_adversary() {
     wd_measure_blast();
-    for (auto* c : exp_->controllers()) c->set_adversary(nullptr);
-    for (auto* sw : exp_->switches()) sw->set_adversary(nullptr);
+    for (auto& [host, adversary] : adversaries_) host->set_adversary(nullptr);
     adversaries_.clear();
     if (storm_active_) {
       auto& net = exp_->sim().network();
@@ -743,7 +732,10 @@ class TrialExecutor {
   std::uint64_t seed_ = 0;  ///< the trial seed (adversary stream derivation)
 
   // --- Adversary + stabilization-watchdog state (adversarial trials only) --
-  std::vector<std::unique_ptr<faults::Adversary>> adversaries_;
+  /// Attached adversaries with the node each one interposes on.
+  std::vector<std::pair<transport::InBandNode*,
+                        std::unique_ptr<faults::Adversary>>>
+      adversaries_;
   std::vector<net::LinkFaults> baseline_faults_;  ///< pre-storm per-link
   bool storm_active_ = false;
   bool wd_active_ = false;        ///< scenario contains a StartAdversary

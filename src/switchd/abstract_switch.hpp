@@ -20,22 +20,15 @@
 #include <optional>
 #include <vector>
 
-#include "detect/theta_detector.hpp"
 #include "flows/resilient_paths.hpp"
-#include "net/node.hpp"
-#include "net/simulator.hpp"
 #include "switchd/rule_table.hpp"
-#include "transport/endpoint.hpp"
+#include "transport/in_band_node.hpp"
 #include "util/rng.hpp"
 #include "util/types.hpp"
 
-namespace ren::faults {
-class Adversary;
-}
-
 namespace ren::switchd {
 
-class AbstractSwitch : public net::Node {
+class AbstractSwitch final : public transport::InBandNode {
  public:
   struct Config {
     std::size_t max_rules = 1u << 20;   ///< clogged-memory bound
@@ -47,17 +40,13 @@ class AbstractSwitch : public net::Node {
 
   AbstractSwitch(NodeId id, Config config);
 
-  void start() override;
+  /// Transit packets take forward_packet; the rest go to the control module.
   void on_packet(NodeId from_neighbor, const net::Packet& packet) override;
 
   // --- Introspection (legitimacy monitor, tests) -------------------------
   [[nodiscard]] RuleTable& rule_table() { return rules_; }
   [[nodiscard]] const RuleTable& rule_table() const { return rules_; }
   [[nodiscard]] std::vector<NodeId> managers() const;
-  [[nodiscard]] const detect::ThetaDetector& detector() const {
-    return detector_;
-  }
-  [[nodiscard]] const transport::Endpoint& endpoint() const { return endpoint_; }
   [[nodiscard]] std::uint64_t manager_evictions() const {
     return manager_evictions_;
   }
@@ -75,28 +64,19 @@ class AbstractSwitch : public net::Node {
   /// reply-routing state (tests / self-stabilization experiments).
   void corrupt_state(Rng& rng, NodeId node_space);
 
-  /// Attach/detach a Byzantine adversary (faults/adversary.hpp; not owned,
-  /// nullptr = benign). Interposes on outbound query replies and frames.
-  /// Harness context only.
-  void set_adversary(faults::Adversary* a) { adversary_ = a; }
-  [[nodiscard]] faults::Adversary* adversary() const { return adversary_; }
-
  private:
-  void control_tick();
-  void detect_tick();
-  /// Apply a delivered command batch. The payload is shared and immutable:
-  /// commands are consumed in place and rule lists flow into the rule table
-  /// by pointer, never copied.
-  void apply_batch(NodeId from, const proto::MessagePtr& message);
+  /// Apply a delivered command batch (replies are never consumed here). The
+  /// payload is shared and immutable: commands are consumed in place and
+  /// rule lists flow into the rule table by pointer, never copied.
+  void on_message(NodeId from, const proto::MessagePtr& message) override;
+  /// The rule table's fast-failover candidates for (src, dst): the route
+  /// of transit packets and of the switch's own frames alike.
+  [[nodiscard]] NodeId rule_hop(const net::Packet& packet) override;
   void add_manager(NodeId k);
   void del_manager(NodeId k);
   /// Forward a transit packet using the rule table (fast-failover order),
   /// falling back to direct hand-over when the destination is adjacent.
   void forward_packet(const net::Packet& packet);
-  /// Route a locally originated frame payload toward `peer`. route_frame
-  /// runs adversary interposition (corrupt/babble), emit_frame the routing.
-  void route_frame(NodeId peer, proto::PayloadPtr frame, std::uint32_t bytes);
-  void emit_frame(NodeId peer, proto::PayloadPtr frame, std::uint32_t bytes);
 
   Config config_;
   RuleTable rules_;
@@ -104,10 +84,6 @@ class AbstractSwitch : public net::Node {
   std::uint64_t manager_touch_ = 0;
   std::uint64_t manager_evictions_ = 0;
   std::uint64_t manager_epoch_ = 0;
-  detect::ThetaDetector detector_;
-  transport::Endpoint endpoint_;
-  std::map<NodeId, NodeId> last_port_;  ///< peer -> most recent in-port
-  faults::Adversary* adversary_ = nullptr;
 };
 
 /// The data plane's forwarding step over the installed rules, as rule walks

@@ -126,7 +126,7 @@ TEST(ViewCache, RandomizedChurnMatchesFromScratchBuilds) {
     for (int step = 0; step < 400; ++step) {
       switch (rng.next_below(8)) {
         case 0:
-        case 1: {  // a reply arrives (make_room first, as on_reply does)
+        case 1: {  // a reply arrives (make_room first, as Controller::on_message does)
           proto::QueryReply m;
           m.id = rand_node();
           const auto deg = rng.next_below(4);
