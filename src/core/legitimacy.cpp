@@ -14,18 +14,16 @@ LegitimacyMonitor::LegitimacyMonitor(
       config_(config),
       compiler_(flows::RuleCompiler::Config{config.kappa}) {}
 
-std::vector<Controller*> LegitimacyMonitor::live_controllers() const {
-  std::vector<Controller*> out;
+LegitimacyMonitor::Live LegitimacyMonitor::live() const {
+  Live out;
   for (Controller* c : controllers_) {
-    if (c->alive()) out.push_back(c);
+    if (!c->alive()) continue;
+    out.controllers.push_back(c);
+    out.controller_ids.push_back(c->id());
   }
-  return out;
-}
-
-std::vector<switchd::AbstractSwitch*> LegitimacyMonitor::live_switches() const {
-  std::vector<switchd::AbstractSwitch*> out;
+  std::sort(out.controller_ids.begin(), out.controller_ids.end());
   for (auto* s : switches_) {
-    if (s->alive()) out.push_back(s);
+    if (s->alive()) out.switches.push_back(s);
   }
   return out;
 }
@@ -78,25 +76,6 @@ std::uint64_t LegitimacyMonitor::stack_epoch() const {
   return e;
 }
 
-std::uint64_t LegitimacyMonitor::walk_epoch() const {
-  // Walks read topology, controller flows and rule content — but never the
-  // manager sets, so manager churn must not invalidate the walk memo.
-  std::uint64_t e = sim_.network().epoch();
-  for (const Controller* c : controllers_) e += c->change_epoch();
-  for (const auto* s : switches_) e += s->rule_table().epoch();
-  return e;
-}
-
-std::uint64_t LegitimacyMonitor::live_signature() const {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const Controller* c : controllers_) {
-    if (!c->alive()) continue;
-    h ^= static_cast<std::uint64_t>(c->id()) + 1;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 LegitimacyMonitor::Status LegitimacyMonitor::check() {
   ++stats_.checks;
   Status st;
@@ -127,63 +106,49 @@ LegitimacyMonitor::Status LegitimacyMonitor::check() {
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_full() {
-  const flows::TopoView truth =
-      flows::live_topology(sim_.network(), live_ids());
-  ++stats_.truth_rebuilds;
-  return evaluate(truth, /*fresh=*/true);
+  return evaluate(flows::live_topology(sim_.network(), live_ids()),
+                  /*fresh=*/true);
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::evaluate(
     const flows::TopoView& truth, bool fresh) {
-  const auto live = live_controllers();
-  if (live.empty()) return {false, "no live controller"};
+  const Live snapshot = live();
+  if (snapshot.controllers.empty()) return {false, "no live controller"};
 
-  if (Status s = check_views(truth, fresh); !s.legitimate) return s;
-  if (Status s = check_managers(fresh); !s.legitimate) return s;
-  if (Status s = check_rules(truth, fresh); !s.legitimate) return s;
-  if (Status s = check_walks(truth, fresh); !s.legitimate) return s;
+  if (Status s = check_views(truth, snapshot); !s.legitimate) return s;
+  if (Status s = check_managers(snapshot); !s.legitimate) return s;
+  if (Status s = check_rules(truth, snapshot, fresh); !s.legitimate) return s;
+  if (Status s = check_walks(truth, snapshot); !s.legitimate) return s;
   return {true, ""};
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_views(
-    const flows::TopoView& truth, bool fresh) {
-  const std::uint64_t topo = sim_.network().epoch();
-  for (Controller* c : live_controllers()) {
-    if (!fresh) {
-      const auto memo = views_ok_.find(c->id());
-      if (memo != views_ok_.end() &&
-          memo->second == std::make_pair(c->change_epoch(), topo))
-        continue;
-    }
-    ++stats_.view_compares;
+    const flows::TopoView& truth, const Live& live) {
+  for (Controller* c : live.controllers) {
     if (!(c->fused_view() == truth)) {
       return {false, "controller " + std::to_string(c->id()) + " view != Gc"};
     }
-    if (!fresh) views_ok_[c->id()] = {c->change_epoch(), topo};
   }
   return {true, ""};
 }
 
-LegitimacyMonitor::Status LegitimacyMonitor::check_managers(bool fresh) {
-  std::vector<NodeId> expected;
-  for (Controller* c : live_controllers()) expected.push_back(c->id());
-  std::sort(expected.begin(), expected.end());
-  const std::uint64_t live_sig = live_signature();
-  for (auto* s : live_switches()) {
-    if (!fresh) {
-      const auto memo = managers_ok_.find(s->id());
-      if (memo != managers_ok_.end() &&
-          memo->second == std::make_pair(s->manager_epoch(), live_sig))
-        continue;
-    }
-    ++stats_.manager_checks;
-    std::vector<NodeId> got = s->managers();
+LegitimacyMonitor::Status LegitimacyMonitor::check_managers(const Live& live) {
+  // Managers and rule owners must both be exactly the live controllers, at
+  // every live switch.
+  std::vector<NodeId> got;
+  for (auto* s : live.switches) {
+    got = s->managers();
     std::sort(got.begin(), got.end());
-    if (got != expected) {
+    if (got != live.controller_ids) {
       return {false, "switch " + std::to_string(s->id()) +
                          " managers != live controllers"};
     }
-    if (!fresh) managers_ok_[s->id()] = {s->manager_epoch(), live_sig};
+    got = s->rule_table().owners();
+    std::sort(got.begin(), got.end());
+    if (got != live.controller_ids) {
+      return {false, "switch " + std::to_string(s->id()) +
+                         " rule owners != live controllers"};
+    }
   }
   return {true, ""};
 }
@@ -193,11 +158,14 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
     const std::map<NodeId, bool>& transit, bool fresh) {
   const std::uint64_t fp = truth.fingerprint();
   ReferenceCache& rc = reference_[c->id()];
-  if (!fresh && rc.truth_fingerprint == fp &&
-      rc.data_flow_revision == c->data_flow_revision() && !rc.per_switch.empty()) {
-    return rc.per_switch;
+  if (!fresh) {
+    if (rc.truth_fingerprint == fp &&
+        rc.data_flow_revision == c->data_flow_revision() &&
+        !rc.per_switch.empty()) {
+      return rc.per_switch;
+    }
+    ++stats_.reference_compiles;
   }
-  ++stats_.reference_compiles;
   // Reference compilation, merged with the controller's data flows by the
   // same merge_data_flows the controller installs from.
   const auto expected = compiler_.compile_cached(truth, c->id(), transit);
@@ -219,40 +187,14 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_rules(
-    const flows::TopoView& truth, bool fresh) {
+    const flows::TopoView& truth, const Live& live, bool fresh) {
   std::map<NodeId, bool> transit;
-  for (const auto* c : controllers_) {
-    if (c->alive()) transit[c->id()] = false;
-  }
-  for (const auto* s : switches_) {
-    if (s->alive()) transit[s->id()] = true;
-  }
+  for (const auto* c : live.controllers) transit[c->id()] = false;
+  for (const auto* s : live.switches) transit[s->id()] = true;
 
-  std::vector<NodeId> live_ids;
-  for (Controller* c : live_controllers()) live_ids.push_back(c->id());
-  std::sort(live_ids.begin(), live_ids.end());
-  const std::uint64_t live_sig = live_signature();
-
-  // Rule owners must be exactly the live controllers, at every live switch.
-  for (auto* s : live_switches()) {
-    if (!fresh) {
-      const auto memo = owners_ok_.find(s->id());
-      if (memo != owners_ok_.end() &&
-          memo->second == std::make_pair(s->rule_table().epoch(), live_sig))
-        continue;
-    }
-    std::vector<NodeId> owners = s->rule_table().owners();
-    std::sort(owners.begin(), owners.end());
-    if (owners != live_ids) {
-      return {false, "switch " + std::to_string(s->id()) +
-                         " rule owners != live controllers"};
-    }
-    if (!fresh) owners_ok_[s->id()] = {s->rule_table().epoch(), live_sig};
-  }
-
-  for (Controller* c : live_controllers()) {
+  for (Controller* c : live.controllers) {
     const auto& per_switch = reference_rules(c, truth, transit, fresh);
-    for (auto* s : live_switches()) {
+    for (auto* s : live.switches) {
       const proto::RuleListPtr actual = s->rule_table().newest_rules_of(c->id());
       auto want_it = per_switch.find(s->id());
       const proto::RuleListPtr want =
@@ -264,37 +206,21 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_rules(
         return {false, "switch " + std::to_string(s->id()) + " missing rules of " +
                            std::to_string(c->id())};
       }
-      const auto key = std::make_pair(s->id(), c->id());
-      if (!fresh) {
-        const auto memo = verified_.find(key);
-        if (memo != verified_.end() && memo->second.first == actual &&
-            memo->second.second == want)
-          continue;
-      }
-      ++stats_.rule_compares;
       if (*actual != *want) {
         return {false, "switch " + std::to_string(s->id()) +
                            " stale rules of " + std::to_string(c->id())};
       }
-      if (!fresh) verified_[key] = {actual, want};
     }
   }
   return {true, ""};
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
-    const flows::TopoView& truth, bool fresh) {
-  std::uint64_t we = 0;
-  if (!fresh) {
-    we = walk_epoch();
-    if (walk_ok_valid_ && walk_ok_epoch_ == we) return {true, ""};
-  }
-  ++stats_.walk_sweeps;
-
+    const flows::TopoView& truth, const Live& live) {
   const switchd::RuleForwarding forwarding(sim_.network(), switches_);
   const int ttl = 4 * static_cast<int>(truth.node_count()) + 8;
 
-  for (Controller* c : live_controllers()) {
+  for (Controller* c : live.controllers) {
     const auto flows_ptr = c->current_flows();
     if (flows_ptr == nullptr) {
       return {false, "controller " + std::to_string(c->id()) + " has no flows"};
@@ -322,7 +248,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
         if (auto nh = forwarding.next_hop(node, node, c->id())) rfirst = {*nh};
       } else {
         // Another controller: use its own compiled first hops.
-        for (Controller* o : live_controllers()) {
+        for (Controller* o : live.controllers) {
           if (o->id() != node) continue;
           const auto of = o->current_flows();
           if (of != nullptr) {
@@ -338,10 +264,6 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
                            std::to_string(c->id())};
       }
     }
-  }
-  if (!fresh) {
-    walk_ok_valid_ = true;
-    walk_ok_epoch_ = we;
   }
   return {true, ""};
 }

@@ -22,12 +22,14 @@
 // The monitor sums them into stack_epoch(); an unchanged sum means nothing
 // the verdict depends on has changed, so check() replays the cached verdict
 // in O(controllers + switches) pointer reads. When something did change,
-// per-item memos (per-controller view, per-switch managers/owners, per
-// (switch, controller) rule list, cached ground truth and reference
-// compilations) confine the work to the changed slice. Config::paranoid
-// shadows every incremental verdict with a fresh full evaluation, and every
-// reference compilation with RuleCompiler::compile_oracle, and throws on
-// divergence — the differential harness used by tests and CI.
+// evaluate() re-derives every clause from one snapshot of the live nodes,
+// reusing only three caches that pay for themselves: the true view (per
+// topology epoch), lambda - 1 (per topology epoch) and each controller's
+// reference compilation (per truth fingerprint and data-flow revision).
+// Config::paranoid shadows every incremental verdict with a fresh full
+// evaluation, and every reference compilation with
+// RuleCompiler::compile_oracle, and throws on divergence — the
+// differential harness used by tests and CI.
 #pragma once
 
 #include <cstdint>
@@ -67,12 +69,8 @@ class LegitimacyMonitor {
     std::uint64_t checks = 0;             ///< check() calls
     std::uint64_t short_circuits = 0;     ///< verdicts replayed, epoch unchanged
     std::uint64_t full_evaluations = 0;   ///< non-short-circuited evaluations
-    std::uint64_t truth_rebuilds = 0;     ///< true_view() recomputations
-    std::uint64_t view_compares = 0;      ///< controller-view equality checks
-    std::uint64_t manager_checks = 0;     ///< per-switch manager validations
-    std::uint64_t reference_compiles = 0; ///< reference (re)compilations
-    std::uint64_t rule_compares = 0;      ///< deep rule-list content compares
-    std::uint64_t walk_sweeps = 0;        ///< full rule-walk sweeps
+    std::uint64_t truth_rebuilds = 0;     ///< true_view() cache misses
+    std::uint64_t reference_compiles = 0; ///< reference-cache misses
     std::uint64_t paranoid_shadows = 0;   ///< differential full checks run
   };
 
@@ -80,7 +78,7 @@ class LegitimacyMonitor {
   /// (throws std::logic_error on a paranoid divergence).
   [[nodiscard]] Status check();
 
-  /// Fresh, memo-free evaluation of Definition 1 — the ground truth the
+  /// Fresh, cache-free evaluation of Definition 1 — the ground truth the
   /// paranoid mode compares against, and the baseline the benches time.
   [[nodiscard]] Status check_full();
 
@@ -106,24 +104,27 @@ class LegitimacyMonitor {
   /// — compare it against Config::kappa.
   [[nodiscard]] int achievable_kappa();
 
-  [[nodiscard]] std::vector<Controller*> live_controllers() const;
-  [[nodiscard]] std::vector<switchd::AbstractSwitch*> live_switches() const;
-
  private:
-  /// `fresh` disables every cross-sample memo (the full-check path).
-  [[nodiscard]] Status evaluate(const flows::TopoView& truth, bool fresh);
-  [[nodiscard]] Status check_views(const flows::TopoView& truth, bool fresh);
-  [[nodiscard]] Status check_managers(bool fresh);
-  [[nodiscard]] Status check_rules(const flows::TopoView& truth, bool fresh);
-  [[nodiscard]] Status check_walks(const flows::TopoView& truth, bool fresh);
+  /// One evaluation's snapshot of the live nodes (the nodes of Gc).
+  struct Live {
+    std::vector<Controller*> controllers;
+    std::vector<switchd::AbstractSwitch*> switches;
+    std::vector<NodeId> controller_ids;  ///< sorted
+  };
 
+  /// `fresh` bypasses the reference-compilation cache (the full-check path).
+  [[nodiscard]] Status evaluate(const flows::TopoView& truth, bool fresh);
+  [[nodiscard]] Status check_views(const flows::TopoView& truth,
+                                   const Live& live);
+  [[nodiscard]] Status check_managers(const Live& live);
+  [[nodiscard]] Status check_rules(const flows::TopoView& truth,
+                                   const Live& live, bool fresh);
+  [[nodiscard]] Status check_walks(const flows::TopoView& truth,
+                                   const Live& live);
+
+  [[nodiscard]] Live live() const;
   /// Ids of the live controllers and switches (the nodes of Gc).
   [[nodiscard]] std::vector<NodeId> live_ids() const;
-  /// FNV hash of the live controller id set (memo key component).
-  [[nodiscard]] std::uint64_t live_signature() const;
-  /// Epoch over everything rule walks depend on: topology + controller
-  /// flows + rule content (manager churn excluded — walks never read it).
-  [[nodiscard]] std::uint64_t walk_epoch() const;
   /// The reference per-switch rule lists controller `c` must have installed
   /// given `truth` (control flows merged with its registered data flows).
   [[nodiscard]] const std::map<NodeId, proto::RuleListPtr>& reference_rules(
@@ -153,12 +154,6 @@ class LegitimacyMonitor {
   std::uint64_t kappa_epoch_ = 0;
   int achievable_kappa_ = 0;
 
-  // cid -> (controller epoch, topology epoch) of the last passing compare.
-  std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> views_ok_;
-  // sid -> (manager epoch, live signature) of the last passing check.
-  std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> managers_ok_;
-  // sid -> (rule epoch, live signature) of the last passing owners check.
-  std::map<NodeId, std::pair<std::uint64_t, std::uint64_t>> owners_ok_;
   // Per-controller reference compilation keyed on (truth fingerprint,
   // data-flow revision); holds the merged per-switch lists.
   struct ReferenceCache {
@@ -167,16 +162,6 @@ class LegitimacyMonitor {
     std::map<NodeId, proto::RuleListPtr> per_switch;
   };
   std::map<NodeId, ReferenceCache> reference_;
-  // (switch, cid) -> (installed list, reference list) verified equal. Both
-  // pointers are pinned so allocator reuse can never alias a stale entry;
-  // keying on the reference too invalidates the memo when the truth moved
-  // even though the switch still holds its old (now stale) rules.
-  std::map<std::pair<NodeId, NodeId>,
-           std::pair<proto::RuleListPtr, proto::RuleListPtr>>
-      verified_;
-  // Rule-walk memo: valid while walk_epoch() is unchanged.
-  bool walk_ok_valid_ = false;
-  std::uint64_t walk_ok_epoch_ = 0;
 };
 
 }  // namespace ren::core

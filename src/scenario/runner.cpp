@@ -331,13 +331,8 @@ class TrialExecutor {
                                   static_cast<double>(r.iterations[k]) / nodes;
           cp.cmd_per_node_iter = std::max(cp.cmd_per_node_iter, per_node);
         }
-        if (wd_active_) {
-          // The checkpoint's verdict is the monitor's at the current epoch,
-          // so fold it in directly and let the next epoch-gated sample
-          // short-circuit off it.
-          wd_epoch_ = exp_->monitor().stack_epoch();
-          wd_account(exp_->sim().now(), r.converged);
-        }
+        // The checkpoint's verdict is the monitor's at the current epoch.
+        if (wd_active_) wd_account(exp_->sim().now(), r.converged);
         out.checkpoints.push_back(std::move(cp));
         break;
       }
@@ -482,15 +477,10 @@ class TrialExecutor {
     }
   }
 
-  /// One watchdog sample: consult the monitor (replaying the last verdict
+  /// One watchdog sample: consult the monitor (which replays its verdict
   /// when the stack epoch is unchanged) and fold it into the accounting.
   void wd_sample() {
-    const std::uint64_t e = exp_->monitor().stack_epoch();
-    const bool legit = (wd_have_verdict_ && e == wd_epoch_)
-                           ? wd_last_legit_
-                           : exp_->monitor().check().legitimate;
-    wd_epoch_ = e;
-    wd_account(exp_->sim().now(), legit);
+    wd_account(exp_->sim().now(), exp_->monitor().check().legitimate);
   }
 
   /// Fold one (time, verdict) sample into the watchdog counters. Time below
@@ -742,7 +732,6 @@ class TrialExecutor {
   bool wd_have_verdict_ = false;  ///< at least one sample folded in
   bool wd_last_legit_ = false;
   bool wd_seen_legit_ = false;    ///< first legitimate sample reached
-  std::uint64_t wd_epoch_ = 0;    ///< stack epoch of the last fresh check
   Time wd_last_t_ = 0;
   Time wd_below_ = 0;             ///< accumulated time below legitimacy
   int wd_episodes_ = 0;

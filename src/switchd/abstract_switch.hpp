@@ -50,10 +50,8 @@ class AbstractSwitch final : public transport::InBandNode {
   [[nodiscard]] std::uint64_t manager_evictions() const {
     return manager_evictions_;
   }
-  /// Bumps whenever the manager *set* changes (insertions, deletions,
-  /// evictions — LRU touch refreshes do not count).
-  [[nodiscard]] std::uint64_t manager_epoch() const { return manager_epoch_; }
-  /// Combined monitor-relevant change epoch of this switch: manager set +
+  /// Combined monitor-relevant change epoch of this switch: manager set
+  /// (insertions, deletions, evictions — LRU touch refreshes do not count) +
   /// rule-table content. Monotonic; unchanged implies the monitor's verdict
   /// about this switch is unchanged (given an unchanged ground truth).
   [[nodiscard]] std::uint64_t change_epoch() const {
@@ -83,7 +81,7 @@ class AbstractSwitch final : public transport::InBandNode {
   std::map<NodeId, std::uint64_t> managers_;  ///< manager -> LRU stamp
   std::uint64_t manager_touch_ = 0;
   std::uint64_t manager_evictions_ = 0;
-  std::uint64_t manager_epoch_ = 0;
+  std::uint64_t manager_epoch_ = 0;  ///< bumps when the manager set changes
 };
 
 /// The data plane's forwarding step over the installed rules, as rule walks

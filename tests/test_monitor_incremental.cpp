@@ -42,10 +42,8 @@ TEST(MonitorIncremental, SteadyStateShortCircuits) {
   // A converged system bumps no epochs, so every sample replays the verdict.
   EXPECT_EQ(exp.monitor().stack_epoch(), epoch);
   EXPECT_EQ(after.short_circuits - before.short_circuits, 20u);
+  EXPECT_EQ(after.full_evaluations, before.full_evaluations);
   EXPECT_EQ(after.truth_rebuilds, before.truth_rebuilds);
-  EXPECT_EQ(after.view_compares, before.view_compares);
-  EXPECT_EQ(after.rule_compares, before.rule_compares);
-  EXPECT_EQ(after.walk_sweeps, before.walk_sweeps);
 }
 
 TEST(MonitorIncremental, EpochsReactToFaults) {
@@ -115,9 +113,37 @@ TEST(MonitorIncremental, DirectTamperingIsCaughtThroughEpochs) {
   sw->rule_table().new_round(77, proto::Tag{77, 1}, 2);
   sw->rule_table().update_rules(77, ghost, proto::Tag{77, 1});
   EXPECT_GT(exp.monitor().stack_epoch(), before);
+  const auto stats_before = exp.monitor().stats();
   EXPECT_FALSE(exp.monitor().check().legitimate);
+  // A switch-only tamper costs one full evaluation on the cached truth and
+  // the cached reference compilations.
+  const auto stats_after = exp.monitor().stats();
+  EXPECT_EQ(stats_after.full_evaluations - stats_before.full_evaluations, 1u);
+  EXPECT_EQ(stats_after.truth_rebuilds, stats_before.truth_rebuilds);
+  EXPECT_EQ(stats_after.reference_compiles, stats_before.reference_compiles);
   const auto r = exp.run_until_legitimate(sec(60));
   EXPECT_TRUE(r.converged) << r.last_reason;
+
+  // Stale content under the right owners reaches the rule compare, which
+  // must reuse the cached reference compilation.
+  const NodeId cid = exp.controller(0).id();
+  auto current = sw->rule_table().newest_rules_of(cid);
+  ASSERT_NE(current, nullptr);
+  auto mutated = std::make_shared<proto::RuleList>(*current);
+  ASSERT_FALSE(mutated->empty());
+  (*mutated)[0].fwd = (*mutated)[0].fwd == 0 ? 1 : 0;
+  const auto meta = sw->rule_table().meta_tag(cid);
+  ASSERT_TRUE(meta.has_value());
+  sw->rule_table().update_rules(cid, mutated, *meta);
+  const auto stale_before = exp.monitor().stats();
+  const auto stale = exp.monitor().check();
+  EXPECT_FALSE(stale.legitimate);
+  EXPECT_NE(stale.reason.find("stale rules"), std::string::npos)
+      << stale.reason;
+  const auto stale_after = exp.monitor().stats();
+  EXPECT_EQ(stale_after.full_evaluations - stale_before.full_evaluations, 1u);
+  EXPECT_EQ(stale_after.truth_rebuilds, stale_before.truth_rebuilds);
+  EXPECT_EQ(stale_after.reference_compiles, stale_before.reference_compiles);
 }
 
 TEST(MonitorIncremental, FullCheckMatchesIncrementalVerdictAcrossRecovery) {
