@@ -139,10 +139,8 @@ std::shared_ptr<proto::Message> BatchPlanner::materialize(
 void BatchPlanner::rotate_fanout(proto::Tag tag) {
   const bool same_tag = tag == gate_.tag;
   rotate_remap_.clear();
-  // Deletion accounting is observable per tick (Theorem 1 experiments):
-  // replay last plan's victims — spilled switches first, then each planned
-  // entry's — exactly what a re-derivation would have produced.
-  for (NodeId v : spilled_victims_) hooks_.note_deletion(v);
+  // Deletion accounting (Theorem 1 experiments) counts every sent batch's
+  // victims — exactly what a re-derivation would have produced.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
     Entry* e = planned_entries_[i];
     e->tick = tick_;
@@ -212,23 +210,10 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
   intern_.clear();
   peers_.clear();
   planned_entries_.clear();
-  spilled_victims_.clear();
   for (NodeId n : fusion.reach) {
     if (n != self_) peers_.push_back(n);
   }
   std::sort(peers_.begin(), peers_.end());
-
-  // Spilled preparation: a replied switch that is not fusion-reachable this
-  // tick still runs lines 15-17 (deletion accounting is observable) but its
-  // batch is never sent — matching the seed, which built and dropped them.
-  for (NodeId j : refer.reply_ids) {
-    if (std::binary_search(peers_.begin(), peers_.end(), j)) continue;
-    const proto::QueryReply* m = db.find(j);
-    if (m == nullptr || m->from_controller) continue;
-    compute_victims(*m, new_round, res_prev, victims_scratch_);
-    spilled_victims_.insert(spilled_victims_.end(), victims_scratch_.begin(),
-                            victims_scratch_.end());
-  }
 
   for (NodeId peer : peers_) {
     proto::BatchKey key;

@@ -71,7 +71,7 @@ class BatchPlanner {
     /// myRules() for switch j under the current reference view.
     std::function<proto::RuleListPtr(NodeId)> rules_for;
     /// Deletion accounting (Theorem 1 experiments); called once per victim
-    /// per prepared switch per tick, planned or spilled.
+    /// of every batch handed to `send`.
     std::function<void(NodeId victim)> note_deletion;
     /// Submit one planned batch. `commands` is the logical command count of
     /// the batch (the Fig. 9 accounting), identical whether the message was
@@ -87,9 +87,8 @@ class BatchPlanner {
   /// and rule-refresh commands against `refer`, extend unknown fusion-
   /// reachable switches by-neighbor, and send one batch per reachable peer
   /// (query-only to controllers) — reusing every batch whose key did not
-  /// change. Replied switches outside the fan-out still run the preparation
-  /// (deletion accounting is observable) without sending, matching the
-  /// seed's spill behavior.
+  /// change. Replied switches outside the fan-out get no batch, so their
+  /// preparation is skipped.
   ///
   /// `flows_fingerprint` and `data_flow_revision` identify the output of
   /// the caller's rules_for hook (the compiled control flows plus any
@@ -150,15 +149,15 @@ class BatchPlanner {
   };
 
   /// Lines 15-17: the sorted eviction victims for one switch reply; calls
-  /// note_deletion per victim.
+  /// note_deletion per victim (every caller sends the batch).
   void compute_victims(const proto::QueryReply& m, bool new_round,
                        const ResView& res_prev, std::vector<NodeId>& victims);
   /// Resolve `key` to a message: intern-share, rotate, or rebuild.
   std::shared_ptr<proto::Message> materialize(Entry& entry,
                                               proto::BatchKey&& key);
   /// Gate hit: re-send every cached batch under `tag` without re-deriving a
-  /// single key (retag in place / resubmit verbatim), replaying the
-  /// deletion accounting.
+  /// single key (retag in place / resubmit verbatim), counting each batch's
+  /// deletions.
   void rotate_fanout(proto::Tag tag);
   void check_paranoid(const ReplyDb& db, const ResView& refer,
                       const ResView& res_prev, const ResView& fusion,
@@ -178,9 +177,6 @@ class BatchPlanner {
   /// entries_ nodes in peers_ order from the last full plan (unordered_map
   /// node addresses are stable), so a gate rotation walks a flat array.
   std::vector<Entry*> planned_entries_;
-  /// Victims of spilled (replied, not fusion-reachable) switches from the
-  /// last full plan, replayed for deletion accounting on gate rotations.
-  std::vector<NodeId> spilled_victims_;
   /// old-message -> rotated-clone remap within one gate rotation, so peers
   /// sharing a message keep sharing its clone.
   std::vector<std::pair<const proto::Message*, std::shared_ptr<proto::Message>>>

@@ -1,5 +1,6 @@
 #include "scenario/library.hpp"
 
+#include <iterator>
 #include <stdexcept>
 
 namespace ren::scenario {
@@ -201,36 +202,41 @@ Scenario table_overflow_recovery() {
   return s;
 }
 
+/// The library, in presentation order: the one place a builtin is listed.
+struct Builtin {
+  const char* name;
+  Scenario (*make)();
+};
+constexpr Builtin kBuiltins[] = {
+    {"rolling_restart", rolling_restart},
+    {"flapping_links", flapping_links},
+    {"link_flap_storm", link_flap_storm},
+    {"cascading_switch_failures", cascading_switch_failures},
+    {"corruption_under_churn", corruption_under_churn},
+    {"partition_and_heal", partition_and_heal},
+    {"failover_under_load", failover_under_load},
+    {"throughput_window", throughput_window},
+    {"byzantine_controller", byzantine_controller},
+    {"channel_corruption_storm", channel_corruption_storm},
+    {"table_overflow_recovery", table_overflow_recovery},
+};
+static_assert(std::size(kBuiltins) == kBuiltinCount,
+              "update kBuiltins and kBuiltinCount together");
+
 }  // namespace
 
 std::vector<std::string> builtin_names() {
-  std::vector<std::string> names = {
-      "rolling_restart",        "flapping_links",
-      "link_flap_storm",        "cascading_switch_failures",
-      "corruption_under_churn", "partition_and_heal",
-      "failover_under_load",    "throughput_window",
-      "byzantine_controller",   "channel_corruption_storm",
-      "table_overflow_recovery"};
-  static_assert(kBuiltinCount == 11,
-                "update builtin_names(), builtin() and kBuiltinCount "
-                "together");
+  std::vector<std::string> names;
+  for (const Builtin& b : kBuiltins) names.emplace_back(b.name);
   return names;
 }
 
 Scenario builtin(const std::string& name) {
-  if (name == "rolling_restart") return rolling_restart();
-  if (name == "flapping_links") return flapping_links();
-  if (name == "link_flap_storm") return link_flap_storm();
-  if (name == "cascading_switch_failures") return cascading_switch_failures();
-  if (name == "corruption_under_churn") return corruption_under_churn();
-  if (name == "partition_and_heal") return partition_and_heal();
-  if (name == "failover_under_load") return failover_under_load();
-  if (name == "throughput_window") return throughput_window();
-  if (name == "byzantine_controller") return byzantine_controller();
-  if (name == "channel_corruption_storm") return channel_corruption_storm();
-  if (name == "table_overflow_recovery") return table_overflow_recovery();
+  for (const Builtin& b : kBuiltins) {
+    if (name == b.name) return b.make();
+  }
   std::string known;
-  for (const auto& n : builtin_names()) known += " " + n;
+  for (const Builtin& b : kBuiltins) known += std::string(" ") + b.name;
   throw std::invalid_argument("unknown scenario \"" + name +
                               "\"; built-ins:" + known);
 }

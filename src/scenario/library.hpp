@@ -2,8 +2,8 @@
 // per-figure benches cannot express. Each returns a ready-to-run Scenario
 // over the default grid (B4/Clos/Telstra x 3 controllers x 8 trials); the
 // CLI and callers can override any axis afterwards. The library holds
-// kBuiltinCount scenarios — keep that constant, builtin_names() and the
-// builtin() dispatch in lockstep (asserted in tests/test_scenario.cpp).
+// kBuiltinCount scenarios, listed once in library.cpp's name -> factory
+// table (a static_assert keeps the two in lockstep).
 #pragma once
 
 #include <cstddef>

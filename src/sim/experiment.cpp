@@ -146,6 +146,17 @@ void Experiment::build() {
     controllers_.push_back(&sim_.emplace_node<core::Controller>(
         static_cast<NodeId>(n_switches + k), c_cfg));
   }
+  // Illegitimate-deletion accounting (Theorem 1): a deletion victim counts
+  // when it is a controller alive at that instant. The id is looked up in
+  // the controller list, so a forged id in a corrupted reply stays harmless.
+  for (core::Controller* c : controllers_) {
+    c->set_liveness_oracle([controllers = controllers_](NodeId id) {
+      for (const core::Controller* o : controllers) {
+        if (o->id() == id) return o->alive();
+      }
+      return false;
+    });
+  }
 
   // Physical links: the switch fabric.
   net::LinkParams lp;

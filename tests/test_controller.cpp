@@ -88,15 +88,6 @@ TEST(Controller, IllegitimateDeletionsAreBounded) {
   // often (here: during convergence), never in steady state.
   auto cfg = fast_config("B4", 3);
   sim::Experiment exp(cfg);
-  for (std::size_t k = 0; k < exp.controller_count(); ++k) {
-    std::vector<core::Controller*> all = exp.controllers();
-    exp.controller(k).set_liveness_oracle([all](NodeId n) {
-      for (auto* c : all) {
-        if (c->id() == n) return c->alive();
-      }
-      return false;
-    });
-  }
   bootstrap_or_fail(exp);
   std::uint64_t after_boot = 0;
   for (std::size_t k = 0; k < exp.controller_count(); ++k) {
@@ -108,6 +99,29 @@ TEST(Controller, IllegitimateDeletionsAreBounded) {
     later += exp.controller(k).stats().illegitimate_deletions;
   }
   EXPECT_EQ(later, after_boot) << "illegitimate deletions in steady state";
+}
+
+TEST(Controller, CorruptionCountsIllegitimateDeletions) {
+  // Corrupted switch state can name live controllers as stale managers or
+  // rule owners, and the controllers evict them until the next round
+  // repairs it. The experiment's liveness oracle must count those
+  // deletions, or the Theorem 1 metric reads 0 whatever happens.
+  sim::Experiment exp(fast_config("B4", 3));
+  bootstrap_or_fail(exp);
+  auto illegitimate = [&exp] {
+    std::uint64_t n = 0;
+    for (std::size_t k = 0; k < exp.controller_count(); ++k) {
+      n += exp.controller(k).stats().illegitimate_deletions;
+    }
+    return n;
+  };
+  const std::uint64_t after_boot = illegitimate();
+  auto cp = exp.control_plane();
+  Rng rng(11);
+  faults::corrupt_all_state(cp, rng);
+  const auto r = exp.run_until_legitimate(sec(60));
+  EXPECT_TRUE(r.converged) << r.last_reason;
+  EXPECT_GT(illegitimate(), after_boot);
 }
 
 TEST(Controller, FrozenControllerStopsIteratingButPeersCover) {

@@ -146,6 +146,25 @@ TEST(MonitorIncremental, DirectTamperingIsCaughtThroughEpochs) {
   EXPECT_EQ(stale_after.reference_compiles, stale_before.reference_compiles);
 }
 
+TEST(MonitorIncremental, DataFlowRegistrationRecompilesOnlyItsOwner) {
+  // The reference cache is keyed on the data-flow revision as well as the
+  // truth: a flow registered after convergence must recompile its owner's
+  // reference (and only that one), so the owner's switches, which do not
+  // carry the flow yet, read stale until the owner's next refresh.
+  auto cfg = paranoid_config("B4", 3);
+  cfg.with_hosts = true;
+  sim::Experiment exp(cfg);
+  bootstrap_or_fail(exp);
+  ASSERT_TRUE(exp.monitor().check().legitimate);
+  const auto before = exp.monitor().stats();
+  exp.register_default_data_flow();
+  EXPECT_FALSE(exp.monitor().check().legitimate);
+  EXPECT_EQ(exp.monitor().stats().reference_compiles - before.reference_compiles,
+            1u);
+  const auto r = exp.run_until_legitimate(sec(30));
+  EXPECT_TRUE(r.converged) << r.last_reason;
+}
+
 TEST(MonitorIncremental, FullCheckMatchesIncrementalVerdictAcrossRecovery) {
   // Belt-and-suspenders differential without paranoid mode: drive a
   // recovery and compare verdicts explicitly at every sample.
