@@ -5,6 +5,9 @@
 namespace ren::detect {
 
 void ThetaDetector::set_candidates(const std::vector<NodeId>& neighbors) {
+  // The node re-declares its ports every round and they rarely change.
+  if (neighbors == ports_) return;
+  ports_ = neighbors;
   // Keep state for surviving candidates; add fresh entries for new ones.
   // Dropping a live entry changes the reported set (fresh entries start
   // suspected, so additions never do).

@@ -34,7 +34,8 @@ class ThetaDetector {
 
   ThetaDetector(NodeId self, Config config) : self_(self), config_(config) {}
 
-  /// Declare the set of attached ports (the configured adjacency).
+  /// Declare the set of attached ports (the configured adjacency). The same
+  /// list as the previous call is a no-op.
   void set_candidates(const std::vector<NodeId>& neighbors);
 
   /// Run one detection round: evaluate the previous round's replies, then
@@ -73,6 +74,7 @@ class ThetaDetector {
   NodeId self_;
   Config config_;
   std::map<NodeId, Entry> entries_;  // ordered => deterministic iteration
+  std::vector<NodeId> ports_;        ///< the last set_candidates() argument
   std::uint64_t round_ = 0;
   std::uint64_t liveness_epoch_ = 0;
 };

@@ -14,6 +14,11 @@
 // payload copy per hop; instead they are stored inline (the Packet payload
 // is a shared immutable pointer, so moving an event moves two pointers) and
 // dispatched by the simulator, which pops every event.
+//
+// Layout: the heap orders 24-byte POD keys (at, seq, lane, slot); the event
+// bodies (closure, packet, endpoints, timer guard) sit in a slab indexed by
+// `slot` and never move while queued. Freed slots go on a free list and are
+// reused, so the slab is as large as the peak number of pending events.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +37,23 @@ class EventQueue {
   /// The harness/global lane. Node `id` schedules on lane `id + 1`.
   static constexpr std::int32_t kGlobalLane = 0;
 
-  struct Event {
-    Time at = 0;
-    std::int32_t lane = kGlobalLane;
-    std::uint64_t seq = 0;
+  /// What an event carries besides its order key; kept in the slab.
+  struct Body {
     Action action;  ///< general event; empty for packet events
     Packet packet;  ///< packet event payload (action empty)
     NodeId from = kNoNode;
     NodeId to = kNoNode;
     int link = -1;
+    /// Timer guard: the action runs only while node `guard` is alive in
+    /// `incarnation` (kNoNode = unguarded). The simulator checks it.
+    NodeId guard = kNoNode;
+    std::uint32_t incarnation = 0;
+  };
+
+  struct Event : Body {
+    Time at = 0;
+    std::int32_t lane = kGlobalLane;
+    std::uint64_t seq = 0;
 
     [[nodiscard]] bool is_packet() const { return !action; }
   };
@@ -51,9 +64,11 @@ class EventQueue {
   void schedule_at(Time at, Action action);
 
   /// Schedule `action` with an externally assigned (lane, seq) key — the
-  /// simulator owns the per-node lane counters.
+  /// simulator owns the per-node lane counters — and an optional timer
+  /// guard (see Body::guard).
   void schedule_at(Time at, Action action, std::int32_t lane,
-                   std::uint64_t seq);
+                   std::uint64_t seq, NodeId guard = kNoNode,
+                   std::uint32_t incarnation = 0);
 
   /// Allocation-free fast path: deliver `packet` (from -> to over `link`)
   /// at time `at` under the (lane, seq) key the simulator assigns.
@@ -81,20 +96,28 @@ class EventQueue {
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
  private:
+  struct Key {
+    Time at;
+    std::uint64_t seq;
+    std::int32_t lane;
+    std::uint32_t slot;  ///< index of the body in slab_
+  };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.at != b.at) return a.at > b.at;
       if (a.lane != b.lane) return a.lane > b.lane;
       return a.seq > b.seq;
     }
   };
 
-  void push(Event&& ev);
+  /// A free slab slot (reused or appended); its body is default-state.
+  Body& acquire(std::uint32_t& slot);
+  /// Heap-insert the key of the body just filled at `slot`.
+  void push(Time at, std::int32_t lane, std::uint64_t seq, std::uint32_t slot);
 
-  // A std::push_heap/pop_heap heap rather than std::priority_queue: the
-  // queue's top() is const, which would force a copy of the event (and its
-  // closure) per step; pop_heap lets the event be moved out.
-  std::vector<Event> heap_;
+  std::vector<Key> heap_;
+  std::vector<Body> slab_;
+  std::vector<std::uint32_t> free_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -81,19 +81,20 @@ void Simulator::schedule_at(Time at, EventQueue::Action action) {
 
 void Simulator::schedule_for(NodeId node_id, Time delay,
                              std::function<void()> action) {
-  const std::uint32_t inc = node(node_id).incarnation();
-  queue_.schedule_at(
-      now() + delay,
-      [this, node_id, inc, action = std::move(action)]() {
-        const Node& n = node(node_id);
-        if (n.alive() && n.incarnation() == inc) action();
-      },
-      lane_of(node_id), node_seq_[static_cast<std::size_t>(node_id)]++);
+  // The (node, incarnation) guard rides in the event itself; execute()
+  // checks it, so a node timer costs no second closure.
+  queue_.schedule_at(now() + delay, std::move(action), lane_of(node_id),
+                     node_seq_[static_cast<std::size_t>(node_id)]++, node_id,
+                     node(node_id).incarnation());
 }
 
 // --- Execution --------------------------------------------------------------
 
 void Simulator::execute(EventQueue::Event& ev) {
+  if (ev.guard != kNoNode) {
+    const Node& n = node(ev.guard);
+    if (!n.alive() || n.incarnation() != ev.incarnation) return;
+  }
   const NodeId saved = current_node_;
   if (ev.lane == EventQueue::kGlobalLane) {
     current_node_ = kNoNode;

@@ -76,8 +76,10 @@ class Simulator {
   /// Schedule an action. From node context the event stays on that node's
   /// lane; from the harness or a global event it goes to the global lane.
   void schedule_at(Time at, EventQueue::Action action);
-  /// Schedule an action that is silently skipped if the node has fail-stopped.
-  /// Always keyed to `node`'s lane, no matter the scheduling context.
+  /// Schedule an action that is silently skipped if the node has fail-stopped
+  /// or been revived since (its incarnation moved on). Always keyed to
+  /// `node`'s lane and run in `node`'s context, whatever the scheduling
+  /// context.
   void schedule_for(NodeId node, Time delay, std::function<void()> action);
 
   /// Run until simulated time `t` (events at exactly t are executed).
@@ -153,6 +155,7 @@ class Simulator {
 
   /// Run one popped event in its context: a node-lane action or a packet
   /// delivery executes as its node, a global-lane action as the harness.
+  /// A guarded action whose node is dead or re-incarnated is skipped.
   void execute(EventQueue::Event& ev);
   /// Packet-event endpoint: link/liveness checks at delivery time, then
   /// Node::on_packet (the deferred half of send()).

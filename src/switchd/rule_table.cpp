@@ -12,6 +12,14 @@ std::uint64_t lookup_key(NodeId src, NodeId dst) {
          static_cast<std::uint32_t>(dst);
 }
 
+/// Position of `tag` among an owner's recent round tags (0 = current);
+/// recent_tags.size() for a tag no longer among them.
+int tag_rank(const std::deque<proto::Tag>& recent_tags, const proto::Tag& tag) {
+  return static_cast<int>(
+      std::find(recent_tags.begin(), recent_tags.end(), tag) -
+      recent_tags.begin());
+}
+
 }  // namespace
 
 void RuleTable::new_round(NodeId cid, proto::Tag tag, int retention) {
@@ -224,8 +232,43 @@ std::uint64_t RuleTable::content_signature() const {
   return h;
 }
 
+bool RuleTable::describes(const Layout& layout) const {
+  auto ref = layout.lists.begin();
+  for (const auto& [cid, e] : owners_) {
+    for (const auto& tl : e.lists) {
+      if (!tl.rules) continue;
+      if (ref == layout.lists.end() || ref->cid != cid ||
+          ref->rules != tl.rules ||
+          ref->rank != tag_rank(e.recent_tags, tl.tag)) {
+        return false;
+      }
+      ++ref;
+    }
+  }
+  return ref == layout.lists.end();
+}
+
+void RuleTable::select_layout() {
+  if (describes(layouts_[current_layout_])) return;
+  current_layout_ = 1 - current_layout_;
+  Layout& layout = layouts_[current_layout_];
+  if (describes(layout)) return;
+  // Entries built under the replaced layout's id can never match again.
+  layout.id = ++layout_ids_;
+  layout.lists.clear();
+  for (const auto& [cid, e] : owners_) {
+    for (const auto& tl : e.lists) {
+      if (tl.rules) {
+        layout.lists.push_back(
+            ListRef{cid, tag_rank(e.recent_tags, tl.tag), tl.rules});
+      }
+    }
+  }
+}
+
 void RuleTable::note_mutation() {
-  lookup_cache_.clear();
+  owner_rules_ = count_owner_rules();
+  select_layout();
   const std::uint64_t sig = content_signature();
   if (sig != content_sig_) {
     content_sig_ = sig;
@@ -237,14 +280,14 @@ void RuleTable::enforce_capacity() {
   // Management rules are protected: when a controller install overflows the
   // table, flow entries go first (lowest priority class, oldest entry) so
   // the self-stabilization state survives data-plane pressure.
-  const std::size_t owner_rules = total_rules();
+  const std::size_t owner_rules = count_owner_rules();
   while (owner_rules + flows_.size() > config_.max_rules && !flows_.empty()) {
     erase_flow(flow_order_.begin()->second, &FlowStats::flow_evictions);
   }
   // Clogged memory: evict whole least-recently-updated owner entries until
   // the total rule count fits (Section 2.1.1 eviction policy, at the
   // granularity of our per-owner immutable lists).
-  while (total_rules() > config_.max_rules && owners_.size() > 1) {
+  while (count_owner_rules() > config_.max_rules && owners_.size() > 1) {
     auto victim = owners_.begin();
     for (auto it = owners_.begin(); it != owners_.end(); ++it) {
       if (it->second.touch < victim->second.touch) victim = it;
@@ -294,7 +337,7 @@ std::vector<proto::RuleOwnerSummary> RuleTable::owners_summary() const {
   return out;
 }
 
-std::size_t RuleTable::total_rules() const {
+std::size_t RuleTable::count_owner_rules() const {
   std::size_t n = 0;
   for (const auto& [cid, e] : owners_) {
     for (const auto& tl : e.lists) {
@@ -321,38 +364,44 @@ proto::RuleListPtr RuleTable::newest_rules_of(NodeId cid) const {
 }
 
 const std::vector<Candidate>& RuleTable::candidates(NodeId src, NodeId dst) {
+  const Layout& layout = layouts_[current_layout_];
   const std::uint64_t key = lookup_key(src, dst);
   auto cached = lookup_cache_.find(key);
-  if (cached != lookup_cache_.end()) return cached->second;
-
-  std::vector<Candidate> cands;
-  for (const auto& [cid, e] : owners_) {
-    for (const auto& tl : e.lists) {
-      if (!tl.rules) continue;
-      const int rank = static_cast<int>(
-          std::find(e.recent_tags.begin(), e.recent_tags.end(), tl.tag) -
-          e.recent_tags.begin());
-      const proto::RuleList& rules = *tl.rules;
-      // Lists are sorted by (dest, src, -prt): binary-search the dest range,
-      // then scan it for matching src groups (exact src and wildcard src).
-      auto lo = std::lower_bound(
-          rules.begin(), rules.end(), dst,
-          [](const proto::Rule& r, NodeId d) { return r.dest < d; });
-      for (auto it = lo; it != rules.end() && it->dest == dst; ++it) {
-        if (!it->matches(src, dst)) continue;
-        cands.push_back(Candidate{it->fwd, it->prt, it->specificity(), rank,
-                                  cid});
-      }
-      // Wildcard-dest rules are not produced by the compiler but may exist
-      // after state corruption; include them for faithful recovery behavior.
-      auto wlo = std::lower_bound(
-          rules.begin(), rules.end(), kNoNode,
-          [](const proto::Rule& r, NodeId d) { return r.dest < d; });
-      for (auto it = wlo; it != rules.end() && it->dest == kNoNode; ++it) {
-        if (!it->matches(src, dst)) continue;
-        cands.push_back(Candidate{it->fwd, it->prt, it->specificity(), rank,
-                                  cid});
-      }
+  if (cached != lookup_cache_.end() && cached->second.layout == layout.id) {
+    ++cache_stats_.hits;
+    return cached->second.cands;
+  }
+  ++cache_stats_.misses;
+  if (cached == lookup_cache_.end()) {
+    // Bound the cache (flow pairs are few in practice; corruption could blow
+    // it up, so clamp hard).
+    if (lookup_cache_.size() > 65536) lookup_cache_.clear();
+    cached = lookup_cache_.try_emplace(key).first;
+  }
+  cached->second.layout = layout.id;
+  std::vector<Candidate>& cands = cached->second.cands;
+  cands.clear();
+  for (const ListRef& ref : layout.lists) {
+    const proto::RuleList& rules = *ref.rules;
+    // Lists are sorted by (dest, src, -prt): binary-search the dest range,
+    // then scan it for matching src groups (exact src and wildcard src).
+    auto lo = std::lower_bound(
+        rules.begin(), rules.end(), dst,
+        [](const proto::Rule& r, NodeId d) { return r.dest < d; });
+    for (auto it = lo; it != rules.end() && it->dest == dst; ++it) {
+      if (!it->matches(src, dst)) continue;
+      cands.push_back(
+          Candidate{it->fwd, it->prt, it->specificity(), ref.rank, ref.cid});
+    }
+    // Wildcard-dest rules are not produced by the compiler but may exist
+    // after state corruption; include them for faithful recovery behavior.
+    auto wlo = std::lower_bound(
+        rules.begin(), rules.end(), kNoNode,
+        [](const proto::Rule& r, NodeId d) { return r.dest < d; });
+    for (auto it = wlo; it != rules.end() && it->dest == kNoNode; ++it) {
+      if (!it->matches(src, dst)) continue;
+      cands.push_back(
+          Candidate{it->fwd, it->prt, it->specificity(), ref.rank, ref.cid});
     }
   }
   // Flow-store entries are exact matches on both header fields (specificity
@@ -385,11 +434,7 @@ const std::vector<Candidate>& RuleTable::candidates(NodeId src, NodeId dst) {
                           }),
               cands.end());
 
-  // Bound the cache (flow pairs are few in practice; corruption could blow
-  // it up, so clamp hard).
-  if (lookup_cache_.size() > 65536) lookup_cache_.clear();
-  auto [it, _] = lookup_cache_.emplace(key, std::move(cands));
-  return it->second;
+  return cands;
 }
 
 void RuleTable::corrupt(Rng& rng, NodeId node_space) {
@@ -427,6 +472,8 @@ void RuleTable::corrupt(Rng& rng, NodeId node_space) {
     }
     ++it;
   }
+  // Scrambled flow entries keep their layout, so drop every cached lookup.
+  lookup_cache_.clear();
   // Scramble flow-store out-ports too — but only when flows exist, so the
   // RNG draw sequence (and thus every downstream random choice) in flow-free
   // trials is identical to a build without the flow store.

@@ -27,8 +27,15 @@
 // mutations deliberately leave the monitor epoch untouched — churn is not
 // monitor-observable state — and invalidate only the affected lookup-cache
 // key.
+//
+// The lookup cache survives steady rounds: each entry records the layout —
+// the exact (owner, tag rank, list pointer) sequence — it was built under,
+// and is rebuilt lazily on the next lookup only if the layout has changed.
+// A steady newRound + updateRule pair passes through a transient layout and
+// returns to the same one, so the entries stay valid.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -89,6 +96,13 @@ class RuleTable {
     std::uint64_t lookup_cost = 0;       ///< modeled cost of those lookups
   };
 
+  /// Lookup-cache accounting for candidates() (and so lookup()): a hit
+  /// returns an entry built under the current layout, a miss (re)builds one.
+  struct CacheStats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+  };
+
   explicit RuleTable(Config config) : config_(config) {}
 
   // --- Mutations (driven by controller commands) -------------------------
@@ -110,7 +124,7 @@ class RuleTable {
   [[nodiscard]] std::size_t flow_rules() const { return flows_.size(); }
   /// Combined occupancy counted against max_rules.
   [[nodiscard]] std::size_t occupancy() const {
-    return total_rules() + flows_.size();
+    return owner_rules_ + flows_.size();
   }
   [[nodiscard]] const FlowStats& flow_stats() const { return flow_stats_; }
 
@@ -126,7 +140,7 @@ class RuleTable {
   [[nodiscard]] bool has_rules_of(NodeId cid) const;
   [[nodiscard]] std::vector<NodeId> owners() const;
   [[nodiscard]] std::vector<proto::RuleOwnerSummary> owners_summary() const;
-  [[nodiscard]] std::size_t total_rules() const;
+  [[nodiscard]] std::size_t total_rules() const { return owner_rules_; }
   [[nodiscard]] std::size_t rules_wire_bytes() const;
   /// The newest installed list of `cid` (for the legitimacy monitor).
   [[nodiscard]] proto::RuleListPtr newest_rules_of(NodeId cid) const;
@@ -139,9 +153,11 @@ class RuleTable {
   /// short-circuit between faults.
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
-  /// Ordered forwarding candidates for a packet header; cached until the
-  /// next mutation. The returned reference is valid until then.
+  /// Ordered forwarding candidates for a packet header; cached while the
+  /// layout and the header's flow entries stay the same. The returned
+  /// reference is valid until the next mutation.
   [[nodiscard]] const std::vector<Candidate>& candidates(NodeId src, NodeId dst);
+  [[nodiscard]] const CacheStats& cache_stats() const { return cache_stats_; }
 
   /// Transient-fault hook: scramble stored rules (tests only). `node_space`
   /// bounds the random ids written into corrupted entries.
@@ -159,6 +175,26 @@ class RuleTable {
     std::uint64_t touch = 0;  ///< LRU stamp
   };
 
+  /// One retained list as candidates() sees it. The owning pointer keeps
+  /// the list alive, so its address cannot be reused by another list while
+  /// a layout holding it can still be matched.
+  struct ListRef {
+    NodeId cid = kNoNode;
+    int rank = 0;
+    proto::RuleListPtr rules;
+  };
+  /// The lists candidates() reads, in its order, under an id unique to this
+  /// content while the layout is held (id 0 = the initial empty layout).
+  struct Layout {
+    std::uint64_t id = 0;
+    std::vector<ListRef> lists;
+  };
+  /// A cached candidate list and the id of the layout it was built under.
+  struct CachedLookup {
+    std::uint64_t layout = 0;
+    std::vector<Candidate> cands;
+  };
+
   /// A stored flow entry: the rule plus its LRU stamp.
   struct FlowEntry {
     FlowRule rule;
@@ -167,10 +203,18 @@ class RuleTable {
 
   void trim_to_retention(OwnerEntry& e);
   void enforce_capacity();
-  /// Drop the lookup cache and advance the epoch iff the monitor-observable
-  /// content (owner set, newest list per owner) actually changed. Called at
-  /// the end of every mutating entry point.
+  /// Recount the owner rules, switch to the layout of the new state and
+  /// advance the epoch iff the monitor-observable content (owner set, newest
+  /// list per owner) actually changed. Called at the end of every mutating
+  /// entry point.
   void note_mutation();
+  /// Make the state's layout current: a held layout that describes it keeps
+  /// its id (its cache entries stay valid); otherwise the other slot takes
+  /// the new layout under a fresh id.
+  void select_layout();
+  /// True when `layout` is exactly the state's (owner, rank, list) sequence.
+  [[nodiscard]] bool describes(const Layout& layout) const;
+  [[nodiscard]] std::size_t count_owner_rules() const;
   [[nodiscard]] std::uint64_t content_signature() const;
   /// Erase one flow entry (must exist) and maintain the indexes; counted
   /// against `counter` (evictions vs removals).
@@ -186,7 +230,14 @@ class RuleTable {
   std::uint64_t evictions_ = 0;
   std::uint64_t epoch_ = 0;
   std::uint64_t content_sig_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<Candidate>> lookup_cache_;
+  std::size_t owner_rules_ = 0;  ///< total_rules(), recounted per mutation
+  /// The current layout and the one before it: a steady round's newRound
+  /// moves to a transient layout and its updateRule moves back.
+  std::array<Layout, 2> layouts_;
+  std::size_t current_layout_ = 0;  ///< index into layouts_
+  std::uint64_t layout_ids_ = 0;
+  std::unordered_map<std::uint64_t, CachedLookup> lookup_cache_;
+  CacheStats cache_stats_;
 
   // --- Flow store ---------------------------------------------------------
   EvictionPolicy policy_ = EvictionPolicy::PriorityLru;

@@ -7,6 +7,14 @@
 
 namespace ren::transport {
 
+namespace {
+
+/// Wire size of a probe and of a probe reply (neither carries a body).
+const std::uint32_t kProbeBytes = static_cast<std::uint32_t>(
+    proto::wire_size(proto::Payload{proto::Probe{}}));
+
+}  // namespace
+
 InBandNode::InBandNode(NodeId id, NodeKind kind, Time task_interval,
                        Time detect_interval, int theta)
     : net::Node(id, kind),
@@ -46,13 +54,16 @@ void InBandNode::task_tick() {
 
 void InBandNode::detect_tick() {
   // Candidates are the attached ports; liveness is learned from replies only.
-  std::vector<NodeId> ports;
+  ports_.clear();
   for (const auto& e : sim_->network().adjacency(id())) {
-    ports.push_back(e.neighbor);
+    ports_.push_back(e.neighbor);
   }
-  detector_.set_candidates(ports);
-  detector_.tick([this](NodeId nbr, proto::Probe p) {
-    sim_->send(id(), nbr, net::make_packet(id(), nbr, proto::Payload{p}));
+  detector_.set_candidates(ports_);
+  // Every port gets the same probe this round: one shared immutable payload.
+  proto::PayloadPtr probe;
+  detector_.tick([this, &probe](NodeId nbr, proto::Probe p) {
+    if (probe == nullptr) probe = std::make_shared<const proto::Payload>(p);
+    sim_->send(id(), nbr, net::make_packet(id(), nbr, probe, kProbeBytes));
   });
   sim_->schedule_for(id(), detect_interval_, [this] { detect_tick(); });
 }
@@ -66,9 +77,17 @@ void InBandNode::on_packet(NodeId from_neighbor, const net::Packet& packet) {
     last_port_[packet.src] = from_neighbor;
     endpoint_.on_frame(packet.src, *frame);
   } else if (const auto* probe = std::get_if<proto::Probe>(&*packet.payload)) {
+    // Neighbors probe on equal, staggered intervals, so their rounds arrive
+    // in (nearly) non-decreasing order: one reply payload per round serves
+    // every neighbor probing with that round.
+    if (probe_reply_ == nullptr ||
+        std::get<proto::ProbeReply>(*probe_reply_).round != probe->round) {
+      probe_reply_ = std::make_shared<const proto::Payload>(
+          proto::ProbeReply{probe->round});
+    }
     sim_->send(id(), from_neighbor,
-               net::make_packet(id(), from_neighbor,
-                                proto::Payload{proto::ProbeReply{probe->round}}));
+               net::make_packet(id(), from_neighbor, probe_reply_,
+                                kProbeBytes));
   } else if (std::get_if<proto::ProbeReply>(&*packet.payload) != nullptr) {
     detector_.on_probe_reply(from_neighbor);
   }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "detect/theta_detector.hpp"
 #include "net/node.hpp"
@@ -76,6 +77,8 @@ class InBandNode : public net::Node {
   void emit_frame(NodeId peer, proto::PayloadPtr frame, std::uint32_t bytes);
 
   faults::Adversary* adversary_ = nullptr;
+  std::vector<NodeId> ports_;       ///< detect-tick scratch: attached ports
+  proto::PayloadPtr probe_reply_;   ///< reply to the latest probed round
   Time task_interval_;
   Time detect_interval_;
 };

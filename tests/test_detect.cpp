@@ -94,6 +94,29 @@ TEST(ThetaDetector, CandidateChangesPreserveState) {
   EXPECT_TRUE(h.det.is_live(1));
 }
 
+TEST(ThetaDetector, UnchangedCandidatesLeaveStateAlone) {
+  const int theta = 3;
+  Harness h(theta);
+  h.det.set_candidates({1, 2, 3});
+  h.round({{1, true}, {2, true}, {3, true}});
+  h.round({{1, true}, {2, true}, {3, true}});
+  // 3 stops answering: one relative miss counted, a second pending.
+  h.round({{1, true}, {2, true}});
+  h.round({{1, true}, {2, true}});
+  const auto epoch = h.det.liveness_epoch();
+  const auto live = h.det.live();
+  h.det.set_candidates({1, 2, 3});  // the same ports again
+  EXPECT_EQ(h.det.liveness_epoch(), epoch);
+  EXPECT_EQ(h.det.live(), live);
+  // The miss count survived: two more evaluations reach theta and suspect
+  // 3, exactly as without the redeclaration.
+  EXPECT_TRUE(h.det.is_live(3));
+  h.round({{1, true}, {2, true}});
+  h.round({{1, true}, {2, true}});
+  EXPECT_FALSE(h.det.is_live(3));
+  EXPECT_GT(h.det.liveness_epoch(), epoch);
+}
+
 TEST(ThetaDetector, ProbesAllCandidatesEveryRound) {
   Harness h(3);
   h.det.set_candidates({4, 5, 6});

@@ -6,6 +6,10 @@
 // relays them, a controller never does.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 #include "core/controller.hpp"
 #include "net/simulator.hpp"
 #include "switchd/abstract_switch.hpp"
@@ -123,6 +127,42 @@ TYPED_TEST(InBandNodeContract, ProbeReplyFeedsTheDetector) {
   this->run_for(2 * kDetect);
   EXPECT_TRUE(this->node->detector().is_live(1));
   EXPECT_FALSE(this->node->detector().is_live(2));  // never answered
+}
+
+TYPED_TEST(InBandNodeContract, ProbesOfOneTickShareOnePayload) {
+  this->run_for(3 * kDetect);
+  std::map<std::uint64_t, std::vector<const proto::Payload*>> by_round;
+  for (const auto* r : {this->r1, this->r2}) {
+    for (const auto& p : r->template with<proto::Probe>()) {
+      by_round[std::get<proto::Probe>(*p.payload).round].push_back(
+          p.payload.get());
+    }
+  }
+  ASSERT_GE(by_round.size(), 2u);
+  std::set<const proto::Payload*> distinct;
+  for (const auto& [round, payloads] : by_round) {
+    ASSERT_EQ(payloads.size(), 2u) << "round " << round;  // one per port
+    EXPECT_EQ(payloads[0], payloads[1]) << "round " << round;
+    distinct.insert(payloads[0]);
+  }
+  EXPECT_EQ(distinct.size(), by_round.size());  // a fresh payload per tick
+}
+
+TYPED_TEST(InBandNodeContract, RepliesToOneRoundShareOnePayload) {
+  this->inject(1, 0, proto::Payload{proto::Probe{77}});
+  this->sim->send(2, 0, net::make_packet(2, 0, proto::Payload{proto::Probe{77}}));
+  this->run_for(msec(5));
+  this->inject(1, 0, proto::Payload{proto::Probe{78}});
+  this->run_for(msec(5));
+  const auto at1 = this->r1->template with<proto::ProbeReply>();
+  const auto at2 = this->r2->template with<proto::ProbeReply>();
+  ASSERT_EQ(at1.size(), 2u);
+  ASSERT_EQ(at2.size(), 1u);
+  EXPECT_EQ(std::get<proto::ProbeReply>(*at2[0].payload).round, 77u);
+  EXPECT_EQ(at1[0].payload.get(), at2[0].payload.get());
+  EXPECT_EQ(std::get<proto::ProbeReply>(*at1[1].payload).round, 78u);
+  EXPECT_NE(at1[1].payload.get(), at1[0].payload.get());
+  EXPECT_EQ(at1[1].bytes, at1[0].bytes);
 }
 
 TYPED_TEST(InBandNodeContract, FrameToRemotePeerLeavesOverLastHeardPort) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/node.hpp"
 #include "net/simulator.hpp"
 
@@ -151,6 +154,29 @@ TEST(Simulator, ScheduleForSkipsDeadNodes) {
   sim.kill_node(0);
   sim.run_until(sec(1));
   EXPECT_EQ(fired, 0);
+}
+
+TEST(Simulator, ScheduleForSkipsStaleIncarnation) {
+  Simulator sim(1);
+  sim.emplace_node<SinkNode>(0);
+  sim.emplace_node<SinkNode>(1);
+  std::vector<std::string> order;
+  // Scheduled in incarnation 0; the node dies and comes back before it is
+  // due, so it must never fire.
+  sim.schedule_for(1, msec(10), [&] { order.push_back("stale"); });
+  sim.kill_node(1);
+  sim.revive_node(1);
+  // Scheduled in incarnation 1: fires at 20 ms, in node 1's context. The
+  // event it schedules lands on node 1's lane, so at equal time it runs
+  // after node 0's event even though it was scheduled later.
+  sim.schedule_for(1, msec(20), [&] {
+    order.push_back("fresh");
+    sim.schedule_at(msec(30), [&] { order.push_back("node1-lane"); });
+  });
+  sim.schedule_for(0, msec(30), [&] { order.push_back("node0-lane"); });
+  sim.run_until(sec(1));
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"fresh", "node0-lane", "node1-lane"}));
 }
 
 TEST(Simulator, NodesOfKind) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "switchd/rule_table.hpp"
 
 namespace ren::switchd {
@@ -149,6 +154,178 @@ TEST(RuleTable, LookupCacheInvalidatedByMutation) {
   EXPECT_EQ(t.candidates(5, 9).front().fwd, 300);
   t.del_all(7);
   EXPECT_TRUE(t.candidates(5, 9).empty());
+}
+
+TEST(RuleTable, LookupCacheSurvivesSteadyRounds) {
+  // Steady state: each owner re-installs the same immutable list under a
+  // fresh round tag. One header looked up after every owner's round misses
+  // only the first time, with one owner and with three.
+  for (const int n_owners : {1, 3}) {
+    RuleTable t({1024});
+    std::vector<proto::RuleListPtr> lists;
+    for (int k = 0; k < n_owners; ++k) {
+      const NodeId cid = 7 + k;
+      lists.push_back(rules_of(cid, 0, {{kNoNode, 9, 3, 100 + k}}));
+      t.new_round(cid, tag(cid, 1), 2);
+      t.update_rules(cid, lists.back(), tag(cid, 1));
+    }
+    for (std::uint32_t round = 2; round <= 11; ++round) {
+      for (int k = 0; k < n_owners; ++k) {
+        const NodeId cid = 7 + k;
+        t.new_round(cid, tag(cid, round), 2);
+        t.update_rules(cid, lists[static_cast<std::size_t>(k)],
+                       tag(cid, round));
+        EXPECT_EQ(t.lookup(5, 9).size(), static_cast<std::size_t>(n_owners));
+      }
+    }
+    const std::uint64_t lookups = 10u * static_cast<std::uint64_t>(n_owners);
+    EXPECT_EQ(t.cache_stats().misses, 1u) << n_owners << " owners";
+    EXPECT_EQ(t.cache_stats().hits, lookups - 1) << n_owners << " owners";
+    EXPECT_EQ(t.flow_stats().lookups, lookups);
+  }
+}
+
+TEST(RuleTable, LookupCacheMissesOnEveryInvalidation) {
+  RuleTable t({1024});
+  t.new_round(7, tag(7, 1), 2);
+  t.update_rules(7, rules_of(7, 0, {{kNoNode, 9, 3, 100}}), tag(7, 1));
+  // Each step must cost exactly one miss on (5, 9), and the lookup right
+  // after it must hit.
+  const auto miss_then_hit = [&t](const char* what) {
+    const RuleTable::CacheStats before = t.cache_stats();
+    (void)t.lookup(5, 9);
+    (void)t.lookup(5, 9);
+    EXPECT_EQ(t.cache_stats().misses, before.misses + 1) << what;
+    EXPECT_EQ(t.cache_stats().hits, before.hits + 1) << what;
+  };
+  miss_then_hit("first lookup");
+  t.update_rules(7, rules_of(7, 0, {{kNoNode, 9, 3, 300}}), tag(7, 1));
+  miss_then_hit("changed list");
+  EXPECT_EQ(t.lookup(5, 9).front().fwd, 300);
+  t.del_all(7);
+  miss_then_hit("del_all");
+  EXPECT_TRUE(t.lookup(5, 9).empty());
+  t.new_round(7, tag(7, 2), 2);
+  t.update_rules(7, rules_of(7, 0, {{kNoNode, 9, 3, 100}}), tag(7, 2));
+  miss_then_hit("reinstall");
+  Rng rng(3);
+  t.corrupt(rng, 16);
+  miss_then_hit("corrupt");
+  EXPECT_TRUE(t.install_flow({1, 5, 9, /*prt=*/8, 42}));
+  miss_then_hit("flow install");
+  EXPECT_EQ(t.lookup(5, 9).front().fwd, 42);
+}
+
+TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
+  // One operation stream drives a table that looks headers up after every
+  // step (so its cache is exercised across every kind of mutation); at each
+  // checkpoint a table that replays the stream without lookups — an empty
+  // cache, so every candidate list is built from scratch — must agree on
+  // every header.
+  enum Kind { kNewRound, kUpdate, kDelAll, kInstall, kRemove, kCorrupt, kClear };
+  struct Op {
+    Kind kind = kNewRound;
+    NodeId cid = 0;
+    std::uint32_t round = 0;
+    int retention = 2;
+    std::size_t list = 0;
+    std::uint64_t value = 0;  ///< flow id or corruption seed
+  };
+  const std::vector<NodeId> hdr = {1, 2, 3, 4};
+  const auto flow = [&hdr](std::uint64_t id) {
+    return FlowRule{id, hdr[id % 4], hdr[(id / 4) % 4],
+                    static_cast<Priority>(id % 5), static_cast<NodeId>(id % 3)};
+  };
+  const auto apply = [&flow](RuleTable& t, const Op& op,
+                             const std::vector<proto::RuleListPtr>& pool) {
+    switch (op.kind) {
+      case kNewRound:
+        t.new_round(op.cid, tag(op.cid, op.round), op.retention);
+        break;
+      case kUpdate:
+        t.update_rules(op.cid, pool[op.list], tag(op.cid, op.round));
+        break;
+      case kDelAll: t.del_all(op.cid); break;
+      case kInstall: (void)t.install_flow(flow(op.value)); break;
+      case kRemove: (void)t.remove_flow(op.value); break;
+      case kCorrupt: {
+        Rng r(op.value);
+        t.corrupt(r, 6);
+        break;
+      }
+      case kClear: t.clear(); break;
+    }
+  };
+  const auto same = [](const std::vector<Candidate>& a,
+                       const std::vector<Candidate>& b) {
+    const auto fields = [](const Candidate& c) {
+      return std::tie(c.fwd, c.prt, c.specificity, c.tag_rank, c.cid);
+    };
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [&](const Candidate& x, const Candidate& y) {
+                        return fields(x) == fields(y);
+                      });
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    // A small pool of immutable lists, so layouts recur by pointer.
+    std::vector<proto::RuleListPtr> pool;
+    for (int i = 0; i < 6; ++i) {
+      std::vector<std::tuple<NodeId, NodeId, Priority, NodeId>> specs;
+      for (int j = 0; j < 4; ++j) {
+        const NodeId src = rng.chance(0.3) ? kNoNode : hdr[rng.next_below(4)];
+        specs.emplace_back(src, hdr[rng.next_below(4)],
+                           static_cast<Priority>(rng.next_below(4)),
+                           static_cast<NodeId>(rng.next_below(3)));
+      }
+      pool.push_back(rules_of(7, 0, specs));
+    }
+    RuleTable cached({64});
+    std::vector<Op> ops;
+    std::map<NodeId, std::uint32_t> rounds;
+    for (int step = 0; step < 300; ++step) {
+      Op op;
+      const std::uint64_t pick = rng.next_below(100);
+      op.cid = 7 + static_cast<NodeId>(rng.next_below(3));
+      op.retention = rng.chance(0.8) ? 2 : 3;
+      op.list = rng.next_below(pool.size());
+      op.value = 1 + rng.next_below(32);
+      if (pick < 30) {
+        op.kind = kNewRound;
+        op.round = ++rounds[op.cid];
+      } else if (pick < 65) {
+        op.kind = kUpdate;
+        op.round = rounds[op.cid] + (rng.chance(0.2) ? 1 : 0);
+      } else if (pick < 70) {
+        op.kind = kDelAll;
+      } else if (pick < 84) {
+        op.kind = kInstall;
+      } else if (pick < 96) {
+        op.kind = kRemove;
+      } else if (pick < 99) {
+        op.kind = kCorrupt;
+      } else {
+        op.kind = kClear;
+      }
+      ops.push_back(op);
+      apply(cached, op, pool);
+      for (int k = 0; k < 3; ++k) {
+        (void)cached.candidates(hdr[rng.next_below(4)], hdr[rng.next_below(4)]);
+      }
+      if (step % 10 != 9) continue;
+      RuleTable fresh({64});
+      for (const Op& o : ops) apply(fresh, o, pool);
+      for (NodeId src : hdr) {
+        for (NodeId dst : hdr) {
+          ASSERT_TRUE(same(cached.candidates(src, dst),
+                           fresh.candidates(src, dst)))
+              << "seed " << seed << " step " << step << " header " << src
+              << "->" << dst;
+        }
+      }
+    }
+    EXPECT_GT(cached.cache_stats().hits, 0u) << "seed " << seed;
+  }
 }
 
 TEST(RuleTable, CloggedMemoryEvictsLeastRecentlyUpdatedOwner) {
