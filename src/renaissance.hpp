@@ -17,6 +17,7 @@
 #include "net/simulator.hpp"          // discrete-event substrate
 #include "scenario/library.hpp"       // built-in fault-timeline scenarios
 #include "scenario/merge.hpp"         // shard-report merging
+#include "scenario/rows.hpp"          // figure rows from raw reports
 #include "scenario/runner.hpp"        // parallel campaign runner
 #include "scenario/scenario.hpp"      // declarative scenario model
 #include "sim/experiment.hpp"         // experiment harness

@@ -51,7 +51,8 @@ std::pair<int, TrialOutcome> outcome_from_error(const std::string& entry) {
 
 }  // namespace
 
-CampaignResult merge_campaigns(const std::vector<Json>& shards) {
+CampaignResult merge_campaigns(const std::vector<Json>& shards,
+                               bool include_raw) {
   if (shards.empty()) bad("no shard reports given");
 
   CampaignResult result;
@@ -94,10 +95,10 @@ CampaignResult merge_campaigns(const std::vector<Json>& shards) {
       const Json* raw = cell.find("raw");
       const std::size_t raw_n = raw != nullptr ? raw->as_array().size() : 0;
       if (static_cast<std::size_t>(executed) != raw_n) {
-        bad("shard for cell \"" + cell.at("topology").as_string() +
-            "\" reports " + std::to_string(executed) + " trials but " +
+        bad("cell \"" + cell.at("topology").as_string() + "\" reports " +
+            std::to_string(executed) + " trials but " +
             std::to_string(raw_n) +
-            " raw samples; re-run the shard with --raw");
+            " raw samples; run the campaign with --raw");
       }
       auto add = [&](int trial, TrialOutcome out) {
         if (trial < 0 || trial >= result.trials_per_cell) {
@@ -133,8 +134,7 @@ CampaignResult merge_campaigns(const std::vector<Json>& shards) {
     result.cells.push_back(aggregate_cell(
         first_cells[c].at("topology").as_string(),
         static_cast<int>(first_cells[c].at("controllers").as_number()),
-        axes_from_cell(first_cells[c]), std::move(outcomes),
-        /*include_raw=*/false));
+        axes_from_cell(first_cells[c]), std::move(outcomes), include_raw));
   }
   return result;
 }

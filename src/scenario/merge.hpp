@@ -26,7 +26,9 @@ namespace ren::scenario {
 /// shard whose executed trials carry no raw samples. Shards covering only
 /// part of the grid merge fine — the result then aggregates exactly the
 /// trials present (callers can compare trials-per-cell against
-/// trials_per_cell to detect gaps).
-[[nodiscard]] CampaignResult merge_campaigns(const std::vector<Json>& shards);
+/// trials_per_cell to detect gaps). With `include_raw` the merged cells
+/// keep their per-trial outcomes in CellResult::raw (the --rows readback).
+[[nodiscard]] CampaignResult merge_campaigns(const std::vector<Json>& shards,
+                                             bool include_raw = false);
 
 }  // namespace ren::scenario

@@ -150,7 +150,7 @@ TEST(BatchPlannerParanoid, ScenarioTimelinesPass) {
 }
 
 TEST(BatchPlanner, FigNineAccountingMatchesTheBaseline) {
-  // The logical send accounting behind bench_fig09 (per-controller command
+  // The logical send accounting behind Fig. 9 (per-controller command
   // and message counts of a seeded bootstrap) is pinned to the values the
   // rebuild-every-tick fan-out produced, with the from-scratch differential
   // live so every key's command count is also checked against its oracle

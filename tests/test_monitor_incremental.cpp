@@ -46,6 +46,38 @@ TEST(MonitorIncremental, SteadyStateShortCircuits) {
   EXPECT_EQ(after.truth_rebuilds, before.truth_rebuilds);
 }
 
+TEST(MonitorIncremental, SteadyStateShortCircuitsOnLargeNetworks) {
+  // ATT and EBONE are where an O(network)-per-sample monitor dominated
+  // trial wall time. Once the system settles, every sample must replay the
+  // cached verdict, with no full evaluation and no truth rebuild, and the
+  // from-scratch check_full() must agree with it.
+  for (const std::string topology : {"ATT", "EBONE"}) {
+    SCOPED_TRACE(topology);
+    sim::Experiment exp(fast_config(topology, 3));
+    bootstrap_or_fail(exp, sec(600));
+    // Settle: drain in-flight chatter until the stack epoch stops moving.
+    std::uint64_t epoch = exp.monitor().stack_epoch();
+    for (int i = 0; i < 50; ++i) {
+      exp.sim().run_until(exp.sim().now() + exp.config().task_delay);
+      const std::uint64_t e = exp.monitor().stack_epoch();
+      if (e == epoch && exp.monitor().check().legitimate) break;
+      epoch = e;
+    }
+    const auto before = exp.monitor().stats();
+    constexpr std::uint64_t kSamples = 40;
+    for (std::uint64_t i = 0; i < kSamples; ++i) {
+      exp.sim().run_until(exp.sim().now() + exp.config().monitor_interval);
+      ASSERT_TRUE(exp.monitor().check().legitimate) << "sample " << i;
+    }
+    const auto after = exp.monitor().stats();
+    EXPECT_EQ(after.short_circuits - before.short_circuits, kSamples);
+    EXPECT_EQ(after.full_evaluations, before.full_evaluations);
+    EXPECT_EQ(after.truth_rebuilds, before.truth_rebuilds);
+    const auto full = exp.monitor().check_full();
+    EXPECT_TRUE(full.legitimate) << full.reason;
+  }
+}
+
 TEST(MonitorIncremental, EpochsReactToFaults) {
   sim::Experiment exp(fast_config("B4", 3));
   bootstrap_or_fail(exp);

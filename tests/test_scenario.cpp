@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -107,6 +108,26 @@ TEST(ScenarioSpec, LibrarySizeMatchesTheAdvertisedCount) {
   EXPECT_EQ(names.size(), scenario::kBuiltinCount);
   for (const auto& n : names) {
     EXPECT_EQ(scenario::builtin(n).name, n);
+  }
+}
+
+TEST(ScenarioSpec, PaperSpecsAreCanonical) {
+  // The paper's figures are checked-in specs (scenarios/paper/): each file
+  // is byte for byte what --print-spec prints for it, so a spec has one
+  // spelling and a hand edit that changes its meaning shows in review.
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(REN_PAPER_SPEC_DIR)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  EXPECT_EQ(files.size(), 11u) << "Figs. 5-7 and 9-16, one spec each";
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(scenario::to_spec_json(scenario::parse_spec(ss.str())).pretty(),
+              ss.str())
+        << path;
   }
 }
 

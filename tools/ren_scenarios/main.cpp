@@ -5,6 +5,9 @@
 //   ren_scenarios --spec my_scenario.json --out results.json
 //   ren_scenarios --scenario partition_and_heal --topologies B4,ATT
 //                 --controllers 3,5 --seed 7 --paper-timers
+//   ren_scenarios --spec scenarios/paper/fig10.json --paper-timers --raw
+//                 --out fig10.json
+//   ren_scenarios --rows violin:recovery fig10.json
 //
 // Output is a JSON document of per-cell percentile aggregates; identical
 // input (scenario + seed + timer profile) produces byte-identical output
@@ -15,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -30,6 +34,7 @@ void usage(std::FILE* to) {
   std::fprintf(to,
                "usage: ren_scenarios (--scenario NAME | --spec FILE) [options]\n"
                "       ren_scenarios --merge SHARD.json... [--out FILE]\n"
+               "       ren_scenarios --rows KIND REPORT.json...\n"
                "       ren_scenarios --list | --list-topos\n"
                "\n"
                "options:\n"
@@ -60,6 +65,11 @@ void usage(std::FILE* to) {
                "  --merge FILE...        fold --shard --raw reports back into one\n"
                "                         campaign aggregate (byte-identical to the\n"
                "                         unsharded report when all shards are given)\n"
+               "  --rows KIND FILE...    print a figure's rows from --raw reports:\n"
+               "                         checkpoint:LABEL, violin:LABEL\n"
+               "                         [:cmd_per_node_iter], series:mbits_series\n"
+               "                         |retx_pct|bad_pct|ooo_pct, or pearson\n"
+               "                         (two reports over the same grid)\n"
                "  --raw                  include raw per-trial samples in the report\n"
                "  --paranoid             differential-check every cached layer\n"
                "                         against its from-scratch oracle: the\n"
@@ -105,7 +115,7 @@ std::string read_file(const std::string& path) {
     return ss.str();
   }
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open spec file: " + path);
+  if (!in) throw std::runtime_error("cannot open " + path);
   std::stringstream ss;
   ss << in.rdbuf();
   return ss.str();
@@ -118,7 +128,8 @@ int main(int argc, char** argv) {
   std::string topologies_csv;
   std::vector<int> controllers;
   std::vector<std::pair<std::string, std::vector<double>>> axis_overrides;
-  std::vector<std::string> merge_inputs;
+  std::vector<std::string> report_inputs;  // --merge / --rows files
+  std::optional<scenario::RowKind> rows_kind;
   int trials = 0, threads = 0;
   int shard_index = 0, shard_count = 1;
   std::uint64_t seed = 0;
@@ -219,6 +230,13 @@ int main(int argc, char** argv) {
                                              shard_count)) - 1;  // 1-based
     } else if (arg == "--merge") {
       merge_mode = true;
+    } else if (arg == "--rows") {
+      try {
+        rows_kind = scenario::parse_row_kind(value());
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
     } else if (arg == "--raw") {
       include_raw = true;
     } else if (arg == "--paranoid") {
@@ -229,8 +247,8 @@ int main(int argc, char** argv) {
       out_path = value();
     } else if (arg == "--verbose") {
       ren::set_log_level(LogLevel::Info);
-    } else if (merge_mode && !arg.empty() && arg[0] != '-') {
-      merge_inputs.push_back(arg);
+    } else if ((merge_mode || rows_kind) && !arg.empty() && arg[0] != '-') {
+      report_inputs.push_back(arg);
     } else {
       std::fprintf(stderr, "unknown option: %s\n\n", arg.c_str());
       usage(stderr);
@@ -238,32 +256,53 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (merge_mode) {
-    if (!scenario_name.empty() || !spec_path.empty()) {
-      std::fprintf(stderr, "--merge excludes --scenario / --spec\n");
+  if (merge_mode || rows_kind) {
+    const char* mode = merge_mode ? "--merge" : "--rows";
+    if (merge_mode && rows_kind) {
+      std::fprintf(stderr, "--merge and --rows exclude each other\n");
       return 2;
     }
-    // Campaign options do not constrain a merge; reject them instead of
-    // silently producing a report the flags had no effect on.
+    if (!scenario_name.empty() || !spec_path.empty()) {
+      std::fprintf(stderr, "%s excludes --scenario / --spec\n", mode);
+      return 2;
+    }
+    // Campaign options do not constrain a merge or a row print; reject them
+    // instead of silently printing output the flags had no effect on.
     if (print_spec || !topologies_csv.empty() || !controllers.empty() ||
         !axis_overrides.empty() || trials > 0 || have_seed || threads != 0 ||
-        shard_count != 1 || include_raw || paranoid || paper_timers) {
+        shard_count != 1 || include_raw || paranoid || paper_timers ||
+        (rows_kind && !out_path.empty())) {
       std::fprintf(stderr,
-                   "--merge takes only shard files and --out; campaign "
-                   "options have no effect on a merge\n");
+                   "%s takes only report files%s; campaign options have no "
+                   "effect on it\n",
+                   mode, merge_mode ? " and --out" : "");
       return 2;
     }
-    if (merge_inputs.empty()) {
-      std::fprintf(stderr, "--merge requires at least one shard report\n");
+    if (report_inputs.empty()) {
+      std::fprintf(stderr, "%s requires at least one report\n", mode);
+      return 2;
+    }
+    if (rows_kind && rows_kind->shape == scenario::RowKind::Shape::Pearson &&
+        report_inputs.size() != 2) {
+      std::fprintf(stderr, "--rows pearson takes two reports\n");
       return 2;
     }
     try {
-      std::vector<scenario::Json> shards;
-      shards.reserve(merge_inputs.size());
-      for (const auto& path : merge_inputs) {
-        shards.push_back(scenario::Json::parse(read_file(path)));
+      std::vector<scenario::Json> docs;
+      docs.reserve(report_inputs.size());
+      for (const auto& path : report_inputs) {
+        docs.push_back(scenario::Json::parse(read_file(path)));
       }
-      const auto merged = scenario::merge_campaigns(shards);
+      if (rows_kind) {
+        std::vector<scenario::CampaignResult> reports;
+        for (const auto& doc : docs) {
+          reports.push_back(
+              scenario::merge_campaigns({doc}, /*include_raw=*/true));
+        }
+        std::fputs(scenario::format_rows(*rows_kind, reports).c_str(), stdout);
+        return 0;
+      }
+      const auto merged = scenario::merge_campaigns(docs);
       const std::string report = merged.to_json().pretty();
       if (out_path.empty()) {
         std::fputs(report.c_str(), stdout);
