@@ -64,23 +64,17 @@ struct FabricRow {
   bool compile_identical = false;
 };
 
-/// Fast-timer profile: time-to-legitimacy in *simulated* seconds is what the
-/// table reports, and it is timer-rate independent down to the detection
-/// granularity; paper timers would burn hours of wall clock simulating idle
-/// waits on the 1k-node fabrics.
+/// The fast timer profile (sim::fast_profile) with 3 controllers:
+/// time-to-legitimacy in *simulated* seconds is what the table reports, and
+/// it is timer-rate independent down to the detection granularity; paper
+/// timers would burn hours of wall clock simulating idle waits on the
+/// 1k-node fabrics.
 sim::ExperimentConfig scale_config(const std::string& spec, int kappa,
                                    std::uint64_t seed) {
-  sim::ExperimentConfig cfg;
-  cfg.topology = spec;
+  sim::ExperimentConfig cfg = sim::fast_profile(spec);
   cfg.controllers = 3;
   cfg.kappa = kappa;
   cfg.seed = seed;
-  cfg.task_delay = msec(50);
-  cfg.detect_interval = msec(10);
-  cfg.monitor_interval = msec(25);
-  cfg.link_latency = usec(100);
-  cfg.theta = 10;
-  cfg.rule_retention = 3;
   return cfg;
 }
 

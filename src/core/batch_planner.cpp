@@ -92,53 +92,38 @@ void BatchPlanner::compute_victims(const proto::QueryReply& m, bool new_round,
   }
 }
 
+void BatchPlanner::rotate(std::shared_ptr<proto::Message>& msg,
+                          proto::Tag tag) {
+  // Retag in place when nothing else still references the message
+  // (transport acked, frames drained), else clone once: the transport may
+  // still hold the old message as its in-flight payload.
+  if (uniquely_owned(msg)) {
+    ++stats_.rotated;
+  } else {
+    ++stats_.cloned;
+    msg = std::make_shared<proto::Message>(*msg);
+  }
+  retag(*msg, tag);
+}
+
 std::shared_ptr<proto::Message> BatchPlanner::materialize(
     Entry& entry, proto::BatchKey&& key) {
   if (entry.msg != nullptr && entry.key == key) {
     ++stats_.reused;
     return entry.msg;
   }
-  // Peer-class sharing: another peer already materialized this exact batch
-  // this tick (all controllers share the query-only batch; switches with no
-  // compiled rules yet share theirs). Per-switch rule lists are distinct
-  // objects, so keys carrying a non-empty list are unique to their peer and
-  // skip the intern list entirely.
-  const bool shareable =
-      key.query_only || key.rules == nullptr || key.rules->empty();
-  if (shareable) {
-    for (const auto& [ikey, imsg] : intern_) {
-      if (*ikey == key) {
-        ++stats_.shared;
-        entry.key = std::move(key);
-        entry.msg = imsg;
-        return entry.msg;
-      }
-    }
-  }
   if (entry.msg != nullptr && entry.key.same_except_tag(key)) {
-    // Rotation: only the round tag flipped. Retag the cached message in
-    // place when nothing else still references it (transport acked, frames
-    // drained), else clone once — sharing makes the clone the class's new
-    // shared object via the intern list.
-    if (uniquely_owned(entry.msg)) {
-      ++stats_.rotated;
-    } else {
-      ++stats_.cloned;
-      entry.msg = std::make_shared<proto::Message>(*entry.msg);
-    }
-    retag(*entry.msg, key.tag);
+    rotate(entry.msg, key.tag);  // only the round tag flipped
   } else {
     ++stats_.rebuilt;
     entry.msg = std::make_shared<proto::Message>(proto::build_batch(self_, key));
   }
   entry.key = std::move(key);
-  if (shareable) intern_.emplace_back(&entry.key, entry.msg);
   return entry.msg;
 }
 
 void BatchPlanner::rotate_fanout(proto::Tag tag) {
   const bool same_tag = tag == gate_.tag;
-  rotate_remap_.clear();
   // Deletion accounting (Theorem 1 experiments) counts every sent batch's
   // victims — exactly what a re-derivation would have produced.
   for (std::size_t i = 0; i < peers_.size(); ++i) {
@@ -151,27 +136,7 @@ void BatchPlanner::rotate_fanout(proto::Tag tag) {
       ++stats_.reused;
     } else {
       e->key.tag = tag;
-      bool remapped = false;
-      for (const auto& [old_ptr, clone] : rotate_remap_) {
-        if (old_ptr == e->msg.get()) {
-          e->msg = clone;  // keep sharing the already-rotated clone
-          ++stats_.shared;
-          remapped = true;
-          break;
-        }
-      }
-      if (!remapped) {
-        if (uniquely_owned(e->msg)) {
-          ++stats_.rotated;
-          retag(*e->msg, tag);
-        } else {
-          ++stats_.cloned;
-          auto fresh = std::make_shared<proto::Message>(*e->msg);
-          retag(*fresh, tag);
-          rotate_remap_.emplace_back(e->msg.get(), fresh);
-          e->msg = std::move(fresh);
-        }
-      }
+      rotate(e->msg, tag);
     }
     ++stats_.planned;
     hooks_.send(peers_[i], e->msg, e->key.command_count());
@@ -207,7 +172,6 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
 
   ++stats_.full_plans;
   last_was_rotation_ = false;
-  intern_.clear();
   peers_.clear();
   planned_entries_.clear();
   for (NodeId n : fusion.reach) {
@@ -266,11 +230,6 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
   for (auto it = entries_.begin(); it != entries_.end();) {
     it = it->second.tick == tick_ ? std::next(it) : entries_.erase(it);
   }
-  // Drop the intern references now rather than at the next full plan: a
-  // lingering shared_ptr would keep single-sharer shareable batches at
-  // use_count 2 through every gate rotation, forcing clone-instead-of-
-  // retag (and its key pointers would dangle after the erase loop above).
-  intern_.clear();
 }
 
 // --- Differential shadow -----------------------------------------------------

@@ -21,10 +21,10 @@
 //  * Only the round tag flipped (the steady-state norm — converged rounds
 //    complete every tick): the cached message object is *rotated*, i.e.
 //    retagged in place when uniquely owned, instead of rebuilt.
-//  * Anything else: the batch is materialized from its key, once, and
-//    interned for the tick so every peer in the same batch class shares one
-//    message object (all controller peers share the query-only batch;
-//    same-view switches with identical rules/victims share theirs).
+//  * Anything else: the batch is materialized from its key, once. Every
+//    peer owns its message object: sharing one across peers with equal
+//    keys would save well under 1% of builds and force a clone at every
+//    rotation of a message another peer's transport still holds.
 //
 // Config::paranoid mirrors the view-cache differential pattern: every
 // planned batch is shadowed by a from-scratch build using the seed's
@@ -51,7 +51,6 @@ struct PlannerStats {
   std::uint64_t rotated = 0;   ///< only the tag flipped: retagged in place
   std::uint64_t cloned = 0;    ///< tag flip on a still-referenced message
   std::uint64_t rebuilt = 0;   ///< full command-list materializations
-  std::uint64_t shared = 0;    ///< batches aliased to another peer's message
   std::uint64_t gate_rotations = 0;  ///< whole fan-outs served by the gate
   std::uint64_t full_plans = 0;      ///< fan-outs that re-derived every key
   std::uint64_t paranoid_checks = 0;  ///< differential shadows run
@@ -121,7 +120,6 @@ class BatchPlanner {
     entries_.clear();
     planned_entries_.clear();
     peers_.clear();
-    intern_.clear();  // its key pointers aim into the cleared entries_
     gate_.valid = false;
   }
 
@@ -152,7 +150,10 @@ class BatchPlanner {
   /// note_deletion per victim (every caller sends the batch).
   void compute_victims(const proto::QueryReply& m, bool new_round,
                        const ResView& res_prev, std::vector<NodeId>& victims);
-  /// Resolve `key` to a message: intern-share, rotate, or rebuild.
+  /// Move a cached message onto round `tag`: retag it in place, or a clone
+  /// of it when it is still referenced.
+  void rotate(std::shared_ptr<proto::Message>& msg, proto::Tag tag);
+  /// Resolve `key` to a message: reuse, rotate, or rebuild.
   std::shared_ptr<proto::Message> materialize(Entry& entry,
                                               proto::BatchKey&& key);
   /// Gate hit: re-send every cached batch under `tag` without re-deriving a
@@ -177,20 +178,9 @@ class BatchPlanner {
   /// entries_ nodes in peers_ order from the last full plan (unordered_map
   /// node addresses are stable), so a gate rotation walks a flat array.
   std::vector<Entry*> planned_entries_;
-  /// old-message -> rotated-clone remap within one gate rotation, so peers
-  /// sharing a message keep sharing its clone.
-  std::vector<std::pair<const proto::Message*, std::shared_ptr<proto::Message>>>
-      rotate_remap_;
   std::vector<NodeId> owners_scratch_;
   std::vector<NodeId> managers_scratch_;
   std::vector<NodeId> victims_scratch_;
-  /// This tick's materialized *shareable* batches for peer-class sharing.
-  /// Only keys that can possibly repeat are interned — the query-only
-  /// controller class and empty rule lists (per-switch compiled lists are
-  /// never pointer-shared across peers) — so the list stays a handful of
-  /// entries and per-peer planning never scans O(peers) state.
-  std::vector<std::pair<const proto::BatchKey*, std::shared_ptr<proto::Message>>>
-      intern_;
 };
 
 }  // namespace ren::core

@@ -187,39 +187,38 @@ class Parser {
     }
   }
 
+  /// The comma-separated items of an array or object up to `close`, each
+  /// read by `item`.
+  template <class Item>
+  void parse_items(char close, Item item) {
+    if (peek() == close) {
+      ++pos_;
+      return;
+    }
+    while (true) {
+      item();
+      const char c = peek();
+      ++pos_;
+      if (c == close) break;
+      if (c != ',') fail(std::string("expected ',' or '") + close + "'");
+    }
+  }
+
   Json parse_array() {
     expect('[');
     JsonArray arr;
-    if (peek() == ']') {
-      ++pos_;
-      return Json(std::move(arr));
-    }
-    while (true) {
-      arr.push_back(parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']'");
-    }
+    parse_items(']', [&] { arr.push_back(parse_value()); });
     return Json(std::move(arr));
   }
 
   Json parse_object() {
     expect('{');
     JsonObject obj;
-    if (peek() == '}') {
-      ++pos_;
-      return Json(std::move(obj));
-    }
-    while (true) {
+    parse_items('}', [&] {
       std::string key = parse_string();
       expect(':');
       obj.emplace_back(std::move(key), parse_value());
-      const char c = peek();
-      ++pos_;
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}'");
-    }
+    });
     return Json(std::move(obj));
   }
 
@@ -308,40 +307,25 @@ void Json::write(std::string& out, int indent, int depth) const {
     case Kind::Bool: out += bool_ ? "true" : "false"; break;
     case Kind::Number: out += format_number(num_); break;
     case Kind::String: write_escaped(out, str_); break;
-    case Kind::Array: {
-      if (arr_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += '[';
-      out += nl;
-      for (std::size_t i = 0; i < arr_.size(); ++i) {
-        out += pad;
-        arr_[i].write(out, indent, depth + 1);
-        if (i + 1 < arr_.size()) out += ',';
-        out += nl;
-      }
-      out += close_pad;
-      out += ']';
-      break;
-    }
+    case Kind::Array:
     case Kind::Object: {
-      if (obj_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      out += nl;
-      for (std::size_t i = 0; i < obj_.size(); ++i) {
+      // Arrays and objects differ only in brackets and member keys.
+      const bool object = kind_ == Kind::Object;
+      const std::size_t n = object ? obj_.size() : arr_.size();
+      out += object ? '{' : '[';
+      if (n > 0) out += nl;
+      for (std::size_t i = 0; i < n; ++i) {
         out += pad;
-        write_escaped(out, obj_[i].first);
-        out += indent > 0 ? ": " : ":";
-        obj_[i].second.write(out, indent, depth + 1);
-        if (i + 1 < obj_.size()) out += ',';
+        if (object) {
+          write_escaped(out, obj_[i].first);
+          out += indent > 0 ? ": " : ":";
+        }
+        (object ? obj_[i].second : arr_[i]).write(out, indent, depth + 1);
+        if (i + 1 < n) out += ',';
         out += nl;
       }
-      out += close_pad;
-      out += '}';
+      if (n > 0) out += close_pad;
+      out += object ? '}' : ']';
       break;
     }
   }

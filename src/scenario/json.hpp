@@ -38,7 +38,6 @@ class Json {
   [[nodiscard]] Kind kind() const { return kind_; }
   [[nodiscard]] bool is_null() const { return kind_ == Kind::Null; }
   [[nodiscard]] bool is_object() const { return kind_ == Kind::Object; }
-  [[nodiscard]] bool is_array() const { return kind_ == Kind::Array; }
 
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
@@ -81,5 +80,13 @@ class Json {
   JsonArray arr_;
   JsonObject obj_;
 };
+
+/// A JSON array of `values`, each converted through Json's constructors.
+template <class Range>
+[[nodiscard]] Json json_array(const Range& values) {
+  Json out{JsonArray{}};
+  for (const auto& v : values) out.push_back(v);
+  return out;
+}
 
 }  // namespace ren::scenario

@@ -11,7 +11,6 @@ namespace {
 /// re-converge after every transition (MORPH-style failure sequences).
 Scenario rolling_restart() {
   Scenario s;
-  s.name = "rolling_restart";
   s.description =
       "sequential controller crash+revive rounds; convergence after each";
   s.expect_converged(sec(0), "bootstrap", sec(120));
@@ -30,7 +29,6 @@ Scenario rolling_restart() {
 /// the flapping stresses stale-view cleanup rather than steady-state loss.
 Scenario flapping_links() {
   Scenario s;
-  s.name = "flapping_links";
   s.description = "repeated fail+restore link flaps, then settle";
   s.expect_converged(sec(0), "bootstrap", sec(120));
   for (int flap = 0; flap < 4; ++flap) {
@@ -46,7 +44,6 @@ Scenario flapping_links() {
 /// the survivors must keep every remaining switch managed.
 Scenario cascading_switch_failures() {
   Scenario s;
-  s.name = "cascading_switch_failures";
   s.description = "three growing waves of permanent switch fail-stops";
   s.expect_converged(sec(0), "bootstrap", sec(120));
   s.kill_switches(sec(5), 1);
@@ -62,7 +59,6 @@ Scenario cascading_switch_failures() {
 /// combination the self-stabilization proof covers but no seed bench runs.
 Scenario corruption_under_churn() {
   Scenario s;
-  s.name = "corruption_under_churn";
   s.description = "corrupt all state concurrently with link/controller churn";
   s.expect_converged(sec(0), "bootstrap", sec(120));
   s.fail_links(sec(5), 1);
@@ -79,7 +75,6 @@ Scenario corruption_under_churn() {
 /// links heal and recovery is measured from the healed instant.
 Scenario partition_and_heal() {
   Scenario s;
-  s.name = "partition_and_heal";
   s.description =
       "unguarded link failures (may partition), heal, measure recovery";
   s.expect_converged(sec(0), "bootstrap", sec(120));
@@ -94,7 +89,6 @@ Scenario partition_and_heal() {
 /// unrolling twelve timeline entries by hand.
 Scenario link_flap_storm() {
   Scenario s;
-  s.name = "link_flap_storm";
   s.description =
       "periodic two-link flaps (every(4s) x6 fail/restore pair), then settle";
   s.expect_converged(sec(0), "bootstrap", sec(120));
@@ -111,7 +105,6 @@ Scenario link_flap_storm() {
 /// series the figures plot.
 Scenario throughput_window() {
   Scenario s;
-  s.name = "throughput_window";
   s.description =
       "30s traffic window, mid-path link failure at its 10th second "
       "(fig15 shape; freeze before the failure for fig16)";
@@ -129,7 +122,6 @@ Scenario throughput_window() {
 /// flow kept through the failover.
 Scenario failover_under_load() {
   Scenario s;
-  s.name = "failover_under_load";
   s.description = "controller + link failure under an active TCP flow";
   s.expect_converged(sec(0), "bootstrap", sec(120));
   s.start_traffic(sec(2));
@@ -145,7 +137,6 @@ Scenario failover_under_load() {
 /// below legitimacy, episode count, blast radius, and re-stabilization.
 Scenario byzantine_controller() {
   Scenario s;
-  s.name = "byzantine_controller";
   s.description =
       "one controller turns Byzantine (lying + corrupting), is cured at "
       "t=35s; watchdog measures the damage and the recovery";
@@ -163,7 +154,6 @@ Scenario byzantine_controller() {
 /// corruption path (proto/mutate.hpp) end to end.
 Scenario channel_corruption_storm() {
   Scenario s;
-  s.name = "channel_corruption_storm";
   s.description =
       "30s all-links corruption/loss/duplication storm, then restore the "
       "channel and measure re-stabilization";
@@ -182,7 +172,6 @@ Scenario channel_corruption_storm() {
 /// report's "table" block carries overflow/eviction/lookup-cost aggregates.
 Scenario table_overflow_recovery() {
   Scenario s;
-  s.name = "table_overflow_recovery";
   s.description =
       "flow churn saturates capacity-limited rule tables (eviction under "
       "pressure), then a controller+link failure must re-converge through "
@@ -202,7 +191,8 @@ Scenario table_overflow_recovery() {
   return s;
 }
 
-/// The library, in presentation order: the one place a builtin is listed.
+/// The library, in presentation order: the one place a builtin is listed
+/// and named.
 struct Builtin {
   const char* name;
   Scenario (*make)();
@@ -233,7 +223,10 @@ std::vector<std::string> builtin_names() {
 
 Scenario builtin(const std::string& name) {
   for (const Builtin& b : kBuiltins) {
-    if (name == b.name) return b.make();
+    if (name != b.name) continue;
+    Scenario s = b.make();
+    s.name = b.name;
+    return s;
   }
   std::string known;
   for (const Builtin& b : kBuiltins) known += std::string(" ") + b.name;

@@ -71,14 +71,12 @@ CampaignResult merge_campaigns(const std::vector<Json>& shards,
   std::vector<std::map<int, TrialOutcome>> merged(first_cells.size());
 
   for (const Json& shard : shards) {
-    if (shard.at("scenario").as_string() != result.scenario ||
-        shard.at("description").as_string() != result.description ||
-        shard.at("profile").as_string() != result.profile ||
-        shard.at("seed").as_number() != static_cast<double>(result.base_seed) ||
-        static_cast<int>(shard.at("trials_per_cell").as_number()) !=
-            result.trials_per_cell) {
-      bad("shards come from different campaigns (scenario/profile/seed/"
-          "trials mismatch)");
+    for (const char* key :
+         {"scenario", "description", "profile", "seed", "trials_per_cell"}) {
+      if (shard.at(key).dump() != first.at(key).dump()) {
+        bad("shards come from different campaigns (scenario/profile/seed/"
+            "trials mismatch)");
+      }
     }
     const JsonArray& cells = shard.at("cells").as_array();
     if (cells.size() != first_cells.size()) bad("shard grids differ");

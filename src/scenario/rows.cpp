@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "util/stats.hpp"
@@ -84,20 +85,31 @@ const CellResult::WindowAgg* find_window(const CellResult& cell) {
   return &cell.windows.front();
 }
 
-using SeriesField = std::vector<double> CellResult::WindowAgg::*;
-
-SeriesField series_field(const std::string& name) {
-  if (name == "mbits_series") return &CellResult::WindowAgg::mbits_series;
-  if (name == "retx_pct") return &CellResult::WindowAgg::retx_pct;
-  if (name == "bad_pct") return &CellResult::WindowAgg::bad_pct;
-  if (name == "ooo_pct") return &CellResult::WindowAgg::ooo_pct;
+/// The row of `fields` whose key is `key`, nullptr when none is.
+template <class Field>
+const Field* find_field(std::span<const Field> fields, const std::string& key) {
+  for (const Field& f : fields) {
+    if (f.key == key) return &f;
+  }
   return nullptr;
+}
+
+/// The keys of `fields` as "a|b|c", for the kinds list.
+template <class Field>
+std::string field_keys(std::span<const Field> fields) {
+  std::string out;
+  for (const Field& f : fields) {
+    if (!out.empty()) out += '|';
+    out += f.key;
+  }
+  return out;
 }
 
 /// Per-trial values of the named checkpoint over the trials whose
 /// bootstrap checkpoint converged: a recovery measured on a network that
 /// never became legitimate would skew the figure.
-Sample violin_sample(const CellResult& cell, const RowKind& kind) {
+Sample violin_sample(const CellResult& cell, const RowKind& kind,
+                     const CheckpointField& field) {
   Sample s;
   for (const auto& [trial, out] : cell.raw) {
     (void)trial;
@@ -108,8 +120,7 @@ Sample violin_sample(const CellResult& cell, const RowKind& kind) {
     if (!booted) continue;
     for (const auto& cp : out.checkpoints) {
       if (cp.label != kind.label) continue;
-      s.add(kind.field == "cmd_per_node_iter" ? cp.cmd_per_node_iter
-                                              : cp.seconds);
+      s.add(cp.*field.trial);
     }
   }
   return s;
@@ -149,10 +160,11 @@ void cell_rows(const RowKind& kind, const CampaignResult& r,
         break;
       }
       case RowKind::Shape::Violin: {
-        const Sample raw = violin_sample(cell, kind);
+        const auto& field = *find_field(checkpoint_fields(), kind.field);
+        const Sample raw = violin_sample(cell, kind, field);
         const Sample s = raw.size() > 2 ? raw.drop_extrema() : raw;
-        appendf(out, " %s [%s]\n", format_violin(s.violin(), 2).c_str(),
-                kind.field == "cmd_per_node_iter" ? "msgs/node/iter" : "s");
+        appendf(out, " %s [%.*s]\n", format_violin(s.violin(), 2).c_str(),
+                static_cast<int>(field.unit.size()), field.unit.data());
         break;
       }
       case RowKind::Shape::Series: {
@@ -161,9 +173,9 @@ void cell_rows(const RowKind& kind, const CampaignResult& r,
           out += " (no traffic window)\n";
           break;
         }
-        const int precision = kind.field == "mbits_series" ? 0 : 1;
-        for (double v : w->*series_field(kind.field)) {
-          appendf(out, " %.*f", precision, v);
+        const auto& field = *find_field(series_fields(), kind.field);
+        for (double v : w->*field.cell) {
+          appendf(out, " %.*f", field.precision, v);
         }
         out += '\n';
         break;
@@ -224,14 +236,16 @@ RowKind parse_row_kind(const std::string& kind) {
   }
   if (shape == "violin" && labelled &&
       (parts.size() == 2 ||
-       (parts.size() == 3 && parts[2] == "cmd_per_node_iter"))) {
+       (parts.size() == 3 &&
+        find_field(checkpoint_fields(), parts[2]) != nullptr))) {
     k.shape = RowKind::Shape::Violin;
     k.label = parts[1];
-    k.field = parts.size() == 3 ? parts[2] : "seconds";
+    k.field = parts.size() == 3 ? parts[2]
+                                : std::string(checkpoint_fields()[0].key);
     return k;
   }
   if (shape == "series" && parts.size() == 2 &&
-      series_field(parts[1]) != nullptr) {
+      find_field(series_fields(), parts[1]) != nullptr) {
     k.shape = RowKind::Shape::Series;
     k.field = parts[1];
     return k;
@@ -242,8 +256,9 @@ RowKind parse_row_kind(const std::string& kind) {
   }
   throw std::invalid_argument(
       "unknown --rows kind \"" + kind +
-      "\"; kinds: checkpoint:LABEL, violin:LABEL[:cmd_per_node_iter], "
-      "series:mbits_series|retx_pct|bad_pct|ooo_pct, pearson");
+      "\"; kinds: checkpoint:LABEL, violin:LABEL[:" +
+      field_keys(checkpoint_fields()) +
+      "], series:" + field_keys(series_fields()) + ", pearson");
 }
 
 std::string format_rows(const RowKind& kind,

@@ -37,7 +37,7 @@ struct RowKind {
   std::string name;  ///< the KIND as given, echoed in the header line
   Shape shape = Shape::Checkpoint;
   std::string label;  ///< checkpoint and violin: the checkpoint label
-  /// violin: "seconds" or "cmd_per_node_iter"; series: the series name
+  /// violin: a checkpoint_fields() key; series: a series_fields() key
   std::string field;
 };
 

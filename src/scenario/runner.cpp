@@ -1,6 +1,7 @@
 #include "scenario/runner.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <iterator>
 #include <map>
@@ -92,30 +93,21 @@ struct SeriesAcc {
   std::vector<int> n;
 
   void add(const std::vector<double>& v) {
-    if (v.size() > sum.size()) {
-      sum.resize(v.size(), 0.0);
-      n.resize(v.size(), 0);
-    }
+    sum.resize(std::max(sum.size(), v.size()), 0.0);
+    n.resize(sum.size(), 0);
     for (std::size_t i = 0; i < v.size(); ++i) {
       sum[i] += v[i];
       n[i] += 1;
     }
   }
 
+  /// Every second below sum.size() was reached by the series that grew it.
   [[nodiscard]] std::vector<double> mean() const {
-    std::vector<double> out(sum.size(), 0.0);
-    for (std::size_t i = 0; i < sum.size(); ++i) {
-      if (n[i] > 0) out[i] = sum[i] / n[i];
-    }
+    std::vector<double> out(sum.size());
+    for (std::size_t i = 0; i < sum.size(); ++i) out[i] = sum[i] / n[i];
     return out;
   }
 };
-
-Json series_json(const std::vector<double>& series) {
-  Json j{JsonArray{}};
-  for (double v : series) j.push_back(v);
-  return j;
-}
 
 Json summary_json(const PercentileSummary& p) {
   Json j;
@@ -173,6 +165,30 @@ constexpr Metric kMetrics[] = {
 };
 constexpr std::size_t kMetricCount = std::size(kMetrics);
 
+using Cp = TrialOutcome::Checkpoint;
+using CpAgg = CellResult::CheckpointAgg;
+using Win = TrialOutcome::TrafficWindow;
+using WinAgg = CellResult::WindowAgg;
+
+constexpr CheckpointField kCheckpointFields[] = {
+    {"seconds", &Cp::seconds, &CpAgg::seconds, "s"},
+    {"cmd_per_node_iter", &Cp::cmd_per_node_iter, &CpAgg::cmd_per_node_iter,
+     "msgs/node/iter"},
+};
+constexpr std::size_t kCheckpointFieldCount = std::size(kCheckpointFields);
+
+constexpr SeriesField kSeriesFields[] = {
+    {"mbits_series", &Win::mbits_series, &WinAgg::mbits_series, 0},
+    {"retx_pct", &Win::retx_pct, &WinAgg::retx_pct, 1},
+    {"bad_pct", &Win::bad_pct, &WinAgg::bad_pct, 1},
+    {"ooo_pct", &Win::ooo_pct, &WinAgg::ooo_pct, 1},
+};
+constexpr std::size_t kSeriesFieldCount = std::size(kSeriesFields);
+
+/// A traffic window's length in whole seconds: a field of its own that
+/// shares its JSON key with the checkpoint time above.
+constexpr const char* kWindowSeconds = "seconds";
+
 bool reports(const Metric& m, const TrialOutcome& t) {
   return m.gate == nullptr || t.*m.gate;
 }
@@ -198,14 +214,6 @@ void set_metrics(Json& parent, Present present, Value value) {
       parent.set(std::string(m.block), std::exchange(block, Json{}));
     }
   }
-}
-
-std::vector<double> series_from(const Json& obj, const char* key) {
-  std::vector<double> out;
-  for (const Json& v : obj.at(key).as_array()) {
-    out.push_back(v.as_number());
-  }
-  return out;
 }
 
 void read_into(double& dst, const Json& v) { dst = v.as_number(); }
@@ -762,8 +770,9 @@ Json trial_outcome_json(const TrialOutcome& out) {
     Json j;
     j.set("label", rcp.label);
     j.set("converged", rcp.converged);
-    j.set("seconds", rcp.seconds);
-    j.set("cmd_per_node_iter", rcp.cmd_per_node_iter);
+    for (const CheckpointField& f : kCheckpointFields) {
+      j.set(std::string(f.key), rcp.*f.trial);
+    }
     rcps.push_back(std::move(j));
   }
   rj.set("checkpoints", std::move(rcps));
@@ -772,12 +781,11 @@ Json trial_outcome_json(const TrialOutcome& out) {
     for (const auto& w : out.windows) {
       Json j;
       j.set("label", w.label);
-      j.set("seconds", w.seconds);
+      j.set(kWindowSeconds, w.seconds);
       j.set("mbits", w.mbits);
-      j.set("mbits_series", series_json(w.mbits_series));
-      j.set("retx_pct", series_json(w.retx_pct));
-      j.set("bad_pct", series_json(w.bad_pct));
-      j.set("ooo_pct", series_json(w.ooo_pct));
+      for (const SeriesField& f : kSeriesFields) {
+        j.set(std::string(f.key), json_array(w.*f.trial));
+      }
       rwins.push_back(std::move(j));
     }
     rj.set("traffic_windows", std::move(rwins));
@@ -798,20 +806,22 @@ TrialOutcome trial_outcome_from_json(const Json& rj) {
     TrialOutcome::Checkpoint cp;
     cp.label = cj.at("label").as_string();
     cp.converged = cj.at("converged").as_bool();
-    cp.seconds = cj.at("seconds").as_number();
-    cp.cmd_per_node_iter = cj.at("cmd_per_node_iter").as_number();
+    for (const CheckpointField& f : kCheckpointFields) {
+      cp.*f.trial = cj.at(std::string(f.key)).as_number();
+    }
     out.checkpoints.push_back(std::move(cp));
   }
   if (const Json* wins = rj.find("traffic_windows"); wins != nullptr) {
     for (const Json& wj : wins->as_array()) {
       TrialOutcome::TrafficWindow w;
       w.label = wj.at("label").as_string();
-      w.seconds = static_cast<int>(wj.at("seconds").as_number());
+      w.seconds = static_cast<int>(wj.at(kWindowSeconds).as_number());
       w.mbits = wj.at("mbits").as_number();
-      w.mbits_series = series_from(wj, "mbits_series");
-      w.retx_pct = series_from(wj, "retx_pct");
-      w.bad_pct = series_from(wj, "bad_pct");
-      w.ooo_pct = series_from(wj, "ooo_pct");
+      for (const SeriesField& f : kSeriesFields) {
+        for (const Json& v : wj.at(std::string(f.key)).as_array()) {
+          (w.*f.trial).push_back(v.as_number());
+        }
+      }
       out.windows.push_back(std::move(w));
     }
   }
@@ -874,30 +884,21 @@ TrialOutcome run_trial(const Scenario& s, const std::string& topology,
 
 CampaignResult run_campaign(const Scenario& s, const RunnerOptions& opt) {
   for (const auto& t : s.topologies) topo::validate_spec(t);  // validate early
-  // An event taking its victim count from the grid needs the axis to exist —
-  // fail the campaign up front, not per trial.
-  const bool uses_count_axis =
-      std::any_of(s.events.begin(), s.events.end(),
-                  [](const Event& e) { return e.count == kCountAxis; });
-  const bool has_victims_axis =
-      std::any_of(s.axes.begin(), s.axes.end(),
-                  [](const Axis& a) { return a.name == "victims"; });
-  if (uses_count_axis && !has_victims_axis) {
-    throw std::invalid_argument(
-        "run_campaign: an event uses count \"axis\" but the scenario has no "
-        "\"victims\" axis");
-  }
-  const bool uses_rate_axis = std::any_of(
-      s.events.begin(), s.events.end(), [](const Event& e) {
-        return e.kind == EventKind::StartFlowChurn && e.rate == kRateAxis;
-      });
-  const bool has_churn_axis =
-      std::any_of(s.axes.begin(), s.axes.end(),
-                  [](const Axis& a) { return a.name == "churn_rate"; });
-  if (uses_rate_axis && !has_churn_axis) {
-    throw std::invalid_argument(
-        "run_campaign: a start_flow_churn event uses rate \"axis\" but the "
-        "scenario has no \"churn_rate\" axis");
+  // An event taking a value from the grid needs that axis to exist — fail
+  // the campaign up front, not per trial.
+  auto require_axis = [&](bool used, const std::string& axis,
+                          const std::string& what) {
+    if (used && std::none_of(s.axes.begin(), s.axes.end(),
+                             [&](const Axis& a) { return a.name == axis; })) {
+      throw std::invalid_argument("run_campaign: " + what +
+                                  " \"axis\" but the scenario has no \"" +
+                                  axis + "\" axis");
+    }
+  };
+  for (const Event& e : s.events) {
+    require_axis(e.count == kCountAxis, "victims", "an event uses count");
+    require_axis(e.kind == EventKind::StartFlowChurn && e.rate == kRateAxis,
+                 "churn_rate", "a start_flow_churn event uses rate");
   }
   if (s.base_seed > kMaxSpecInt) {
     throw std::invalid_argument(
@@ -1020,16 +1021,11 @@ CellResult aggregate_cell(const std::string& topology, int controllers,
     cr.metrics[i].reported = kMetrics[i].gate == nullptr;
   }
   // Checkpoint k of every trial aggregates into cr.checkpoints[k] (timeline
-  // order); its samples collect here.
-  std::vector<Sample> cp_seconds, cp_rate;
-  // traffic-window label -> aggregation slot, in first-seen order
-  struct WindowAcc {
-    std::string label;
-    int trials = 0;
-    Sample mbits;
-    SeriesAcc mbits_series, retx, bad, ooo;
-  };
-  std::vector<WindowAcc> windows;
+  // order), a traffic window into the cr.windows slot of its label (first-
+  // seen order); their samples collect alongside, one per table row.
+  std::vector<std::array<Sample, kCheckpointFieldCount>> cp_samples;
+  std::vector<std::pair<Sample, std::array<SeriesAcc, kSeriesFieldCount>>>
+      win_samples;
   for (auto& [r, out] : outcomes) {
     if (!out.ok) {
       cr.errors.push_back("trial " + std::to_string(r) + ": " + out.error);
@@ -1050,48 +1046,54 @@ CellResult aggregate_cell(const std::string& topology, int controllers,
       const auto& c = out.checkpoints[k];
       if (k >= cr.checkpoints.size()) {
         cr.checkpoints.emplace_back().label = c.label;
-        cp_seconds.emplace_back();
-        cp_rate.emplace_back();
+        cp_samples.emplace_back();
       }
-      cp_seconds[k].add(c.seconds);
-      cp_rate[k].add(c.cmd_per_node_iter);
+      for (std::size_t f = 0; f < kCheckpointFieldCount; ++f) {
+        cp_samples[k][f].add(c.*kCheckpointFields[f].trial);
+      }
       cr.checkpoints[k].converged += c.converged ? 1 : 0;
       cr.checkpoints[k].trials += 1;
     }
     for (const auto& w : out.windows) {
-      auto it = std::find_if(windows.begin(), windows.end(),
+      auto it = std::find_if(cr.windows.begin(), cr.windows.end(),
                              [&](const auto& a) { return a.label == w.label; });
-      WindowAcc& acc = it != windows.end() ? *it : windows.emplace_back();
-      acc.label = w.label;
-      ++acc.trials;
-      acc.mbits.add(w.mbits);
-      acc.mbits_series.add(w.mbits_series);
-      acc.retx.add(w.retx_pct);
-      acc.bad.add(w.bad_pct);
-      acc.ooo.add(w.ooo_pct);
+      if (it == cr.windows.end()) {
+        it = cr.windows.emplace(it);
+        it->label = w.label;
+        win_samples.emplace_back();
+      }
+      ++it->trials;
+      auto& [mbits, series] = win_samples[it - cr.windows.begin()];
+      mbits.add(w.mbits);
+      for (std::size_t f = 0; f < kSeriesFieldCount; ++f) {
+        series[f].add(w.*kSeriesFields[f].trial);
+      }
     }
     if (include_raw) cr.raw.emplace_back(r, std::move(out));
   }
   for (std::size_t k = 0; k < cr.checkpoints.size(); ++k) {
-    cr.checkpoints[k].seconds = cp_seconds[k].percentiles();
-    cr.checkpoints[k].cmd_per_node_iter = cp_rate[k].percentiles();
+    for (std::size_t f = 0; f < kCheckpointFieldCount; ++f) {
+      cr.checkpoints[k].*kCheckpointFields[f].cell =
+          cp_samples[k][f].percentiles();
+    }
   }
-  for (auto& acc : windows) {
-    CellResult::WindowAgg agg;
-    agg.label = acc.label;
-    agg.trials = acc.trials;
-    agg.mbits = acc.mbits.percentiles();
-    agg.mbits_series = acc.mbits_series.mean();
-    agg.retx_pct = acc.retx.mean();
-    agg.bad_pct = acc.bad.mean();
-    agg.ooo_pct = acc.ooo.mean();
-    cr.windows.push_back(std::move(agg));
+  for (std::size_t k = 0; k < cr.windows.size(); ++k) {
+    cr.windows[k].mbits = win_samples[k].first.percentiles();
+    for (std::size_t f = 0; f < kSeriesFieldCount; ++f) {
+      cr.windows[k].*kSeriesFields[f].cell = win_samples[k].second[f].mean();
+    }
   }
   for (std::size_t i = 0; i < kMetricCount; ++i) {
     cr.metrics[i].summary = metric_samples[i].percentiles();
   }
   return cr;
 }
+
+std::span<const CheckpointField> checkpoint_fields() {
+  return kCheckpointFields;
+}
+
+std::span<const SeriesField> series_fields() { return kSeriesFields; }
 
 const CellResult::MetricAgg& CellResult::metric(std::string_view key) const {
   for (std::size_t i = 0; i < kMetricCount; ++i) {
@@ -1129,8 +1131,9 @@ Json CampaignResult::to_json() const {
       j.set("label", cp.label);
       j.set("converged", cp.converged);
       j.set("trials", cp.trials);
-      j.set("seconds", summary_json(cp.seconds));
-      j.set("cmd_per_node_iter", summary_json(cp.cmd_per_node_iter));
+      for (const CheckpointField& f : kCheckpointFields) {
+        j.set(std::string(f.key), summary_json(cp.*f.cell));
+      }
       cps.push_back(std::move(j));
     }
     cj.set("checkpoints", std::move(cps));
@@ -1141,19 +1144,14 @@ Json CampaignResult::to_json() const {
         j.set("label", w.label);
         j.set("trials", w.trials);
         j.set("mbits", summary_json(w.mbits));
-        j.set("mbits_series", series_json(w.mbits_series));
-        j.set("retx_pct", series_json(w.retx_pct));
-        j.set("bad_pct", series_json(w.bad_pct));
-        j.set("ooo_pct", series_json(w.ooo_pct));
+        for (const SeriesField& f : kSeriesFields) {
+          j.set(std::string(f.key), json_array(w.*f.cell));
+        }
         wins.push_back(std::move(j));
       }
       cj.set("traffic_windows", std::move(wins));
     }
-    if (!c.errors.empty()) {
-      Json errs{JsonArray{}};
-      for (const auto& e : c.errors) errs.push_back(e);
-      cj.set("errors", std::move(errs));
-    }
+    if (!c.errors.empty()) cj.set("errors", json_array(c.errors));
     set_metrics(
         cj, [&](std::size_t i) { return c.metrics.at(i).reported; },
         [&](std::size_t i) {

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -169,6 +170,24 @@ struct CellResult {
   /// (trial index, outcome) for every trial this process executed.
   std::vector<std::pair<int, TrialOutcome>> raw;
 };
+
+/// The report's per-checkpoint numbers and per-second window series, in
+/// written order; runner.cpp's tables are the only place the report names
+/// them.
+struct CheckpointField {
+  std::string_view key;
+  double TrialOutcome::Checkpoint::*trial;
+  PercentileSummary CellResult::CheckpointAgg::*cell;
+  std::string_view unit;
+};
+struct SeriesField {
+  std::string_view key;
+  std::vector<double> TrialOutcome::TrafficWindow::*trial;
+  std::vector<double> CellResult::WindowAgg::*cell;
+  int precision;
+};
+[[nodiscard]] std::span<const CheckpointField> checkpoint_fields();
+[[nodiscard]] std::span<const SeriesField> series_fields();
 
 struct CampaignResult {
   std::string scenario;

@@ -205,12 +205,10 @@ struct Scenario {
   /// std::invalid_argument on a non-positive period/count.
   Scenario& every(Time period, int times);
 
-  /// Events ordered by time; ties keep declaration order (stable), which is
-  /// how e.g. restart_nodes + expect_converged at the same instant compose.
-  [[nodiscard]] std::vector<Event> sorted_events() const;
-
-  /// sorted_events() with periodic entries expanded into their concrete
-  /// occurrences — what the trial executor interprets.
+  /// The timeline the trial executor interprets: periodic entries expanded
+  /// into their concrete occurrences, ordered by time; ties keep
+  /// declaration order (stable), which is how e.g. restart_nodes +
+  /// expect_converged at the same instant compose.
   [[nodiscard]] std::vector<Event> expanded_events() const;
 
   [[nodiscard]] bool needs_hosts() const;
@@ -220,8 +218,10 @@ struct Scenario {
 [[nodiscard]] Json to_spec_json(const Scenario& s);
 
 /// Parse a JSON spec document. Unknown keys are rejected so typos in spec
-/// files fail loudly; missing keys take the Scenario defaults. Throws
-/// std::runtime_error / std::invalid_argument on malformed specs.
+/// files fail loudly; missing keys take the Scenario / Event defaults;
+/// numbers are range-checked before they are converted (docs/scenarios.md).
+/// Throws std::runtime_error / std::invalid_argument on malformed specs,
+/// naming the key and the event index.
 [[nodiscard]] Scenario parse_spec(const std::string& text);
 [[nodiscard]] Scenario parse_spec_json(const Json& doc);
 

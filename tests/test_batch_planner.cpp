@@ -70,15 +70,13 @@ TEST(BatchPlannerParanoid, SteadyStateRotatesWithoutRebuilding) {
   }
   const auto after = exp.controller(0).batch_planner().stats();
   // Converged rounds flip the tag every tick, but tag churn alone must
-  // never rebuild a batch: it retags the cached message in place. Only a
-  // message still referenced elsewhere is cloned (the query-only batch
-  // shared by the controller peers), so clones stay a small minority.
+  // never rebuild a batch: it retags the cached message in place. Every
+  // peer owns its message, and by the next tick the transport has had it
+  // acknowledged, so no steady-state rotation needs a clone.
   EXPECT_EQ(after.rebuilt, before.rebuilt);
   EXPECT_GT(after.planned, before.planned);
-  const std::uint64_t rotated = after.rotated - before.rotated;
-  const std::uint64_t cloned = after.cloned - before.cloned;
-  EXPECT_GT(rotated, 0u);
-  EXPECT_LE(cloned * 10, rotated) << "cloned " << cloned;
+  EXPECT_GT(after.rotated, before.rotated);
+  EXPECT_EQ(after.cloned, before.cloned);
   // And the fan-out *gate* carries the steady state: no input moved, so the
   // whole fan-out is served as a rotation without a single key re-derived.
   EXPECT_EQ(after.full_plans, before.full_plans);

@@ -207,6 +207,68 @@ TEST(ScenarioSpec, TrafficEventsSurviveRoundTrip) {
   EXPECT_EQ(reparsed.events[2].detection, msec(200));
 }
 
+/// The error parse_spec throws for `spec`, or "" when it parses.
+std::string spec_error(const std::string& spec) {
+  try {
+    (void)scenario::parse_spec(spec);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioSpec, ChecksNumbersBeforeConvertingThem) {
+  // Times must be finite, >= 0 and fit Time in microseconds; each error
+  // names the event and the key.
+  const std::pair<const char*, const char*> bad_times[] = {
+      {R"({"at_ms":1e300,"kind":"restore_links"})", "events[1]: \"at_ms\""},
+      {R"({"kind":"expect_converged","label":"x","limit_ms":-5})",
+       "events[1]: \"limit_ms\""},
+      {R"({"kind":"fail_path_link","detection_ms":1e17})",
+       "events[1]: \"detection_ms\""},
+      {R"({"kind":"start_flow_churn","mean_duration_ms":-1})",
+       "events[1]: \"mean_duration_ms\""},
+      {R"({"kind":"fail_links","every_ms":1e300,"repeat":2})",
+       "events[1]: \"every_ms\""},
+      {R"({"at_ms":"soon","kind":"restore_links"})", "events[1]: \"at_ms\""},
+  };
+  for (const auto& [event, needle] : bad_times) {
+    const std::string spec =
+        std::string(R"({"events":[{"kind":"freeze"},)") + event + "]}";
+    const std::string err = spec_error(spec);
+    EXPECT_NE(err.find(needle), std::string::npos) << spec << " -> " << err;
+  }
+  // Counts must be whole numbers within int range, >= 1.
+  const std::pair<const char*, const char*> bad_counts[] = {
+      {R"({"events":[{"kind":"kill_switches","count":1.5}]})",
+       "events[0]: \"count\""},
+      {R"({"events":[{"kind":"kill_switches","count":1e12}]})",
+       "events[0]: \"count\""},
+      {R"({"events":[{"kind":"fail_links","every_ms":100,"repeat":1.5}]})",
+       "events[0]: \"repeat\""},
+      {R"({"events":[{"kind":"fail_links","every_ms":100,"repeat":0}]})",
+       "events[0]: \"repeat\""},
+      {R"({"trials":1.5})", "trials"},
+      {R"({"trials":1e12})", "trials"},
+      {R"({"controllers":[3,1e12]})", "controllers[1]"},
+      {R"({"controllers":[0.5]})", "controllers[0]"},
+  };
+  for (const auto& [spec, needle] : bad_counts) {
+    const std::string err = spec_error(spec);
+    EXPECT_NE(err.find(needle), std::string::npos) << spec << " -> " << err;
+  }
+  // In range, a time keeps whole milliseconds; "axis" stays a count.
+  const Scenario ok = scenario::parse_spec(
+      R"({"controllers":[2147483647],"events":[)"
+      R"({"at_ms":1.9,"kind":"expect_converged","label":"x","limit_ms":0},)"
+      R"({"at_ms":9223372036854,"kind":"kill_switches","count":"axis"}]})");
+  EXPECT_EQ(ok.controllers, std::vector<int>{2147483647});
+  EXPECT_EQ(ok.events[0].at, msec(1));
+  EXPECT_EQ(ok.events[0].limit, 0);
+  EXPECT_EQ(ok.events[1].at, msec(9223372036854));
+  EXPECT_EQ(ok.events[1].count, scenario::kCountAxis);
+}
+
 TEST(ScenarioSpec, RejectsSeedsBeyondDoublePrecision) {
   Scenario s;
   s.base_seed = (1ULL << 53) + 1;  // not representable as a double
@@ -284,14 +346,21 @@ TEST(ScenarioSpec, LinkFlapStormUsesPeriodicEvents) {
   EXPECT_GT(s.expanded_events().size(), s.events.size());
 }
 
-TEST(ScenarioSpec, SortedEventsIsStableOnTies) {
+TEST(ScenarioSpec, ExpandedEventsAreStableOnTies) {
   Scenario s;
-  s.restart_nodes(sec(5));
+  s.expect_converged(sec(5), "before_restart");
+  s.restart_nodes(sec(1)).every(sec(2), 3);  // fires at 1, 3 and 5 s
   s.expect_converged(sec(5), "after_restart");
-  const auto sorted = s.sorted_events();
-  ASSERT_EQ(sorted.size(), 2u);
-  EXPECT_EQ(sorted[0].kind, scenario::EventKind::RestartNodes);
-  EXPECT_EQ(sorted[1].kind, scenario::EventKind::ExpectConverged);
+  // Ties keep declaration order, whether an event was declared at that
+  // instant or reaches it by repetition.
+  std::vector<std::pair<scenario::EventKind, Time>> got;
+  for (const auto& e : s.expanded_events()) got.emplace_back(e.kind, e.at);
+  using K = scenario::EventKind;
+  const std::vector<std::pair<K, Time>> want = {
+      {K::RestartNodes, sec(1)},    {K::RestartNodes, sec(3)},
+      {K::ExpectConverged, sec(5)}, {K::RestartNodes, sec(5)},
+      {K::ExpectConverged, sec(5)}};
+  EXPECT_EQ(got, want);
 }
 
 // --- Restart / restore bookkeeping -----------------------------------------
@@ -805,7 +874,7 @@ TEST(VictimsAxis, SpecRoundTripUsesTheAxisKeyword) {
   EXPECT_NE(spec.find("\"count\": \"axis\""), std::string::npos);
   const Scenario reparsed = scenario::parse_spec(spec);
   EXPECT_EQ(s, reparsed);
-  EXPECT_EQ(reparsed.sorted_events()[1].count, scenario::kCountAxis);
+  EXPECT_EQ(reparsed.events[1].count, scenario::kCountAxis);
 }
 
 TEST(VictimsAxis, SpecRejectsOtherStringsAndNonPositiveCounts) {

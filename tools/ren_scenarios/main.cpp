@@ -121,6 +121,22 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
+/// Write a report to `path`, or to stdout when `path` is empty; throws
+/// std::runtime_error when the bytes did not all land (a full disk, a
+/// closed pipe), so the run exits 1 instead of reporting success.
+void write_report(const std::string& report, const std::string& path) {
+  std::FILE* out = path.empty() ? stdout : std::fopen(path.c_str(), "w");
+  bool ok = out != nullptr && std::fputs(report.c_str(), out) >= 0;
+  if (out != nullptr) {
+    ok = (out == stdout ? std::fflush(out) : std::fclose(out)) == 0 && ok;
+  }
+  if (!ok) {
+    throw std::runtime_error("cannot write " +
+                             (path.empty() ? "the report to stdout" : path));
+  }
+  if (!path.empty()) std::fprintf(stderr, "wrote %s\n", path.c_str());
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,12 +146,10 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::vector<double>>> axis_overrides;
   std::vector<std::string> report_inputs;  // --merge / --rows files
   std::optional<scenario::RowKind> rows_kind;
-  int trials = 0, threads = 0;
-  int shard_index = 0, shard_count = 1;
+  scenario::RunnerOptions opt;  // the campaign flags land here directly
+  int trials = 0;
   std::uint64_t seed = 0;
-  bool have_seed = false, paper_timers = false, print_spec = false;
-  bool include_raw = false, paranoid = false;
-  bool merge_mode = false;
+  bool have_seed = false, print_spec = false, merge_mode = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -215,7 +229,7 @@ int main(int argc, char** argv) {
           arg, value(), 0, static_cast<long long>(scenario::kMaxSpecInt)));
       have_seed = true;
     } else if (arg == "--threads") {
-      threads = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
+      opt.threads = static_cast<int>(int_arg(arg, value(), 1, INT_MAX));
     } else if (arg == "--shard") {
       const std::string v = value();
       const auto slash = v.find('/');
@@ -224,10 +238,10 @@ int main(int argc, char** argv) {
                      v.c_str());
         return 2;
       }
-      shard_count = static_cast<int>(int_arg(arg, v.substr(slash + 1), 1,
-                                             INT_MAX));
-      shard_index = static_cast<int>(int_arg(arg, v.substr(0, slash), 1,
-                                             shard_count)) - 1;  // 1-based
+      opt.shard_count = static_cast<int>(
+          int_arg(arg, v.substr(slash + 1), 1, INT_MAX));
+      opt.shard_index = static_cast<int>(int_arg(arg, v.substr(0, slash), 1,
+                                                 opt.shard_count)) - 1;
     } else if (arg == "--merge") {
       merge_mode = true;
     } else if (arg == "--rows") {
@@ -238,11 +252,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--raw") {
-      include_raw = true;
+      opt.include_raw = true;
     } else if (arg == "--paranoid") {
-      paranoid = true;
+      opt.paranoid = true;
     } else if (arg == "--paper-timers") {
-      paper_timers = true;
+      opt.paper_timers = true;
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--verbose") {
@@ -269,8 +283,9 @@ int main(int argc, char** argv) {
     // Campaign options do not constrain a merge or a row print; reject them
     // instead of silently printing output the flags had no effect on.
     if (print_spec || !topologies_csv.empty() || !controllers.empty() ||
-        !axis_overrides.empty() || trials > 0 || have_seed || threads != 0 ||
-        shard_count != 1 || include_raw || paranoid || paper_timers ||
+        !axis_overrides.empty() || trials > 0 || have_seed ||
+        opt.threads != 0 || opt.shard_count != 1 || opt.include_raw ||
+        opt.paranoid || opt.paper_timers ||
         (rows_kind && !out_path.empty())) {
       std::fprintf(stderr,
                    "%s takes only report files%s; campaign options have no "
@@ -299,19 +314,11 @@ int main(int argc, char** argv) {
           reports.push_back(
               scenario::merge_campaigns({doc}, /*include_raw=*/true));
         }
-        std::fputs(scenario::format_rows(*rows_kind, reports).c_str(), stdout);
+        write_report(scenario::format_rows(*rows_kind, reports), "");
         return 0;
       }
       const auto merged = scenario::merge_campaigns(docs);
-      const std::string report = merged.to_json().pretty();
-      if (out_path.empty()) {
-        std::fputs(report.c_str(), stdout);
-      } else {
-        std::ofstream out(out_path);
-        if (!out) throw std::runtime_error("cannot write: " + out_path);
-        out << report;
-        std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-      }
+      write_report(merged.to_json().pretty(), out_path);
       std::size_t have = 0, want = 0;
       for (const auto& cell : merged.cells) {
         have += static_cast<std::size_t>(cell.trials) + cell.errors.size();
@@ -349,32 +356,17 @@ int main(int argc, char** argv) {
     if (have_seed) s.base_seed = seed;
 
     if (print_spec) {
-      std::fputs(scenario::to_spec_json(s).pretty().c_str(), stdout);
+      write_report(scenario::to_spec_json(s).pretty(), "");
       return 0;
     }
 
-    scenario::RunnerOptions opt;
-    opt.threads = threads;
-    opt.paper_timers = paper_timers;
-    opt.shard_index = shard_index;
-    opt.shard_count = shard_count;
-    opt.include_raw = include_raw;
-    opt.paranoid = paranoid;
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = scenario::run_campaign(s, opt);
     const auto elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
 
-    const std::string report = result.to_json().pretty();
-    if (out_path.empty()) {
-      std::fputs(report.c_str(), stdout);
-    } else {
-      std::ofstream out(out_path);
-      if (!out) throw std::runtime_error("cannot write: " + out_path);
-      out << report;
-      std::fprintf(stderr, "wrote %s\n", out_path.c_str());
-    }
+    write_report(result.to_json().pretty(), out_path);
     std::size_t ran_trials = 0;
     std::size_t failed = 0;
     for (const auto& cell : result.cells) {
@@ -386,8 +378,9 @@ int main(int argc, char** argv) {
       }
     }
     ran_trials += failed;  // errored trials were still executed
-    if (shard_count > 1) {
-      std::fprintf(stderr, "shard %d/%d: ", shard_index + 1, shard_count);
+    if (opt.shard_count > 1) {
+      std::fprintf(stderr, "shard %d/%d: ", opt.shard_index + 1,
+                   opt.shard_count);
     }
     std::fprintf(stderr, "%zu trials in %.1fs wall%s\n", ran_trials, elapsed,
                  failed > 0 ? " (some failed, see warnings)" : "");
