@@ -269,27 +269,40 @@ void reject_unknown_keys(const Json& obj, const std::set<std::string>& known,
   }
 }
 
-/// Read a non-negative integer spec field, validating the double *before*
-/// the cast (a negative or huge value must be a loud error, not undefined
-/// behavior of the float-to-unsigned conversion).
+/// Read a seed or event budget: a whole number in [0, 2^53], validated
+/// *before* the cast (a negative, fractional or huge value must be a loud
+/// error, not a truncation or undefined behavior of the conversion).
 std::uint64_t spec_uint(const Json& doc, const char* key, std::uint64_t dflt,
-                        const char* what) {
+                        const std::string& what) {
   const double v = doc.number_or(key, static_cast<double>(dflt));
-  if (v < 0 || v > static_cast<double>(kMaxSpecInt)) {
-    throw std::invalid_argument(std::string("spec: ") + what +
-                                " must be in [0, 2^53]");
+  if (!(v >= 0 && v <= static_cast<double>(kMaxSpecInt) &&
+        std::floor(v) == v)) {
+    throw std::invalid_argument("spec: " + what +
+                                ": must be a whole number in [0, 2^53], got " +
+                                Json(v).dump());
   }
   return static_cast<std::uint64_t>(v);
 }
 
-/// Required integer parameter of an object-form topology entry.
-long long topo_int(const Json& obj, const char* key) {
+/// Required size parameter of an object-form topology entry (k, nodes, m,
+/// diameter): a count, as the grammar's int reads it.
+int topo_int(const Json& obj, const char* key) {
   const Json* v = obj.find(key);
   if (v == nullptr || v->kind() != Json::Kind::Number) {
     throw std::runtime_error(std::string("spec: topology object needs a "
                                          "numeric \"") + key + "\"");
   }
-  return static_cast<long long>(v->as_number());
+  int n = 0;
+  in_context(std::string("topology \"") + key + "\"",
+             [&] { n = spec_count(*v); });
+  return n;
+}
+
+/// The optional ",seed=S" suffix of an object-form topology entry.
+std::string topo_seed(const Json& obj) {
+  if (obj.find("seed") == nullptr) return "";
+  return ",seed=" + std::to_string(spec_uint(obj, "seed", 0,
+                                             "topology \"seed\""));
 }
 
 /// Canonicalize one "topologies" entry: plain strings pass through (they are
@@ -323,19 +336,13 @@ std::string topology_spec_from_json(const Json& v) {
     reject_unknown_keys(v, {"kind", "nodes", "m", "seed"}, "topology");
     std::string spec = "random_wan:nodes=" + std::to_string(topo_int(v, "nodes"));
     if (v.find("m") != nullptr) spec += ",m=" + std::to_string(topo_int(v, "m"));
-    if (v.find("seed") != nullptr) {
-      spec += ",seed=" + std::to_string(topo_int(v, "seed"));
-    }
-    return spec;
+    return spec + topo_seed(v);
   }
   if (kind == "isp") {
     reject_unknown_keys(v, {"kind", "nodes", "diameter", "seed"}, "topology");
-    std::string spec = "isp:nodes=" + std::to_string(topo_int(v, "nodes")) +
-                       ",diameter=" + std::to_string(topo_int(v, "diameter"));
-    if (v.find("seed") != nullptr) {
-      spec += ",seed=" + std::to_string(topo_int(v, "seed"));
-    }
-    return spec;
+    return "isp:nodes=" + std::to_string(topo_int(v, "nodes")) +
+           ",diameter=" + std::to_string(topo_int(v, "diameter")) +
+           topo_seed(v);
   }
   if (kind == "file") {
     reject_unknown_keys(v, {"kind", "path", "format"}, "topology");

@@ -1,7 +1,6 @@
 #include "switchd/rule_table.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace ren::switchd {
 
@@ -85,92 +84,219 @@ void RuleTable::note_peak() {
   if (occ > flow_stats_.peak_rules) flow_stats_.peak_rules = occ;
 }
 
-void RuleTable::erase_flow(std::uint64_t id,
-                           std::uint64_t FlowStats::*counter) {
-  auto it = flows_.find(id);
-  if (it == flows_.end()) return;
-  const FlowRule& r = it->second.rule;
-  flow_order_.erase({{r.prt, it->second.stamp}, id});
-  auto mi = flow_match_.find({r.dst, r.src});
-  if (mi != flow_match_.end()) {
-    std::erase(mi->second, id);
-    if (mi->second.empty()) flow_match_.erase(mi);
+// FlatHash: Fibonacci hashing spreads both sequential flow ids and packed
+// (src, dst) headers over the high bits.
+template <class V>
+std::size_t RuleTable::FlatHash<V>::home(std::uint64_t key) const {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) &
+         (slots_.size() - 1);
+}
+
+/// The slot holding `key`, or the empty slot that ends its probe run.
+template <class V>
+std::size_t RuleTable::FlatHash<V>::position(std::uint64_t key) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(key);
+  while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+template <class V>
+V* RuleTable::FlatHash<V>::find(std::uint64_t key) {
+  if (size_ == 0) return nullptr;
+  Slot& s = slots_[position(key)];
+  return s.used ? &s.value : nullptr;
+}
+
+template <class V>
+V& RuleTable::FlatHash<V>::insert(std::uint64_t key, V value) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.used) slots_[position(s.key)] = s;
+    }
   }
-  lookup_cache_.erase(lookup_key(r.src, r.dst));
-  flows_.erase(it);
+  Slot& s = slots_[position(key)];
+  s = Slot{key, value, true};
+  ++size_;
+  return s.value;
+}
+
+template <class V>
+void RuleTable::FlatHash<V>::erase(std::uint64_t key) {
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless that would move it before its home slot.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = position(key);
+  for (std::size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    if (((j - home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole].used = false;
+  --size_;
+}
+
+void RuleTable::link_tail(FlowList& list, std::uint32_t slot,
+                          Link FlowEntry::*link) {
+  Link& l = slab_[slot].*link;
+  l.prev = list.tail;
+  l.next = kNil;
+  if (list.tail == kNil) {
+    list.head = slot;
+  } else {
+    (slab_[list.tail].*link).next = slot;
+  }
+  list.tail = slot;
+}
+
+void RuleTable::unlink(FlowList& list, std::uint32_t slot,
+                       Link FlowEntry::*link) {
+  const Link l = slab_[slot].*link;
+  if (l.prev == kNil) {
+    list.head = l.next;
+  } else {
+    (slab_[l.prev].*link).next = l.next;
+  }
+  if (l.next == kNil) {
+    list.tail = l.prev;
+  } else {
+    (slab_[l.next].*link).prev = l.prev;
+  }
+}
+
+std::vector<RuleTable::FlowClass>::iterator RuleTable::class_at(
+    Priority prt) {
+  return std::lower_bound(
+      classes_.begin(), classes_.end(), prt,
+      [](const FlowClass& c, Priority p) { return c.prt < p; });
+}
+
+RuleTable::FlowList& RuleTable::class_of(Priority prt) {
+  auto it = class_at(prt);
+  if (it == classes_.end() || it->prt != prt) {
+    it = classes_.insert(it, FlowClass{prt, {}});
+  }
+  return it->list;
+}
+
+void RuleTable::unlink_class(std::uint32_t slot) {
+  const auto it = class_at(slab_[slot].rule.prt);
+  unlink(it->list, slot, &FlowEntry::lru);
+  if (it->list.head == kNil) classes_.erase(it);
+}
+
+void RuleTable::restamp(std::uint32_t slot) {
+  FlowList& cls = class_of(slab_[slot].rule.prt);
+  unlink(cls, slot, &FlowEntry::lru);
+  link_tail(cls, slot, &FlowEntry::lru);
+  slab_[slot].stamp = ++flow_stamp_;
+}
+
+void RuleTable::erase_flow(std::uint32_t slot,
+                           std::uint64_t FlowStats::*counter) {
+  FlowEntry& e = slab_[slot];
+  const std::uint64_t key = lookup_key(e.rule.src, e.rule.dst);
+  unlink_class(slot);
+  FlowList* match = flow_match_.find(key);
+  unlink(*match, slot, &FlowEntry::hdr);
+  if (match->head == kNil) flow_match_.erase(key);
+  flow_slot_.erase(e.rule.id);
+  lookup_cache_.erase(key);
+  e.rule.id = 0;
+  e.lru.next = free_;
+  free_ = slot;
   flow_stats_.*counter += 1;
 }
 
-std::uint64_t RuleTable::pick_victim(Priority incoming) const {
-  if (flow_order_.empty()) return 0;
+std::uint32_t RuleTable::pick_victim(Priority incoming) const {
+  if (classes_.empty()) return kNil;
   if (policy_ == EvictionPolicy::RejectLowest) {
     // The incoming entry must strictly beat the lowest stored priority to
     // displace anything; the victim is that class's oldest entry.
-    const auto& lowest = *flow_order_.begin();
-    return lowest.first.first < incoming ? lowest.second : 0;
+    const FlowClass& lowest = classes_.front();
+    return lowest.prt < incoming ? lowest.list.head : kNil;
   }
   // PriorityLru: the least recently used entry over every priority class at
-  // or below the incoming priority. The order index is (priority, stamp), so
-  // each class's head is its oldest entry; classes are few (flow priorities
-  // span the compiler's n_prt range), so hopping class heads is O(classes).
-  std::uint64_t victim = 0;
-  std::uint64_t best_stamp = 0;
-  auto it = flow_order_.begin();
-  while (it != flow_order_.end() && it->first.first <= incoming) {
-    if (victim == 0 || it->first.second < best_stamp) {
-      victim = it->second;
-      best_stamp = it->first.second;
+  // or below the incoming priority. Each class's head is its oldest entry;
+  // classes are few (flow priorities span the compiler's n_prt range), so
+  // hopping class heads is O(classes).
+  std::uint32_t victim = kNil;
+  for (const FlowClass& c : classes_) {
+    if (c.prt > incoming) break;
+    if (victim == kNil || slab_[c.list.head].stamp < slab_[victim].stamp) {
+      victim = c.list.head;
     }
-    // Jump past this priority class to the next class head.
-    it = flow_order_.lower_bound(
-        {{it->first.first + 1, 0}, 0});
   }
   return victim;
 }
 
 bool RuleTable::install_flow(const FlowRule& r) {
-  if (r.id == 0) return false;  // 0 is the "no victim" sentinel
-  if (auto it = flows_.find(r.id); it != flows_.end()) {
-    // Reinstall refreshes the LRU stamp; the match never changes (flow ids
-    // are bound to one header for their lifetime).
-    flow_order_.erase({{it->second.rule.prt, it->second.stamp}, r.id});
-    it->second.rule = r;
-    it->second.stamp = ++flow_stamp_;
-    flow_order_.insert({{r.prt, it->second.stamp}, r.id});
+  if (r.id == 0) return false;  // 0 marks a free slab slot
+  if (const std::uint32_t* slot = flow_slot_.find(r.id)) {
+    // Reinstall refreshes the LRU stamp and may move the entry to another
+    // priority class; the header stays (flow ids are bound to one header
+    // for their lifetime), and its cached candidates are rebuilt.
+    FlowEntry& e = slab_[*slot];
+    unlink_class(*slot);
+    e.rule.prt = r.prt;
+    e.rule.fwd = r.fwd;
+    e.stamp = ++flow_stamp_;
+    link_tail(class_of(r.prt), *slot, &FlowEntry::lru);
+    lookup_cache_.erase(lookup_key(e.rule.src, e.rule.dst));
     return true;
   }
   if (occupancy() >= config_.max_rules) {
     // Protected management rules alone may exceed the capacity; flows only
     // ever displace other flows.
-    const std::uint64_t victim = pick_victim(r.prt);
-    if (victim == 0) {
+    const std::uint32_t victim = pick_victim(r.prt);
+    if (victim == kNil) {
       ++flow_stats_.overflow_rejects;
       return false;
     }
     erase_flow(victim, &FlowStats::flow_evictions);
   }
-  FlowEntry e;
+  std::uint32_t slot = free_;
+  if (slot == kNil) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    free_ = slab_[slot].lru.next;
+  }
+  FlowEntry& e = slab_[slot];
   e.rule = r;
   e.stamp = ++flow_stamp_;
-  flows_.emplace(r.id, e);
-  flow_order_.insert({{r.prt, e.stamp}, r.id});
-  flow_match_[{r.dst, r.src}].push_back(r.id);
-  lookup_cache_.erase(lookup_key(r.src, r.dst));
+  link_tail(class_of(r.prt), slot, &FlowEntry::lru);
+  const std::uint64_t key = lookup_key(r.src, r.dst);
+  FlowList* match = flow_match_.find(key);
+  if (match == nullptr) match = &flow_match_.insert(key, FlowList{});
+  link_tail(*match, slot, &FlowEntry::hdr);
+  flow_slot_.insert(r.id, slot);
+  lookup_cache_.erase(key);
   ++flow_stats_.installs;
   note_peak();
   return true;
 }
 
 bool RuleTable::remove_flow(std::uint64_t id) {
-  if (flows_.find(id) == flows_.end()) return false;
-  erase_flow(id, &FlowStats::removals);
+  const std::uint32_t* slot = flow_slot_.find(id);
+  if (slot == nullptr) return false;
+  erase_flow(*slot, &FlowStats::removals);
   return true;
 }
 
 void RuleTable::clear_flows() {
-  while (!flows_.empty()) {
-    erase_flow(flows_.begin()->first, &FlowStats::removals);
-  }
+  flow_stats_.removals += flow_slot_.size();
+  flow_match_.for_each_key([this](std::uint64_t key) {
+    lookup_cache_.erase(key);
+  });
+  slab_ = {};
+  free_ = kNil;
+  flow_slot_.clear();
+  classes_ = {};
+  flow_match_.clear();
 }
 
 const std::vector<Candidate>& RuleTable::lookup(NodeId src, NodeId dst) {
@@ -184,15 +310,11 @@ const std::vector<Candidate>& RuleTable::lookup(NodeId src, NodeId dst) {
   for (std::size_t occ = occupancy(); occ > 1; occ >>= 1) ++probe;
   const std::vector<Candidate>& cands = candidates(src, dst);
   flow_stats_.lookup_cost += probe + cands.size();
-  // Matched flow entries are "used": refresh their LRU stamps so popular
-  // flows survive priority-masked LRU pressure.
-  if (auto mi = flow_match_.find({dst, src}); mi != flow_match_.end()) {
-    for (std::uint64_t id : mi->second) {
-      auto it = flows_.find(id);
-      if (it == flows_.end()) continue;
-      flow_order_.erase({{it->second.rule.prt, it->second.stamp}, id});
-      it->second.stamp = ++flow_stamp_;
-      flow_order_.insert({{it->second.rule.prt, it->second.stamp}, id});
+  // Matched flow entries are "used": refresh their LRU stamps, in install
+  // order, so popular flows survive priority-masked LRU pressure.
+  if (const FlowList* match = flow_match_.find(lookup_key(src, dst))) {
+    for (std::uint32_t s = match->head; s != kNil; s = slab_[s].hdr.next) {
+      restamp(s);
     }
   }
   return cands;
@@ -281,8 +403,9 @@ void RuleTable::enforce_capacity() {
   // table, flow entries go first (lowest priority class, oldest entry) so
   // the self-stabilization state survives data-plane pressure.
   const std::size_t owner_rules = count_owner_rules();
-  while (owner_rules + flows_.size() > config_.max_rules && !flows_.empty()) {
-    erase_flow(flow_order_.begin()->second, &FlowStats::flow_evictions);
+  while (owner_rules + flow_slot_.size() > config_.max_rules &&
+         !classes_.empty()) {
+    erase_flow(classes_.front().list.head, &FlowStats::flow_evictions);
   }
   // Clogged memory: evict whole least-recently-updated owner entries until
   // the total rule count fits (Section 2.1.1 eviction policy, at the
@@ -406,9 +529,9 @@ const std::vector<Candidate>& RuleTable::candidates(NodeId src, NodeId dst) {
   }
   // Flow-store entries are exact matches on both header fields (specificity
   // 2, current tag rank, no owning controller).
-  if (auto mi = flow_match_.find({dst, src}); mi != flow_match_.end()) {
-    for (std::uint64_t id : mi->second) {
-      const FlowRule& r = flows_.at(id).rule;
+  if (const FlowList* match = flow_match_.find(key)) {
+    for (std::uint32_t s = match->head; s != kNil; s = slab_[s].hdr.next) {
+      const FlowRule& r = slab_[s].rule;
       cands.push_back(Candidate{r.fwd, r.prt, 2, 0, kNoNode});
     }
   }
@@ -474,13 +597,20 @@ void RuleTable::corrupt(Rng& rng, NodeId node_space) {
   }
   // Scrambled flow entries keep their layout, so drop every cached lookup.
   lookup_cache_.clear();
-  // Scramble flow-store out-ports too — but only when flows exist, so the
-  // RNG draw sequence (and thus every downstream random choice) in flow-free
-  // trials is identical to a build without the flow store.
-  if (!flows_.empty()) {
-    for (auto& [id, e] : flows_) {
+  // Scramble flow-store out-ports too, one draw per flow in ascending id
+  // order — but only when flows exist, so the RNG draw sequence (and thus
+  // every downstream random choice) in flow-free trials is identical to a
+  // build without the flow store.
+  if (flow_slot_.size() > 0) {
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> live;
+    live.reserve(flow_slot_.size());
+    for (std::uint32_t s = 0; s < slab_.size(); ++s) {
+      if (slab_[s].rule.id != 0) live.emplace_back(slab_[s].rule.id, s);
+    }
+    std::sort(live.begin(), live.end());
+    for (const auto& [id, s] : live) {
       if (rng.chance(0.1)) {
-        e.rule.fwd = static_cast<NodeId>(
+        slab_[s].rule.fwd = static_cast<NodeId>(
             rng.next_below(static_cast<std::uint64_t>(node_space)));
       }
     }

@@ -16,17 +16,23 @@
 //
 // Alongside the per-owner Renaissance management rules the table holds a
 // capacity-limited *flow store*: exact-match microflow entries installed by
-// the data-plane workload generator (flows/churn.hpp), kept priority-sorted
-// and evicted under table pressure by a configurable policy —
-// priority-masked LRU (evict the least recently used entry among priority
-// classes at or below the incoming priority) or reject-lowest (refuse the
-// incoming entry when it is the lowest priority in the table). Management
-// rules are *protected*: a flow entry can never displace them, so the
-// self-stabilization invariants survive arbitrary table pressure; a
-// management install under pressure instead evicts flow entries. Flow
-// mutations deliberately leave the monitor epoch untouched — churn is not
-// monitor-observable state — and invalidate only the affected lookup-cache
-// key.
+// the data-plane workload generator (flows/churn.hpp), evicted under table
+// pressure by a configurable policy — priority-masked LRU (evict the least
+// recently used entry among priority classes at or below the incoming
+// priority) or reject-lowest (refuse the incoming entry when it is the
+// lowest priority in the table). Management rules are *protected*: a flow
+// entry can never displace them, so the self-stabilization invariants
+// survive arbitrary table pressure; a management install under pressure
+// instead evicts flow entries. Flow mutations deliberately leave the monitor
+// epoch untouched — churn is not monitor-observable state — and invalidate
+// only the affected lookup-cache key.
+//
+// The flow store keeps every entry on one slab and makes install, remove,
+// reinstall and the lookup-time LRU refresh O(1). LRU stamps only grow, and
+// every (re)stamp moves an entry to the newest end, so within one priority
+// class stamp order is insertion order: a FIFO list per class yields the
+// same victims as a (priority, stamp)-ordered index. Each class's head is
+// its oldest entry; the victim search hops class heads.
 //
 // The lookup cache survives steady rounds: each entry records the layout —
 // the exact (owner, tag rank, list pointer) sequence — it was built under,
@@ -40,7 +46,6 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -114,17 +119,19 @@ class RuleTable {
   // --- Flow store (data-plane workload; flows/churn.hpp) ------------------
   /// Install a microflow entry under the capacity limit. Returns false when
   /// the eviction policy rejects it (counted in overflow_rejects). Protected
-  /// management rules are never displaced.
+  /// management rules are never displaced. Installing a stored id again
+  /// refreshes its LRU stamp and takes the new priority and out-port; a
+  /// flow id keeps its header for its lifetime.
   bool install_flow(const FlowRule& r);
   /// Remove a flow entry by id (false when already evicted/absent).
   bool remove_flow(std::uint64_t id);
   /// Drop every flow entry (stop_flow_churn flushes active flows).
   void clear_flows();
   void set_eviction_policy(EvictionPolicy p) { policy_ = p; }
-  [[nodiscard]] std::size_t flow_rules() const { return flows_.size(); }
+  [[nodiscard]] std::size_t flow_rules() const { return flow_slot_.size(); }
   /// Combined occupancy counted against max_rules.
   [[nodiscard]] std::size_t occupancy() const {
-    return owner_rules_ + flows_.size();
+    return owner_rules_ + flow_slot_.size();
   }
   [[nodiscard]] const FlowStats& flow_stats() const { return flow_stats_; }
 
@@ -195,10 +202,62 @@ class RuleTable {
     std::vector<Candidate> cands;
   };
 
-  /// A stored flow entry: the rule plus its LRU stamp.
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// Open-addressed uint64 -> V hash: linear probing over a power-of-two
+  /// array kept at most half full, backward-shift deletion (no tombstones),
+  /// no allocation until the first insert and none per entry.
+  template <class V>
+  class FlatHash {
+   public:
+    [[nodiscard]] V* find(std::uint64_t key);
+    /// Insert an absent key; the reference is valid until the next insert
+    /// or erase.
+    V& insert(std::uint64_t key, V value);
+    void erase(std::uint64_t key);  ///< the key must be present
+    void clear() { *this = FlatHash(); }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    template <class F>
+    void for_each_key(F f) const {
+      for (const Slot& s : slots_) {
+        if (s.used) f(s.key);
+      }
+    }
+
+   private:
+    struct Slot {
+      std::uint64_t key = 0;
+      V value{};
+      bool used = false;
+    };
+    [[nodiscard]] std::size_t home(std::uint64_t key) const;
+    [[nodiscard]] std::size_t position(std::uint64_t key) const;
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
+  /// An intrusive list of slab slots, oldest first.
+  struct FlowList {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+  /// The previous and next slot on one FlowList.
+  struct Link {
+    std::uint32_t prev = kNil;
+    std::uint32_t next = kNil;
+  };
+  /// A stored flow entry: the rule, its LRU stamp and its two list links.
+  /// A free slot has rule.id 0 and chains the free list through lru.next.
   struct FlowEntry {
     FlowRule rule;
     std::uint64_t stamp = 0;
+    Link lru;  ///< the priority class's list, in stamp order
+    Link hdr;  ///< the (src, dst) header's list, in install order
+  };
+  /// One priority class's LRU list (never empty while stored).
+  struct FlowClass {
+    Priority prt = 0;
+    FlowList list;
   };
 
   void trim_to_retention(OwnerEntry& e);
@@ -216,12 +275,22 @@ class RuleTable {
   [[nodiscard]] bool describes(const Layout& layout) const;
   [[nodiscard]] std::size_t count_owner_rules() const;
   [[nodiscard]] std::uint64_t content_signature() const;
-  /// Erase one flow entry (must exist) and maintain the indexes; counted
-  /// against `counter` (evictions vs removals).
-  void erase_flow(std::uint64_t id, std::uint64_t FlowStats::*counter);
-  /// Pick the eviction victim for an incoming priority under the active
-  /// policy, or 0 when the newcomer must be rejected (flow ids are >= 1).
-  [[nodiscard]] std::uint64_t pick_victim(Priority incoming) const;
+  /// Erase the flow entry in `slot` and unlink it from every index;
+  /// counted against `counter` (evictions vs removals).
+  void erase_flow(std::uint32_t slot, std::uint64_t FlowStats::*counter);
+  /// Pick the eviction victim's slot for an incoming priority under the
+  /// active policy, or kNil when the newcomer must be rejected.
+  [[nodiscard]] std::uint32_t pick_victim(Priority incoming) const;
+  /// The first class whose priority is not below `prt`.
+  [[nodiscard]] std::vector<FlowClass>::iterator class_at(Priority prt);
+  /// The class of `prt`, created (empty) when absent.
+  FlowList& class_of(Priority prt);
+  /// Stamp the entry in `slot` as the newest of its class.
+  void restamp(std::uint32_t slot);
+  void link_tail(FlowList& list, std::uint32_t slot, Link FlowEntry::*link);
+  void unlink(FlowList& list, std::uint32_t slot, Link FlowEntry::*link);
+  /// Unlink `slot` from its class list, dropping the class once empty.
+  void unlink_class(std::uint32_t slot);
   void note_peak();
 
   Config config_;
@@ -241,14 +310,15 @@ class RuleTable {
 
   // --- Flow store ---------------------------------------------------------
   EvictionPolicy policy_ = EvictionPolicy::PriorityLru;
-  std::map<std::uint64_t, FlowEntry> flows_;  ///< flow id -> entry
-  /// (priority, LRU stamp) -> flow id: ascending order puts the lowest
-  /// priority class first and the oldest entry first within a class, which
-  /// is exactly the deterministic scan order both eviction policies need.
-  std::set<std::pair<std::pair<Priority, std::uint64_t>, std::uint64_t>>
-      flow_order_;
-  /// (dst, src) -> flow ids matching that exact header, for candidates().
-  std::map<std::pair<NodeId, NodeId>, std::vector<std::uint64_t>> flow_match_;
+  std::vector<FlowEntry> slab_;
+  std::uint32_t free_ = kNil;          ///< head of the free-slot chain
+  FlatHash<std::uint32_t> flow_slot_;  ///< flow id -> slab slot
+  /// Priority classes in ascending priority; the lowest class's head is
+  /// the oldest entry of the lowest priority.
+  std::vector<FlowClass> classes_;
+  /// lookup_key(src, dst) -> the entries matching that exact header, in
+  /// install order (candidates() appends them in this order).
+  FlatHash<FlowList> flow_match_;
   std::uint64_t flow_stamp_ = 0;
   FlowStats flow_stats_;
 };

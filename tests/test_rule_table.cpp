@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "switchd/rule_table.hpp"
@@ -357,11 +359,13 @@ TEST(RuleTable, OwnersSummaryIncludesMetaOnlyOwners) {
 
 // --- Flow store (capacity-limited, property-based) ---------------------------
 
-/// Naive reference model of the flow store: a flat map plus linear scans,
-/// mirroring the documented semantics (priority-masked LRU / reject-lowest,
-/// stamp refresh on reinstall and on lookup) with none of the index
-/// structures. The differential tests drive RuleTable and this model with
-/// the same operation stream and require identical observable state.
+/// Naive reference model of the flow store: a flat id-sorted array plus
+/// linear scans, mirroring the documented semantics (priority-masked LRU /
+/// reject-lowest, stamp refresh on reinstall and on lookup, flows evicted
+/// lowest class first by a management install, corruption drawn in id
+/// order) with none of the index structures. The differential tests drive
+/// RuleTable and this model with the same operation stream and require
+/// identical observable state.
 struct FlowRef {
   struct Entry {
     FlowRule rule;
@@ -371,7 +375,7 @@ struct FlowRef {
   std::size_t max_rules = 0;
   std::size_t mgmt = 0;  ///< protected management rules sharing the table
   EvictionPolicy policy = EvictionPolicy::PriorityLru;
-  std::map<std::uint64_t, Entry> flows;
+  std::vector<Entry> flows;  ///< ascending id
   std::uint64_t stamp = 0, seq = 0;
   std::uint64_t installs = 0, removals = 0, rejects = 0, evictions = 0;
   std::uint64_t peak = 0, lookups = 0, lookup_cost = 0;
@@ -380,40 +384,55 @@ struct FlowRef {
 
   void note_peak() { peak = std::max<std::uint64_t>(peak, occupancy()); }
 
-  std::uint64_t pick_victim(Priority incoming) const {
-    std::uint64_t victim = 0, best_stamp = 0;
-    if (policy == EvictionPolicy::RejectLowest) {
-      Priority best_prt = 0;
-      for (const auto& [id, e] : flows) {
-        if (victim == 0 || e.rule.prt < best_prt ||
-            (e.rule.prt == best_prt && e.stamp < best_stamp)) {
-          victim = id;
-          best_prt = e.rule.prt;
-          best_stamp = e.stamp;
-        }
+  /// Where `id` is or would be stored.
+  std::vector<Entry>::iterator position(std::uint64_t id) {
+    return std::lower_bound(
+        flows.begin(), flows.end(), id,
+        [](const Entry& e, std::uint64_t x) { return e.rule.id < x; });
+  }
+
+  std::vector<Entry>::iterator find(std::uint64_t id) {
+    const auto it = position(id);
+    return it != flows.end() && it->rule.id == id ? it : flows.end();
+  }
+
+  /// The entry of the lowest priority, the oldest among that priority.
+  std::vector<Entry>::iterator lowest() {
+    auto victim = flows.begin();
+    for (auto it = flows.begin(); it != flows.end(); ++it) {
+      if (it->rule.prt < victim->rule.prt ||
+          (it->rule.prt == victim->rule.prt && it->stamp < victim->stamp)) {
+        victim = it;
       }
-      return victim != 0 && best_prt < incoming ? victim : 0;
     }
-    for (const auto& [id, e] : flows) {
-      if (e.rule.prt > incoming) continue;
-      if (victim == 0 || e.stamp < best_stamp) {
-        victim = id;
-        best_stamp = e.stamp;
-      }
+    return victim;
+  }
+
+  std::vector<Entry>::iterator pick_victim(Priority incoming) {
+    if (flows.empty()) return flows.end();
+    if (policy == EvictionPolicy::RejectLowest) {
+      const auto victim = lowest();
+      return victim->rule.prt < incoming ? victim : flows.end();
+    }
+    auto victim = flows.end();
+    for (auto it = flows.begin(); it != flows.end(); ++it) {
+      if (it->rule.prt > incoming) continue;
+      if (victim == flows.end() || it->stamp < victim->stamp) victim = it;
     }
     return victim;
   }
 
   bool install(const FlowRule& r) {
     if (r.id == 0) return false;
-    if (auto it = flows.find(r.id); it != flows.end()) {
-      it->second.rule = r;
-      it->second.stamp = ++stamp;
+    if (auto it = find(r.id); it != flows.end()) {
+      it->rule.prt = r.prt;
+      it->rule.fwd = r.fwd;
+      it->stamp = ++stamp;
       return true;
     }
     if (occupancy() >= max_rules) {
-      const std::uint64_t victim = pick_victim(r.prt);
-      if (victim == 0) {
+      const auto victim = pick_victim(r.prt);
+      if (victim == flows.end()) {
         ++rejects;
         return false;
       }
@@ -424,16 +443,75 @@ struct FlowRef {
     e.rule = r;
     e.stamp = ++stamp;
     e.seq = ++seq;
-    flows.emplace(r.id, e);
+    flows.insert(position(r.id), e);
     ++installs;
     note_peak();
     return true;
   }
 
   bool remove(std::uint64_t id) {
-    if (flows.erase(id) == 0) return false;
+    const auto it = find(id);
+    if (it == flows.end()) return false;
+    flows.erase(it);
     ++removals;
     return true;
+  }
+
+  void clear() {
+    removals += flows.size();
+    flows.clear();
+  }
+
+  /// The management rules now number `n`: flows go, lowest priority and
+  /// oldest first, until the table fits.
+  void set_mgmt(std::size_t n) {
+    mgmt = n;
+    while (occupancy() > max_rules && !flows.empty()) {
+      flows.erase(lowest());
+      ++evictions;
+    }
+  }
+
+  /// The scramble of RuleTable::corrupt on a table with no owners: one
+  /// draw per live flow, in ascending id order.
+  void corrupt(Rng& rng, NodeId node_space) {
+    for (Entry& e : flows) {
+      if (rng.chance(0.1)) {
+        e.rule.fwd = static_cast<NodeId>(
+            rng.next_below(static_cast<std::uint64_t>(node_space)));
+      }
+    }
+  }
+
+  /// The matching entries in match-list (install) order.
+  std::vector<Entry*> matches(NodeId src, NodeId dst) {
+    std::vector<Entry*> out;
+    for (Entry& e : flows) {
+      if (e.rule.src == src && e.rule.dst == dst) out.push_back(&e);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
+    return out;
+  }
+
+  /// candidates() on a header that only flow entries match: the entries in
+  /// install order, then the table's (unstable) priority sort and its
+  /// de-duplication, so the input order decides ties.
+  std::vector<Candidate> candidates(NodeId src, NodeId dst) {
+    std::vector<Candidate> out;
+    for (const Entry* e : matches(src, dst)) {
+      out.push_back(Candidate{e->rule.fwd, e->rule.prt, 2, 0, kNoNode});
+    }
+    std::sort(out.begin(), out.end(),
+              [](const Candidate& a, const Candidate& b) {
+                return a.prt > b.prt;
+              });
+    out.erase(std::unique(out.begin(), out.end(),
+                          [](const Candidate& a, const Candidate& b) {
+                            return a.fwd == b.fwd && a.prt == b.prt;
+                          }),
+              out.end());
+    return out;
   }
 
   /// Header lookup: cost accounting plus the LRU refresh of matching
@@ -442,91 +520,240 @@ struct FlowRef {
     ++lookups;
     std::uint64_t probe = 1;
     for (std::size_t occ = occupancy(); occ > 1; occ >>= 1) ++probe;
-    std::vector<Entry*> matches;
-    for (auto& [id, e] : flows) {
-      if (e.rule.src == src && e.rule.dst == dst) matches.push_back(&e);
-    }
-    lookup_cost += probe + matches.size();
-    std::sort(matches.begin(), matches.end(),
-              [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
-    for (Entry* e : matches) e->stamp = ++stamp;
+    const std::vector<Entry*> hits = matches(src, dst);
+    lookup_cost += probe + candidates(src, dst).size();
+    for (Entry* e : hits) e->stamp = ++stamp;
   }
 };
 
-/// The flow header a given id is bound to for its whole lifetime (flow ids
-/// never change headers, matching the generator's contract). Headers live
-/// in [1000, 1000+kSpace) so they can never collide with management rules.
-FlowRule flow_of(std::uint64_t id, NodeId fwd) {
-  constexpr NodeId kSpace = 6;
+bool same_candidates(const std::vector<Candidate>& a,
+                     const std::vector<Candidate>& b) {
+  const auto fields = [](const Candidate& c) {
+    return std::tie(c.fwd, c.prt, c.specificity, c.tag_rank, c.cid);
+  };
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [&](const Candidate& x, const Candidate& y) {
+                      return fields(x) == fields(y);
+                    });
+}
+
+/// One random flow-store workload for the differential tests. Flow ids are
+/// bound to one header for their lifetime, as the generator guarantees;
+/// headers live in [1000, 1000 + header_space) on both axes so they never
+/// match a management rule. Each install draws a fresh priority and
+/// out-port, so a reinstall may move an entry between classes.
+struct ChurnMix {
+  EvictionPolicy policy = EvictionPolicy::PriorityLru;
+  std::size_t capacity = 16;
+  std::uint64_t ids = 40;    ///< flow ids are drawn from [1, ids]
+  NodeId header_space = 6;   ///< headers per axis
+  Priority classes = 4;      ///< priorities are drawn from [0, classes)
+  int steps = 4000;
+  int check_every = 97;      ///< full counter and candidate diff period
+  /// An owner re-installs a list of 0..max_mgmt protected rules now and
+  /// then (0 = no owner); otherwise corrupt() is mixed in.
+  std::size_t max_mgmt = 0;
+  double clear_share = 1;  ///< of the 2% of steps that may clear_flows()
+  std::uint64_t seed = 1;
+};
+
+FlowRule flow_of(const ChurnMix& mix, std::uint64_t id, Priority prt,
+                 NodeId fwd) {
   FlowRule r;
   r.id = id;
-  r.src = 1000 + static_cast<NodeId>(id % kSpace);
-  r.dst = 1000 + static_cast<NodeId>((id / kSpace) % kSpace);
-  r.prt = static_cast<Priority>(id % 4);
+  r.src = 1000 + static_cast<NodeId>(id % static_cast<std::uint64_t>(
+                                              mix.header_space));
+  r.dst = 1000 + static_cast<NodeId>(
+                     (id / static_cast<std::uint64_t>(mix.header_space)) %
+                     static_cast<std::uint64_t>(mix.header_space));
+  r.prt = prt;
   r.fwd = fwd;
   return r;
+}
+
+proto::RuleListPtr mgmt_rules(std::size_t n) {
+  std::vector<std::tuple<NodeId, NodeId, Priority, NodeId>> specs;
+  for (std::size_t i = 0; i < n; ++i) {
+    specs.emplace_back(1, static_cast<NodeId>(5 + i), 3, 2);
+  }
+  return rules_of(1, 0, specs);
+}
+
+void run_churn(const ChurnMix& mix) {
+  RuleTable t({mix.capacity});
+  t.set_eviction_policy(mix.policy);
+  FlowRef ref;
+  ref.max_rules = mix.capacity;
+  ref.policy = mix.policy;
+  if (mix.max_mgmt > 0) {
+    t.new_round(1, tag(1, 1), 2);
+    t.update_rules(1, mgmt_rules(2), tag(1, 1));
+    ref.set_mgmt(2);
+  }
+  Rng rng(mix.seed);
+  const auto header_of = [&mix](std::uint64_t id) {
+    const FlowRule h = flow_of(mix, id, 0, 0);
+    return std::pair{h.src, h.dst};
+  };
+  const auto where = [&mix](int step) {
+    return "seed " + std::to_string(mix.seed) + " step " +
+           std::to_string(step);
+  };
+  std::uint64_t corruptions = 0, pressure_evictions = 0;
+  for (int step = 0; step < mix.steps; ++step) {
+    const std::uint64_t id = 1 + rng.next_below(mix.ids);
+    const auto op = rng.next_below(100);
+    if (op < 45) {
+      const FlowRule r = flow_of(
+          mix, id,
+          static_cast<Priority>(
+              rng.next_below(static_cast<std::uint64_t>(mix.classes))),
+          static_cast<NodeId>(rng.next_below(3)));
+      ASSERT_EQ(t.install_flow(r), ref.install(r)) << where(step);
+    } else if (op < 65) {
+      ASSERT_EQ(t.remove_flow(id), ref.remove(id)) << where(step);
+    } else if (op < 95) {
+      const auto [src, dst] = header_of(id);
+      const std::vector<Candidate> expect = ref.candidates(src, dst);
+      ASSERT_TRUE(same_candidates(t.lookup(src, dst), expect)) << where(step);
+      ref.lookup(src, dst);
+    } else if (op < 98 && mix.max_mgmt > 0) {
+      const std::size_t n = rng.next_below(mix.max_mgmt + 1);
+      const std::uint64_t before = ref.evictions;
+      t.update_rules(1, mgmt_rules(n), tag(1, 1));
+      ref.set_mgmt(n);
+      pressure_evictions += ref.evictions - before;
+    } else if (op < 98) {
+      const std::uint64_t seed = rng.next_u64();
+      Rng mine(seed), theirs(seed);
+      t.corrupt(mine, 6);
+      ref.corrupt(theirs, 6);
+      ASSERT_EQ(mine.next_u64(), theirs.next_u64())
+          << "RNG state after corrupt, " << where(step);
+      corruptions += ref.flows.empty() ? 0 : 1;
+    } else if (rng.chance(mix.clear_share)) {
+      t.clear_flows();
+      ref.clear();
+    }
+    // Cheap invariants every step; full state diff sampled.
+    ASSERT_LE(t.occupancy(), std::max(mix.capacity, ref.mgmt)) << where(step);
+    ASSERT_EQ(t.flow_rules(), ref.flows.size()) << where(step);
+    ASSERT_EQ(t.total_rules(), ref.mgmt) << where(step);
+    if (step % mix.check_every != 0) continue;
+    const auto& fs = t.flow_stats();
+    ASSERT_EQ(fs.installs, ref.installs) << where(step);
+    ASSERT_EQ(fs.removals, ref.removals) << where(step);
+    ASSERT_EQ(fs.overflow_rejects, ref.rejects) << where(step);
+    ASSERT_EQ(fs.flow_evictions, ref.evictions) << where(step);
+    ASSERT_EQ(fs.peak_rules, ref.peak) << where(step);
+    ASSERT_EQ(fs.lookups, ref.lookups) << where(step);
+    ASSERT_EQ(fs.lookup_cost, ref.lookup_cost) << where(step);
+    ASSERT_EQ(fs.installs, fs.removals + fs.flow_evictions + t.flow_rules());
+    for (NodeId src = 1000; src < 1000 + mix.header_space; ++src) {
+      for (NodeId dst = 1000; dst < 1000 + mix.header_space; ++dst) {
+        ASSERT_TRUE(same_candidates(t.candidates(src, dst),
+                                    ref.candidates(src, dst)))
+            << where(step) << " header " << src << "->" << dst;
+      }
+    }
+  }
+  // The stream must have reached the paths it is meant to cover.
+  EXPECT_GE(ref.peak, mix.capacity);
+  EXPECT_GT(ref.evictions, 0u);
+  if (mix.policy == EvictionPolicy::RejectLowest) {
+    EXPECT_GT(ref.rejects, 0u);
+  }
+  if (mix.max_mgmt > 0) {
+    EXPECT_GT(pressure_evictions, 0u);
+  } else {
+    EXPECT_GT(corruptions, 0u);
+  }
+  // End-of-run: identical survivor sets (every eviction picked the same
+  // victim on both sides).
+  for (const FlowRef::Entry& e : ref.flows) {
+    ASSERT_TRUE(t.remove_flow(e.rule.id)) << "missing flow " << e.rule.id;
+  }
+  ASSERT_EQ(t.flow_rules(), 0u);
+  if (mix.max_mgmt > 0) {
+    // Management survived all pressure.
+    EXPECT_EQ(t.has_rules_of(1), ref.mgmt > 0);
+    EXPECT_EQ(t.total_rules(), ref.mgmt);
+  }
 }
 
 TEST(RuleTableFlows, DifferentialRandomChurnAgainstNaiveModel) {
   for (const auto policy :
        {EvictionPolicy::PriorityLru, EvictionPolicy::RejectLowest}) {
-    for (const std::size_t mgmt : {std::size_t{0}, std::size_t{2}}) {
-      RuleTable t({/*max_rules=*/16});
-      t.set_eviction_policy(policy);
-      FlowRef ref;
-      ref.max_rules = 16;
-      ref.policy = policy;
-      if (mgmt > 0) {
-        // Two protected management rules share the table; their headers
-        // (node ids < 1000) never match a flow lookup.
-        t.new_round(1, tag(1, 1), 2);
-        t.update_rules(1, rules_of(1, 0, {{1, 5, 3, 2}, {1, 6, 3, 2}}),
-                       tag(1, 1));
-        ref.mgmt = 2;
-      }
-      Rng rng(0xf10c ^ (static_cast<std::uint64_t>(policy) << 8) ^ mgmt);
-      for (int step = 0; step < 4000; ++step) {
-        const std::uint64_t id = 1 + rng.next_below(40);
-        const auto op = rng.next_below(10);
-        if (op < 5) {
-          const FlowRule r = flow_of(id, static_cast<NodeId>(step));
-          ASSERT_EQ(t.install_flow(r), ref.install(r)) << "step " << step;
-        } else if (op < 7) {
-          ASSERT_EQ(t.remove_flow(id), ref.remove(id)) << "step " << step;
-        } else if (op < 9) {
-          const FlowRule h = flow_of(id, 0);
-          (void)t.lookup(h.src, h.dst);
-          ref.lookup(h.src, h.dst);
-        } else {
-          t.clear_flows();
-          ref.removals += ref.flows.size();
-          ref.flows.clear();
-        }
-        // Cheap invariants every step; full state diff sampled.
-        ASSERT_LE(t.occupancy(), 16u) << "step " << step;
-        ASSERT_EQ(t.flow_rules(), ref.flows.size()) << "step " << step;
-        if (step % 97 == 0) {
-          const auto& fs = t.flow_stats();
-          ASSERT_EQ(fs.installs, ref.installs) << "step " << step;
-          ASSERT_EQ(fs.removals, ref.removals) << "step " << step;
-          ASSERT_EQ(fs.overflow_rejects, ref.rejects) << "step " << step;
-          ASSERT_EQ(fs.flow_evictions, ref.evictions) << "step " << step;
-          ASSERT_EQ(fs.peak_rules, ref.peak) << "step " << step;
-          ASSERT_EQ(fs.lookups, ref.lookups) << "step " << step;
-          ASSERT_EQ(fs.lookup_cost, ref.lookup_cost) << "step " << step;
-          ASSERT_EQ(fs.installs,
-                    fs.removals + fs.flow_evictions + t.flow_rules());
-        }
-      }
-      // End-of-run: identical survivor sets (every eviction picked the same
-      // victim on both sides).
-      for (const auto& [id, e] : ref.flows) {
-        ASSERT_TRUE(t.remove_flow(id)) << "missing flow " << id;
-      }
-      ASSERT_EQ(t.flow_rules(), 0u);
-      if (mgmt > 0) {
-        EXPECT_TRUE(t.has_rules_of(1));  // management survived all pressure
-        EXPECT_EQ(t.total_rules(), 2u);
+    for (const std::size_t max_mgmt : {std::size_t{0}, std::size_t{4}}) {
+      ChurnMix mix;
+      mix.policy = policy;
+      mix.max_mgmt = max_mgmt;
+      mix.seed = 0xf10c ^ (static_cast<std::uint64_t>(policy) << 8) ^ max_mgmt;
+      ASSERT_NO_FATAL_FAILURE(run_churn(mix));
+    }
+  }
+}
+
+TEST(RuleTableFlows, DifferentialEqualPrioritiesOnFewHeaders) {
+  // Four headers, one priority class (two under reject-lowest, which needs
+  // a higher class to evict at all): lookups tie several live flows, so the
+  // install order of the match lists decides the candidates.
+  for (const auto policy :
+       {EvictionPolicy::PriorityLru, EvictionPolicy::RejectLowest}) {
+    ChurnMix mix;
+    mix.policy = policy;
+    mix.header_space = 2;
+    mix.ids = 24;
+    mix.classes = policy == EvictionPolicy::RejectLowest ? 2 : 1;
+    mix.seed = 0xe9 + static_cast<std::uint64_t>(policy);
+    ASSERT_NO_FATAL_FAILURE(run_churn(mix));
+  }
+}
+
+TEST(RuleTableFlows, DifferentialLargeChurnAgainstNaiveModel) {
+  // A churn-sized table: 2000 entries, 4 classes, ids that outnumber the
+  // capacity, so the id index grows, deletes and reuses slab slots.
+  for (const auto policy :
+       {EvictionPolicy::PriorityLru, EvictionPolicy::RejectLowest}) {
+    ChurnMix mix;
+    mix.policy = policy;
+    mix.capacity = 2000;
+    mix.ids = 5000;
+    mix.header_space = 24;
+    mix.steps = 200000;
+    mix.check_every = 9973;
+    mix.max_mgmt = 64;
+    mix.clear_share = 0.0005;
+    mix.seed = 0x5ab + static_cast<std::uint64_t>(policy);
+    ASSERT_NO_FATAL_FAILURE(run_churn(mix));
+  }
+}
+
+TEST(RuleTableFlows, CorruptDrawsOverFlowsInIdOrder) {
+  // Ids installed out of order; corrupt() must draw one chance per live
+  // flow in ascending id order and leave the RNG where the model does.
+  RuleTable t({64});
+  FlowRef ref;
+  ref.max_rules = 64;
+  ChurnMix mix;
+  const std::uint64_t ids[] = {17, 3, 40, 9, 28, 1, 33, 12, 5, 21, 36};
+  for (const std::uint64_t id : ids) {
+    const FlowRule r = flow_of(mix, id, static_cast<Priority>(id % 3), 1);
+    ASSERT_TRUE(t.install_flow(r));
+    ASSERT_TRUE(ref.install(r));
+  }
+  ASSERT_TRUE(t.remove_flow(9));
+  ASSERT_TRUE(ref.remove(9));
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng mine(seed), theirs(seed);
+    t.corrupt(mine, 50);
+    ref.corrupt(theirs, 50);
+    ASSERT_EQ(mine.next_u64(), theirs.next_u64()) << "seed " << seed;
+    for (NodeId src = 1000; src < 1006; ++src) {
+      for (NodeId dst = 1000; dst < 1006; ++dst) {
+        ASSERT_TRUE(same_candidates(t.candidates(src, dst),
+                                    ref.candidates(src, dst)))
+            << "seed " << seed << " header " << src << "->" << dst;
       }
     }
   }

@@ -269,6 +269,58 @@ TEST(ScenarioSpec, ChecksNumbersBeforeConvertingThem) {
   EXPECT_EQ(ok.events[1].count, scenario::kCountAxis);
 }
 
+TEST(ScenarioSpec, ChecksTopologyParametersSeedsAndBudgets) {
+  // Object-form topology sizes are counts; each error names the key.
+  const std::pair<const char*, const char*> bad_sizes[] = {
+      {R"({"topologies":[{"kind":"fat_tree","k":1e300}]})", "topology \"k\""},
+      {R"({"topologies":[{"kind":"random_wan","nodes":4.7}]})",
+       "topology \"nodes\""},
+      {R"({"topologies":[{"kind":"random_wan","nodes":40,"m":-2}]})",
+       "topology \"m\""},
+      {R"({"topologies":[{"kind":"isp","nodes":120,"diameter":9.5}]})",
+       "topology \"diameter\""},
+  };
+  for (const auto& [spec, needle] : bad_sizes) {
+    const std::string err = spec_error(spec);
+    EXPECT_NE(err.find(needle), std::string::npos) << spec << " -> " << err;
+  }
+  // Seeds and the event budget are whole numbers in [0, 2^53]; a seed error
+  // is a std::invalid_argument, as for seeds a double cannot hold.
+  const std::pair<const char*, const char*> bad_uints[] = {
+      {R"({"topologies":[{"kind":"random_wan","nodes":40,"seed":-3}]})",
+       "topology \"seed\""},
+      {R"({"topologies":[{"kind":"isp","nodes":120,"diameter":9,)"
+       R"("seed":0.5}]})",
+       "topology \"seed\""},
+      {R"({"seed":1.5})", "seed"},
+      {R"({"seed":-1})", "seed"},
+      {R"({"max_events":2.9})", "max_events"},
+      {R"({"max_events":1e300})", "max_events"},
+  };
+  for (const auto& [spec, needle] : bad_uints) {
+    try {
+      (void)scenario::parse_spec(spec);
+      ADD_FAILURE() << spec << " parsed";
+    } catch (const std::invalid_argument& e) {
+      const std::string err = e.what();
+      EXPECT_NE(err.find(needle), std::string::npos) << spec << " -> " << err;
+    }
+  }
+  // In range, every parameter is written as given.
+  const Scenario ok = scenario::parse_spec(
+      R"({"topologies":[{"kind":"fat_tree","k":16},)"
+      R"({"kind":"random_wan","nodes":1024,"m":2,"seed":9007199254740992},)"
+      R"({"kind":"isp","nodes":120,"diameter":9,"seed":0}],)"
+      R"("seed":0,"max_events":9007199254740992})");
+  EXPECT_EQ(ok.topologies,
+            (std::vector<std::string>{
+                "fat_tree:k=16",
+                "random_wan:nodes=1024,m=2,seed=9007199254740992",
+                "isp:nodes=120,diameter=9,seed=0"}));
+  EXPECT_EQ(ok.base_seed, 0u);
+  EXPECT_EQ(ok.max_events, 1ULL << 53);
+}
+
 TEST(ScenarioSpec, RejectsSeedsBeyondDoublePrecision) {
   Scenario s;
   s.base_seed = (1ULL << 53) + 1;  // not representable as a double
