@@ -150,7 +150,7 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
                                std::uint64_t data_flow_revision) {
   ++tick_;
   // The fan-out gate: when every input a key derivation reads is unchanged
-  // — the three views' content (build_ids travel with slot rotations), the
+  // — the three views' content (a cached view keeps its build_id), the
   // replyDB's management content, the rules provider — all keys are
   // unchanged up to the round tag, and the fan-out is a pure rotation.
   if (gate_.valid && gate_.refer_build == refer.build_id &&

@@ -94,14 +94,13 @@ void Controller::run_iteration() {
     db_.erase_if([this](const proto::QueryReply& m) {
       return m.tag_for_querier == curr_tag_;
     });
-    refresh_views();  // clean flips rotate slots instead of rebuilding
+    refresh_views();  // a clean flip reuses the cached views
   }
 
   // Line 13: reference tag selection.
   const ResView& res_prev = views_.res_prev();
   const ResView& fusion = views_.fusion();
-  const bool topo_stable =
-      views_.fusion_aliases_prev() || fusion.view == res_prev.view;
+  const bool topo_stable = &fusion == &res_prev || fusion.view == res_prev.view;
   const ResView& refer = topo_stable ? res_prev : views_.res_curr();
   if (!(fusion_view_ == fusion.view)) {
     fusion_view_ = fusion.view;

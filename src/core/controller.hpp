@@ -90,7 +90,7 @@ class Controller final : public transport::InBandNode {
   [[nodiscard]] flows::CompiledFlowsPtr current_flows() const {
     return current_flows_;
   }
-  /// The per-tick view cache (hit/miss/rotation counters for tests/benches).
+  /// The per-tick view cache (hit/rebuild counters for tests/benches).
   [[nodiscard]] const ViewCache& view_cache() const { return views_; }
   /// The line-19 batch planner (reuse/rotation counters for tests/benches).
   [[nodiscard]] const BatchPlanner& batch_planner() const { return planner_; }

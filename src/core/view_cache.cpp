@@ -26,14 +26,21 @@ void ResView::finalize(NodeId self) {
 
 namespace {
 
-void stamp(ResView& out, const ReplyDb& db,
-           const detect::ThetaDetector& detector) {
-  out.coverage = out.reply_ids.empty() ? ResView::Coverage::Empty
-                 : out.reply_ids.size() == db.size()
-                     ? ResView::Coverage::All
-                     : ResView::Coverage::Partial;
-  out.shape_revision = db.view_shape_revision();
-  out.liveness_epoch = detector.liveness_epoch();
+/// Reset `out` to the synthetic self record <i, Nc(i), {}, {}> (Algorithm 2,
+/// line 3).
+void start_with_self(NodeId self, const detect::ThetaDetector& detector,
+                     ResView& out) {
+  out.clear();
+  out.view.add_node(self);
+  out.transit[self] = false;
+  for (NodeId n : detector.live()) out.view.add_edge(self, n);
+}
+
+void add_reply(const proto::QueryReply& m, ResView& out) {
+  out.view.add_node(m.id);
+  for (NodeId n : m.nc) out.view.add_edge(m.id, n);
+  out.transit[m.id] = !m.from_controller;
+  out.reply_ids.insert(m.id);
 }
 
 }  // namespace
@@ -41,30 +48,18 @@ void stamp(ResView& out, const ReplyDb& db,
 void ViewCache::build_res(NodeId self, const ReplyDb& db, proto::Tag tag,
                           const detect::ThetaDetector& detector,
                           ResView& out) {
-  out.clear();
-  // The synthetic self record <i, Nc(i), {}, {}> (Algorithm 2, line 3).
-  out.view.add_node(self);
-  out.transit[self] = false;
-  for (NodeId n : detector.live()) out.view.add_edge(self, n);
+  start_with_self(self, detector, out);
   for (const auto& [rid, m] : db.entries()) {
-    if (!(m.tag_for_querier == tag)) continue;
-    out.view.add_node(m.id);
-    for (NodeId n : m.nc) out.view.add_edge(m.id, n);
-    out.transit[m.id] = !m.from_controller;
-    out.reply_ids.insert(m.id);
+    if (m.tag_for_querier == tag) add_reply(m, out);
   }
   out.finalize(self);
-  stamp(out, db, detector);
 }
 
 void ViewCache::build_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
                              proto::Tag prev,
                              const detect::ThetaDetector& detector,
                              ResView& out) {
-  out.clear();
-  out.view.add_node(self);
-  out.transit[self] = false;
-  for (NodeId n : detector.live()) out.view.add_edge(self, n);
+  start_with_self(self, detector, out);
   // res(currTag), then res(prevTag) entries not shadowed by a curr reply.
   for (const auto& [rid, m] : db.entries()) {
     const bool is_curr = m.tag_for_querier == curr;
@@ -74,24 +69,9 @@ void ViewCache::build_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
       const proto::QueryReply* other = db.find(m.id);
       if (other != nullptr && other->tag_for_querier == curr) continue;
     }
-    out.view.add_node(m.id);
-    for (NodeId n : m.nc) out.view.add_edge(m.id, n);
-    out.transit[m.id] = !m.from_controller;
-    out.reply_ids.insert(m.id);
+    add_reply(m, out);
   }
   out.finalize(self);
-  stamp(out, db, detector);
-}
-
-void ViewCache::build_empty(const ReplyDb& db,
-                            const detect::ThetaDetector& detector,
-                            ResView& out) const {
-  out.clear();
-  out.view.add_node(self_);
-  out.transit[self_] = false;
-  for (NodeId n : detector.live()) out.view.add_edge(self_, n);
-  out.finalize(self_);
-  stamp(out, db, detector);
 }
 
 // --- Cache maintenance --------------------------------------------------------
@@ -112,73 +92,53 @@ void ViewCache::refresh(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
   if (paranoid_) check_paranoid(db, curr, prev, detector);
 }
 
+const ResView* ViewCache::class_view(const ReplyDb& db, proto::Tag tag,
+                                     std::size_t count,
+                                     const detect::ThetaDetector& detector,
+                                     ResView& partial, bool& built) {
+  const std::uint64_t live = detector.liveness_epoch();
+  if (count == 0) {
+    if (!self_only_.fresh(0, live)) {
+      start_with_self(self_, detector, self_only_.res);
+      self_only_.res.finalize(self_);
+      self_only_.stamp(0, live);
+    }
+    return &self_only_.res;
+  }
+  if (count == db.size()) {
+    const std::uint64_t shape = db.view_shape_revision();
+    if (!all_.fresh(shape, live)) {
+      build_res(self_, db, tag, detector, all_.res);
+      all_.stamp(shape, live);
+      built = true;
+    }
+    return &all_.res;
+  }
+  build_res(self_, db, tag, detector, partial);
+  built = true;
+  return &partial;
+}
+
 void ViewCache::resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
                        const detect::ThetaDetector& detector) {
-  // Classify entries once. The replyDB is keyed by node id, so each tag
-  // class is a disjoint entry subset; when one class holds everything (the
-  // converged norm: all entries re-tagged curr at tick start, all entries
-  // still prev right after a flip) the three views collapse to one
-  // all-entries view plus the self-only view, and fusion aliases the full
-  // one (no shadowing can occur).
   std::size_t n_curr = 0, n_prev = 0;
   for (const auto& [_, m] : db.entries()) {
-    if (m.tag_for_querier == curr) {
-      ++n_curr;
-    } else if (m.tag_for_querier == prev) {
-      ++n_prev;
-    }
+    n_curr += m.tag_for_querier == curr ? 1 : 0;
+    n_prev += m.tag_for_querier == prev ? 1 : 0;
   }
-  const std::size_t n = db.size();
-  const std::uint64_t shape = db.view_shape_revision();
-  const std::uint64_t live = detector.liveness_epoch();
-  auto all_match = [&](const ResView* s) {
-    return s->coverage == ResView::Coverage::All &&
-           s->shape_revision == shape && s->liveness_epoch == live;
-  };
-  auto empty_match = [&](const ResView* s) {
-    return s->coverage == ResView::Coverage::Empty &&
-           s->liveness_epoch == live;
-  };
-  // `full` gets the all-entries view, `empty` the self-only view. An
-  // existing slot whose entry subset and shapes are unchanged is reused by
-  // pointer swap — tag churn alone never forces a build, which is what
-  // makes a converged round flip (and the following tick start) O(1).
-  auto fill = [&](ResView** full, ResView** empty, proto::Tag full_tag) {
-    if (!all_match(*full)) {
-      if (all_match(*empty)) {
-        std::swap(*full, *empty);
-      } else if (all_match(fus_)) {
-        std::swap(*full, fus_);
-      }
-    }
-    if (all_match(*full)) {
-      ++stats_.rotations;
-    } else {
-      ++stats_.rebuilds;
-      build_res(self_, db, full_tag, detector, **full);
-    }
-    if (!empty_match(*empty) && empty_match(fus_)) std::swap(*empty, fus_);
-    if (!empty_match(*empty)) build_empty(db, detector, **empty);
-  };
-  if (n > 0 && n_curr == n && !(curr == prev)) {
-    fill(&curr_, &prev_, curr);
-    fusion_alias_ = FusionAlias::Curr;
-  } else if (n > 0 && n_prev == n && !(curr == prev)) {
-    fill(&prev_, &curr_, prev);
-    fusion_alias_ = FusionAlias::Prev;
+  bool built = false;
+  curr_ = class_view(db, curr, n_curr, detector, curr_partial_, built);
+  prev_ = class_view(db, prev, n_prev, detector, prev_partial_, built);
+  if (n_prev == 0) {
+    fusion_ = curr_;
+  } else if (n_curr == 0) {
+    fusion_ = prev_;
   } else {
-    ++stats_.rebuilds;
-    build_res(self_, db, curr, detector, *curr_);
-    build_res(self_, db, prev, detector, *prev_);
-    if (n_prev == 0 && !(curr == prev)) {
-      fusion_alias_ = FusionAlias::Curr;
-    } else if (n_curr == 0) {
-      fusion_alias_ = FusionAlias::Prev;
-    } else {
-      build_fusion(self_, db, curr, prev, detector, *fus_);
-      fusion_alias_ = FusionAlias::None;
-    }
+    build_fusion(self_, db, curr, prev, detector, fusion_partial_);
+    fusion_ = &fusion_partial_;
+    built = true;
   }
+  if (built) ++stats_.rebuilds;
 }
 
 void ViewCache::check_paranoid(const ReplyDb& db, proto::Tag curr,

@@ -5,33 +5,38 @@
 // rebuilt them from the replyDB at every consumer: twice in the prune step,
 // once in the round-completion test, and three more times for reference
 // selection, six-plus std::map/std::set constructions plus a BFS per use,
-// every task_delay, per controller. The ViewCache materializes the three
-// views (and their reachability from the owning controller) exactly once
-// per *state*, keyed on everything a build reads:
+// every task_delay, per controller. The ViewCache hands out the three views
+// as pointers into views cached by the inputs they read.
+//
+// refresh() is O(1) while the whole key
 //
 //   (ReplyDb::revision(), currTag, prevTag, ThetaDetector::liveness_epoch())
 //
-// refresh() is O(1) while the key is unchanged — steady-state ticks where no
-// new reply content arrived reuse all three views untouched. A clean round
-// flip (prev' == curr, replyDB untouched) takes the *rotation* fast path:
-// the curr slot is moved into the prev slot wholesale, the new res(curr')
-// is just the synthesized self record (no replies carry a brand-new tag),
-// and the fusion aliases the prev slot — by the fusion definition, with no
-// curr-tagged entries every non-shadowed prev entry is included, so
-// G(fusion) == G(res(prev')) exactly.
+// is unchanged. Otherwise the replyDB is keyed by node id, so each tag
+// class is a disjoint entry subset, and two views do not depend on which
+// tag a class carries:
+//
+//   - a class holding every entry is served the all-entries view, cached on
+//     (ReplyDb::view_shape_revision(), liveness epoch);
+//   - a class holding no entry is served the self-only view (the
+//     synthesized self record), cached on the liveness epoch.
+//
+// A converged round flip (every entry prev-tagged) and the re-tagging that
+// follows (every entry curr-tagged) therefore build nothing. Only a mixed
+// state builds its partial views. The fusion is res(curr) when no entry is
+// prev-tagged and res(prev) when none is curr-tagged: with one tag class
+// empty the fusion definition collapses onto the other.
 //
 // Reachability is precomputed per view on an index-mapped flat adjacency
-// (flows::FlatView): one integer BFS per rebuild with an epoch-stamped
-// visited array that then answers membership in O(1), replacing the
-// per-call std::set BFS plus linear reachable-set scans of the seed. All
-// scratch (flat CSR arrays, BFS queue, visited stamps) lives in the three
-// long-lived slots, so a steady-state tick allocates nothing here.
+// (flows::FlatView): one integer BFS per build with an epoch-stamped visited
+// array that then answers membership in O(1). Every view keeps its buffers
+// across builds, so a steady-state tick allocates nothing here.
 //
 // Controller::Config::paranoid mirrors the legitimacy monitor's
-// differential mode: every refresh() outcome (hit, rotation or rebuild) is
-// shadowed by from-scratch builds — with reachability recomputed through
-// the *independent* TopoView::reachable_set() implementation — and any
-// divergence throws std::logic_error.
+// differential mode: every refresh() outcome is shadowed by from-scratch
+// builds — with reachability recomputed through the *independent*
+// TopoView::reachable_set() implementation — and any divergence throws
+// std::logic_error.
 #pragma once
 
 #include <cstdint>
@@ -55,20 +60,10 @@ struct ResView {
   std::set<NodeId> reply_ids;      ///< ids that actually replied
   flows::FlatView flat;            ///< index-mapped snapshot of `view`
   std::vector<NodeId> reach;       ///< reachable from the owner, BFS order
-
-  /// Which replyDB entry subset this view was built over. The replyDB is
-  /// keyed by node id, so a tag class is just a subset of entries — and a
-  /// view over *all* entries (or none) is structurally independent of which
-  /// tag that class carries. Empty/All slots can therefore be reused across
-  /// round flips while the entry shapes and the liveness set are unchanged.
-  enum class Coverage : std::uint8_t { Partial, Empty, All };
-  Coverage coverage = Coverage::Partial;
-  std::uint64_t shape_revision = 0;  ///< ReplyDb::view_shape_revision() at build
-  std::uint64_t liveness_epoch = 0;  ///< detector epoch at build
-  /// Process-unique content stamp assigned by finalize(): slot rotations and
-  /// aliasing move it with the content, so equal build_ids mean "the exact
-  /// same materialized view" (what lets the batch planner O(1)-compare the
-  /// views feeding a fan-out instead of deep-comparing reach/reply sets).
+  /// Process-unique content stamp assigned by finalize(): equal build_ids
+  /// mean "the exact same materialized view" (what lets the batch planner
+  /// O(1)-compare the views feeding a fan-out instead of deep-comparing
+  /// reach/reply sets).
   std::uint64_t build_id = 0;
 
   /// O(1): was `n` reachable from the owning controller when this view was
@@ -85,8 +80,7 @@ class ViewCache {
   struct Stats {
     std::uint64_t refreshes = 0;   ///< refresh() calls
     std::uint64_t hits = 0;        ///< key unchanged, views reused untouched
-    std::uint64_t rotations = 0;   ///< slot-reuse fast paths (no full build)
-    std::uint64_t rebuilds = 0;    ///< full view materializations
+    std::uint64_t rebuilds = 0;    ///< refreshes that built from replyDB entries
     std::uint64_t paranoid_checks = 0;  ///< differential shadows run
   };
 
@@ -96,32 +90,18 @@ class ViewCache {
   void set_paranoid(bool paranoid) { paranoid_ = paranoid; }
 
   /// Synchronize the three views with (db, tags, detector). O(1) when the
-  /// key is unchanged; a clean round flip rotates slots; anything else
-  /// rebuilds all three views once.
+  /// key is unchanged; otherwise serves the cached all-entries and
+  /// self-only views where they apply and builds only partial views.
   void refresh(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
                const detect::ThetaDetector& detector);
 
-  /// Drop the cached key and slot-reuse metadata (e.g. after corruption).
-  void invalidate() {
-    key_.valid = false;
-    for (auto& s : slots_) s.coverage = ResView::Coverage::Partial;
-  }
+  /// Drop every cached key (e.g. after corruption).
+  void invalidate() { key_.valid = all_.valid = self_only_.valid = false; }
 
   [[nodiscard]] const ResView& res_curr() const { return *curr_; }
   [[nodiscard]] const ResView& res_prev() const { return *prev_; }
-  [[nodiscard]] const ResView& fusion() const {
-    switch (fusion_alias_) {
-      case FusionAlias::Prev: return *prev_;
-      case FusionAlias::Curr: return *curr_;
-      case FusionAlias::None: break;
-    }
-    return *fus_;
-  }
-  /// True when G(fusion) is the prev slot itself (no curr-tagged entries);
-  /// the controller uses this to skip the topology-stability compare.
-  [[nodiscard]] bool fusion_aliases_prev() const {
-    return fusion_alias_ == FusionAlias::Prev;
-  }
+  /// May be the same object as res_curr() or res_prev().
+  [[nodiscard]] const ResView& fusion() const { return *fusion_; }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -140,33 +120,44 @@ class ViewCache {
     proto::Tag prev;
     std::uint64_t liveness_epoch = 0;
   };
+  /// A tag-independent view and the input revisions it was built under
+  /// (the self-only view reads no replyDB entry and stamps shape 0).
+  struct Cached {
+    ResView res;
+    bool valid = false;
+    std::uint64_t shape_revision = 0;
+    std::uint64_t liveness_epoch = 0;
+
+    [[nodiscard]] bool fresh(std::uint64_t shape, std::uint64_t live) const {
+      return valid && shape_revision == shape && liveness_epoch == live;
+    }
+    void stamp(std::uint64_t shape, std::uint64_t live) {
+      valid = true;
+      shape_revision = shape;
+      liveness_epoch = live;
+    }
+  };
 
   void resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
               const detect::ThetaDetector& detector);
-  /// The self-only view (synthesized self record, no replies).
-  void build_empty(const ReplyDb& db, const detect::ThetaDetector& detector,
-                   ResView& out) const;
+  /// The view of a tag class holding `count` of the db's entries: the
+  /// cached self-only or all-entries view, or `partial` built in place.
+  const ResView* class_view(const ReplyDb& db, proto::Tag tag,
+                            std::size_t count,
+                            const detect::ThetaDetector& detector,
+                            ResView& partial, bool& built);
   void check_paranoid(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
                       const detect::ThetaDetector& detector);
-
-  /// Which slot IS the fusion. When only one tag class has entries the
-  /// fusion definition collapses onto that class's view — the steady-state
-  /// norm (all replies re-tagged curr => fusion == res_curr; right after a
-  /// clean flip => fusion == res_prev) — so most ticks materialize a single
-  /// full view instead of three.
-  enum class FusionAlias { None, Prev, Curr };
 
   NodeId self_;
   bool paranoid_ = false;
   Key key_;
-  // Three long-lived slots addressed through pointers so a rotation is a
-  // pointer swap, not a deep copy; their internal buffers are reused across
-  // rebuilds.
-  ResView slots_[3];
-  ResView* curr_ = &slots_[0];
-  ResView* prev_ = &slots_[1];
-  ResView* fus_ = &slots_[2];
-  FusionAlias fusion_alias_ = FusionAlias::None;
+  Cached all_;
+  Cached self_only_;
+  ResView curr_partial_, prev_partial_, fusion_partial_;
+  const ResView* curr_ = &self_only_.res;
+  const ResView* prev_ = &self_only_.res;
+  const ResView* fusion_ = &self_only_.res;
   Stats stats_;
 };
 

@@ -163,8 +163,8 @@ void Experiment::build() {
   lp.latency = config_.link_latency;
   lp.bandwidth_bps = 1e9;  // paper: 1000 Mbit/s
   lp.faults.loss = config_.link_loss;
-  lp.faults.duplicate = config_.link_duplicate;
-  lp.faults.reorder = config_.link_reorder;
+  // Inert until a fault enables reordering; the channel adversary's storm
+  // keeps this baseline bound.
   lp.faults.reorder_delay_max = 2 * config_.link_latency;
   for (int u = 0; u < n_switches; ++u) {
     for (int v : topo_.switch_graph.neighbors(u)) {

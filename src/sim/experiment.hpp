@@ -47,8 +47,6 @@ struct ExperimentConfig {
 
   Time link_latency = msec(1);        ///< one-way; bandwidth is 1000 Mbit/s
   double link_loss = 0.0;
-  double link_duplicate = 0.0;
-  double link_reorder = 0.0;
 
   Time monitor_interval = msec(250);  ///< legitimacy sampling ceiling
   /// Epoch-gated adaptive sampling: between checks the harness advances in

@@ -371,17 +371,15 @@ bool RuleTable::describes(const Layout& layout) const {
 }
 
 void RuleTable::select_layout() {
-  if (describes(layouts_[current_layout_])) return;
-  current_layout_ = 1 - current_layout_;
-  Layout& layout = layouts_[current_layout_];
-  if (describes(layout)) return;
+  layout_stale_ = false;
+  if (describes(layout_)) return;
   // Entries built under the replaced layout's id can never match again.
-  layout.id = ++layout_ids_;
-  layout.lists.clear();
+  layout_.id = ++layout_ids_;
+  layout_.lists.clear();
   for (const auto& [cid, e] : owners_) {
     for (const auto& tl : e.lists) {
       if (tl.rules) {
-        layout.lists.push_back(
+        layout_.lists.push_back(
             ListRef{cid, tag_rank(e.recent_tags, tl.tag), tl.rules});
       }
     }
@@ -390,7 +388,7 @@ void RuleTable::select_layout() {
 
 void RuleTable::note_mutation() {
   owner_rules_ = count_owner_rules();
-  select_layout();
+  layout_stale_ = true;
   const std::uint64_t sig = content_signature();
   if (sig != content_sig_) {
     content_sig_ = sig;
@@ -487,7 +485,8 @@ proto::RuleListPtr RuleTable::newest_rules_of(NodeId cid) const {
 }
 
 const std::vector<Candidate>& RuleTable::candidates(NodeId src, NodeId dst) {
-  const Layout& layout = layouts_[current_layout_];
+  if (layout_stale_) select_layout();
+  const Layout& layout = layout_;
   const std::uint64_t key = lookup_key(src, dst);
   auto cached = lookup_cache_.find(key);
   if (cached != lookup_cache_.end() && cached->second.layout == layout.id) {

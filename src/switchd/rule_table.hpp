@@ -37,11 +37,13 @@
 // The lookup cache survives steady rounds: each entry records the layout —
 // the exact (owner, tag rank, list pointer) sequence — it was built under,
 // and is rebuilt lazily on the next lookup only if the layout has changed.
-// A steady newRound + updateRule pair passes through a transient layout and
-// returns to the same one, so the entries stay valid.
+// A mutation only marks the layout stale; the next lookup re-selects it. A
+// steady newRound + updateRule pair passes through a transient layout and
+// returns to the same one before any lookup (a switch applies a whole batch
+// before it routes the reply), so the layout keeps its id and the entries
+// stay valid.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -262,14 +264,13 @@ class RuleTable {
 
   void trim_to_retention(OwnerEntry& e);
   void enforce_capacity();
-  /// Recount the owner rules, switch to the layout of the new state and
-  /// advance the epoch iff the monitor-observable content (owner set, newest
-  /// list per owner) actually changed. Called at the end of every mutating
-  /// entry point.
+  /// Recount the owner rules, mark the layout stale and advance the epoch
+  /// iff the monitor-observable content (owner set, newest list per owner)
+  /// actually changed. Called at the end of every mutating entry point.
   void note_mutation();
-  /// Make the state's layout current: a held layout that describes it keeps
-  /// its id (its cache entries stay valid); otherwise the other slot takes
-  /// the new layout under a fresh id.
+  /// Make the layout describe the state: a layout that already does keeps
+  /// its id (its cache entries stay valid); otherwise it is rebuilt under a
+  /// fresh id.
   void select_layout();
   /// True when `layout` is exactly the state's (owner, rank, list) sequence.
   [[nodiscard]] bool describes(const Layout& layout) const;
@@ -300,10 +301,8 @@ class RuleTable {
   std::uint64_t epoch_ = 0;
   std::uint64_t content_sig_ = 0;
   std::size_t owner_rules_ = 0;  ///< total_rules(), recounted per mutation
-  /// The current layout and the one before it: a steady round's newRound
-  /// moves to a transient layout and its updateRule moves back.
-  std::array<Layout, 2> layouts_;
-  std::size_t current_layout_ = 0;  ///< index into layouts_
+  Layout layout_;
+  bool layout_stale_ = false;  ///< mutated since select_layout()
   std::uint64_t layout_ids_ = 0;
   std::unordered_map<std::uint64_t, CachedLookup> lookup_cache_;
   CacheStats cache_stats_;

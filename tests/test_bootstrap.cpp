@@ -108,9 +108,15 @@ TEST(BootstrapProperties, SurvivesLossyLinks) {
   // reordering (Section 3.1).
   auto cfg = fast_config("B4", 2);
   cfg.link_loss = 0.05;
-  cfg.link_duplicate = 0.05;
-  cfg.link_reorder = 0.1;
   Experiment exp(cfg);
+  auto& net = exp.sim().network();
+  for (std::size_t i = 0; i < net.link_count(); ++i) {
+    net::Link& link = net.link(static_cast<int>(i));
+    net::LinkFaults f = link.params().faults;
+    f.duplicate = 0.05;
+    f.reorder = 0.1;
+    link.set_faults(f);
+  }
   const auto r = exp.run_until_legitimate(sec(120));
   EXPECT_TRUE(r.converged) << r.last_reason;
 }

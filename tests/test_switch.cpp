@@ -182,5 +182,52 @@ TEST_F(Fixture, ManagerSetIsBoundedLru) {
   EXPECT_EQ(sw.managers(), (std::vector<NodeId>{11, 12}));
 }
 
+TEST(SwitchLookupCache, SteadyBatchesTakeNoLookupMisses) {
+  // The rule table keeps one lookup layout, re-selected lazily on the first
+  // lookup after a mutation. A steady batch passes through a transient
+  // layout between its newRound and its updateRule; that is free only
+  // because on_message applies the whole batch before the query reply's
+  // frame does its lookup. Topology: sw0 - sw1 - controller 2, so sw0
+  // routes its replies by the installed rule (dest 2 -> port 1).
+  for (int retention : {2, 3}) {
+    net::Simulator sim(1);
+    AbstractSwitch::Config cfg;
+    cfg.detect_interval = msec(10);
+    cfg.tick_interval = msec(20);
+    auto& sw0 = sim.emplace_node<AbstractSwitch>(0, cfg);
+    auto& sw1 = sim.emplace_node<AbstractSwitch>(1, cfg);
+    auto& ctrl = sim.emplace_node<Probe>(2);
+    sim.add_link(0, 1, net::LinkParams{});
+    sim.add_link(1, 2, net::LinkParams{});
+    sw0.start();
+    sw1.start();
+    auto rules = std::make_shared<proto::RuleList>();
+    rules->push_back(proto::Rule{2, 0, kNoNode, 2, 1, 1});
+    const RuleTable& table = sw0.rule_table();
+    RuleTable::CacheStats warm;
+    const std::uint32_t rounds = 12, warm_up = 4;
+    for (std::uint32_t round = 1; round <= rounds; ++round) {
+      const proto::Tag tag{2, round};
+      proto::CommandBatch b;
+      b.from = 2;
+      b.commands = {proto::NewRoundCmd{tag, retention}, proto::AddMngrCmd{2},
+                    proto::UpdateRuleCmd{rules, tag}, proto::QueryCmd{tag}};
+      sw0.on_packet(1, net::make_packet(2, 0, proto::Payload{proto::Frame{
+                           proto::FrameKind::Act, round,
+                           std::make_shared<const proto::Message>(
+                               proto::Message{std::move(b)})}}));
+      sim.run_until(sim.now() + msec(50));
+      if (round == warm_up) warm = table.cache_stats();
+    }
+    ASSERT_EQ(ctrl.replies.size(), rounds) << "retention " << retention;
+    EXPECT_GT(warm.misses, 0u) << "retention " << retention;
+    EXPECT_EQ(table.cache_stats().misses, warm.misses)
+        << "retention " << retention;
+    // Every reply after the warm-up was routed through a cache hit.
+    EXPECT_GE(table.cache_stats().hits, warm.hits + (rounds - warm_up))
+        << "retention " << retention;
+  }
+}
+
 }  // namespace
 }  // namespace ren::switchd
