@@ -11,10 +11,12 @@
 // byte-identical (the adversary draws from per-node RNG streams, so the
 // campaign cannot depend on which thread ran which trial). Reported per
 // cell: re-stabilization convergence time, time below legitimacy
-// (availability), illegitimate episodes, blast radius, and how many trials
-// re-stabilized after the cure.
+// (availability), illegitimate episodes, blast radius, how many trials
+// re-stabilized after the cure, and the one-thread campaign's wall time
+// (`wall_s`; the report's top-level `wall_s` is their sum).
 //
 // --quick (CI) runs ATT x lying with one trial. Writes BENCH_byzantine.json.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -51,6 +53,7 @@ struct CellReport {
   double below_p50_s = 0;     ///< median time below legitimacy
   double episodes_p50 = 0;    ///< median illegitimate episodes
   double blast_p50 = 0;       ///< median blast radius (fraction of switches)
+  double wall_s = 0;          ///< wall seconds of the one-thread campaign
 };
 
 CellReport run_cell(const std::string& topology, const std::string& mode,
@@ -62,7 +65,11 @@ CellReport run_cell(const std::string& topology, const std::string& mode,
   scenario::RunnerOptions serial, pooled;
   serial.threads = 1;
   pooled.threads = 0;  // hardware concurrency
+  const auto t0 = std::chrono::steady_clock::now();
   const scenario::CampaignResult first = scenario::run_campaign(s, serial);
+  rep.wall_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
   rep.identical = first.to_json().pretty() ==
                   scenario::run_campaign(s, pooled).to_json().pretty();
   if (!first.cells.empty()) {
@@ -100,18 +107,21 @@ int main(int argc, char** argv) {
       "Section 7 discussion: behavior outside the benign fault model");
 
   bool all_pass = true;
+  double wall_s = 0;
   scenario::Json jcells{scenario::JsonArray{}};
-  std::printf("%-14s %-12s %8s %12s %10s %9s %7s %12s\n", "fabric", "mode",
-              "trials", "restab (s)", "below (s)", "episodes", "blast",
-              "restabilized");
+  std::printf("%-14s %-12s %8s %12s %10s %9s %7s %12s %9s\n", "fabric",
+              "mode", "trials", "restab (s)", "below (s)", "episodes",
+              "blast", "restabilized", "wall (s)");
   for (const auto& fabric : fabrics) {
     for (const auto& mode : modes) {
       const CellReport rep = run_cell(fabric, mode, trials);
       if (!rep.identical || rep.restabilized != rep.trials) all_pass = false;
-      std::printf("%-14s %-12s %8d %12.2f %10.2f %9.1f %7.2f %9d/%d %s\n",
+      wall_s += rep.wall_s;
+      std::printf("%-14s %-12s %8d %12.2f %10.2f %9.1f %7.2f %9d/%d %9.2f "
+                  "%s\n",
                   rep.topology.c_str(), rep.mode.c_str(), rep.trials,
                   rep.restab_p50_s, rep.below_p50_s, rep.episodes_p50,
-                  rep.blast_p50, rep.restabilized, rep.trials,
+                  rep.blast_p50, rep.restabilized, rep.trials, rep.wall_s,
                   rep.identical ? "" : "DIVERGED across --threads");
       scenario::Json jc;
       jc.set("topology", rep.topology);
@@ -123,6 +133,7 @@ int main(int argc, char** argv) {
       jc.set("episodes_p50", rep.episodes_p50);
       jc.set("blast_radius_p50", rep.blast_p50);
       jc.set("restabilized", rep.restabilized);
+      jc.set("wall_s", rep.wall_s);
       jcells.push_back(std::move(jc));
     }
   }
@@ -132,6 +143,7 @@ int main(int argc, char** argv) {
   doc.set("mode", quick ? "quick" : "full");
   doc.set("trials", trials);
   doc.set("pass", all_pass);
+  doc.set("wall_s", wall_s);
   doc.set("cells", std::move(jcells));
   bench::write_json(doc, args.json_path);
 

@@ -2,12 +2,14 @@
 // RNG streams and the counters.
 //
 // One queue pops events in deterministic (time, lane, lane-seq) order on the
-// calling thread — the paper's one-atomic-step interleaving model. Harness
-// events (fault injection, monitors, churn ticks) sit on the global lane 0,
-// which sorts first at equal time; node `id` schedules on lane `id + 1` with
-// its own sequence counter, and every per-packet draw comes from the
-// sender's Rng::stream_seed stream. The key is content-derived, so the event
-// order depends only on who scheduled what.
+// calling thread — the paper's one-atomic-step interleaving model. The queue
+// is a timing wheel of 1 µs buckets (net/event_queue.hpp): link hops and
+// probes stay in the wheel, and only timers past its span take a heap.
+// Harness events (fault injection, monitors, churn ticks) sit on the global
+// lane 0, which sorts first at equal time; node `id` schedules on lane
+// `id + 1` with its own sequence counter, and every per-packet draw comes
+// from the sender's Rng::stream_seed stream. The key is content-derived, so
+// the event order depends only on who scheduled what.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +93,8 @@ class Simulator {
   [[nodiscard]] std::uint64_t events_executed() const {
     return queue_.executed();
   }
+  /// The event queue, read-only (its push counters, for the tests).
+  [[nodiscard]] const EventQueue& queue() const { return queue_; }
 
   // --- topology --------------------------------------------------------------
   /// Transfer ownership of a node into the simulator. The node's id must

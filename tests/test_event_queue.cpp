@@ -193,5 +193,117 @@ TEST(EventQueue, RandomScheduleMatchesSortedOracle) {
   }
 }
 
+TEST(EventQueue, WideScheduleMatchesSortedOracle) {
+  // Times reach several wheel spans ahead, so events go to the far heap,
+  // migrate into the wheel as now() advances, and land in buckets after
+  // the wheel wrapped. Some are parked at kTimeNever, some pushed at now()
+  // mid-drain on a lane below the one just popped, and pop_until runs at
+  // random limits. After every step next_time(), size() and each popped
+  // (at, lane, seq) must match a plain sorted oracle.
+  struct Ref {
+    Time at = 0;
+    std::int32_t lane = 0;
+    std::uint64_t seq = 0;
+  };
+  const auto key = [](const Ref& r) { return std::tie(r.at, r.lane, r.seq); };
+  const auto by_key = [&](const Ref& a, const Ref& b) {
+    return key(a) < key(b);
+  };
+  constexpr Time kSpan = EventQueue::kSpan;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    EventQueue q;
+    Rng rng(seed);
+    std::vector<Ref> pending;  // kept sorted
+    std::vector<std::uint64_t> lane_seq(6, 0);
+    std::uint64_t global_seq = 0;
+    bool packet = false;
+    const auto push = [&](Time at, std::int32_t lane) {
+      Ref r;
+      r.at = std::max(at, q.now());
+      r.lane = lane;
+      if (lane == EventQueue::kGlobalLane) {
+        r.seq = global_seq++;
+        q.schedule_at(at, [] {});
+      } else if ((packet = !packet)) {
+        r.seq = lane_seq[static_cast<std::size_t>(lane)]++;
+        q.schedule_packet(at, 0, 1, 0, Packet{}, lane, r.seq);
+      } else {
+        r.seq = lane_seq[static_cast<std::size_t>(lane)]++;
+        q.schedule_at(at, [] {}, lane, r.seq);
+      }
+      pending.insert(
+          std::upper_bound(pending.begin(), pending.end(), r, by_key), r);
+    };
+    const auto check = [&](const EventQueue::Event& ev, int step) {
+      ASSERT_FALSE(pending.empty()) << "step " << step;
+      const Ref want = pending.front();
+      pending.erase(pending.begin());
+      ASSERT_EQ(std::tie(ev.at, ev.lane, ev.seq), key(want)) << "step " << step;
+      ASSERT_EQ(q.now(), want.at);
+    };
+    for (int step = 0; step < 20000; ++step) {
+      const std::uint64_t op = rng.next_below(20);
+      if (op < 9) {
+        // A schedule: near now, up to several spans out, at the span's
+        // edge, parked at kTimeNever, or in the past.
+        const auto lane = static_cast<std::int32_t>(rng.next_below(6));
+        const std::uint64_t reach = rng.next_below(10);
+        Time at = q.now();
+        if (reach < 4) {
+          at += static_cast<Time>(rng.next_below(64));
+        } else if (reach < 6) {
+          at += static_cast<Time>(rng.next_below(4 * kSpan));
+        } else if (reach < 8) {  // either side of the wheel's far edge
+          at += kSpan - 64 + static_cast<Time>(rng.next_below(128));
+        } else if (reach < 9) {
+          at = kTimeNever;
+        } else {
+          at -= static_cast<Time>(rng.next_below(5));
+        }
+        push(at, lane);
+      } else if (op < 17) {
+        // A pop_until at a limit that is sometimes below the next event.
+        Time limit = kTimeNever - 1;
+        if (rng.next_below(4) != 0) {
+          limit = q.now() + static_cast<Time>(rng.next_below(2 * kSpan));
+        }
+        const bool want = !pending.empty() && pending.front().at <= limit;
+        EventQueue::Event ev;
+        ASSERT_EQ(q.pop_until(limit, ev), want) << "step " << step;
+        if (!want) continue;
+        check(ev, step);
+        // Mid-drain pushes at now() on lanes at or below the popped one.
+        for (std::uint64_t k = rng.next_below(3); k > 0; --k) {
+          push(q.now(), static_cast<std::int32_t>(rng.next_below(
+                            static_cast<std::uint64_t>(ev.lane) + 1)));
+        }
+      } else if (!pending.empty() && pending.front().at != kTimeNever) {
+        EventQueue::Event ev;  // an unbounded pop short of the parked events
+        ASSERT_TRUE(q.pop(ev));
+        check(ev, step);
+      }
+      ASSERT_EQ(q.size(), pending.size()) << "step " << step;
+      ASSERT_EQ(q.next_time(),
+                pending.empty() ? kTimeNever : pending.front().at)
+          << "step " << step;
+    }
+    // Drain, parked events last; then push at kTimeNever itself.
+    EventQueue::Event ev;
+    while (q.pop(ev)) check(ev, -1);
+    ASSERT_TRUE(pending.empty());
+    EXPECT_EQ(q.now(), kTimeNever);
+    push(kTimeNever, 3);
+    push(0, 1);  // clamps to kTimeNever
+    ASSERT_TRUE(q.pop(ev));
+    check(ev, -1);
+    ASSERT_TRUE(q.pop(ev));
+    check(ev, -1);
+    EXPECT_TRUE(q.empty());
+    // The schedules reached the far heap, and most stayed in the wheel.
+    EXPECT_GT(q.far_pushes() * 10, q.executed());
+    EXPECT_LT(q.far_pushes() * 2, q.executed());
+  }
+}
+
 }  // namespace
 }  // namespace ren::net
