@@ -7,12 +7,12 @@
 //   bench_table8_scale [--quick] [--json FILE] [--trials N]
 //
 // The connectivity path is also audited here: before each bootstrap the
-// bench runs edge_connectivity() on the fabric under a global operator-new
-// probe (alloc_probe.hpp) and fails if any single allocation reaches n*n
-// bytes — the footprint of a dense residual matrix, which the sparse
-// max-flow (SparseMaxFlow) replaced. On the 1k-node WAN a dense residual
-// would be a 2 MiB contiguous block; the sparse path peaks in the tens of
-// kilobytes.
+// bench snapshots the fabric into a flows::FlatView and runs its
+// edge_connectivity() under a global operator-new probe (alloc_probe.hpp),
+// and fails if any single allocation reaches n*n bytes — the footprint of a
+// dense residual matrix. The max-flow keeps its residuals in the snapshot's
+// per-edge arrays instead; on the 1k-node WAN a dense residual would be a
+// 1 MiB contiguous block, while the snapshot peaks in the tens of kilobytes.
 //
 // After the first bootstrap of each fabric, a compile probe times
 // RuleCompiler::compile against its oracle, compile_oracle, on the converged
@@ -78,14 +78,19 @@ sim::ExperimentConfig scale_config(const std::string& spec, int kappa,
   return cfg;
 }
 
-/// edge_connectivity() under the allocation probe. Fails the row when any
-/// single allocation is as large as the dense n x n residual would be.
+/// FlatView::assign + edge_connectivity() under the allocation probe. Fails
+/// the row when any single allocation is as large as the dense n x n
+/// residual would be.
 void audit_connectivity(FabricRow& row, const flows::Graph& g) {
   using namespace bench;
   g_probe_allocs.store(0, std::memory_order_relaxed);
   g_probe_max_bytes.store(0, std::memory_order_relaxed);
   g_probe.store(true, std::memory_order_relaxed);
-  row.lambda = g.edge_connectivity();
+  {
+    flows::FlatView flat;
+    flat.assign(g);
+    row.lambda = flat.edge_connectivity();
+  }
   g_probe.store(false, std::memory_order_relaxed);
   row.connectivity_allocs = g_probe_allocs.load(std::memory_order_relaxed);
   row.connectivity_max_alloc =

@@ -53,16 +53,10 @@ const flows::TopoView& LegitimacyMonitor::true_view() const {
 int LegitimacyMonitor::achievable_kappa() {
   const std::uint64_t topo = sim_.network().epoch();
   if (kappa_valid_ && kappa_epoch_ == topo) return achievable_kappa_;
-  // Compact the true fabric into an index-dense Graph (node ids go sparse
-  // once nodes die); FlatView indices follow sorted id order.
-  const flows::TopoView& truth = true_view();
+  // The flat snapshot compacts node ids, which go sparse once nodes die.
   flows::FlatView flat;
-  flat.assign(truth);
-  flows::Graph g(flat.n());
-  for (const auto& [n, nbrs] : truth.adj()) {
-    for (NodeId v : nbrs) g.add_edge(flat.index_of(n), flat.index_of(v));
-  }
-  achievable_kappa_ = std::max(0, g.edge_connectivity() - 1);
+  flat.assign(true_view());
+  achievable_kappa_ = std::max(0, flat.edge_connectivity() - 1);
   kappa_epoch_ = topo;
   kappa_valid_ = true;
   return achievable_kappa_;

@@ -98,8 +98,8 @@ class LegitimacyMonitor {
   /// lambda(Gc) - 1, since a kappa-fault-resilient flow needs kappa+1
   /// edge-disjoint paths. Cached per topology epoch, so sampling an
   /// unchanged fabric is O(1) and a changed fabric pays one
-  /// Graph::edge_connectivity() over the compacted true view (sparse
-  /// max-flow: no n x n residual exists anywhere in this path).
+  /// FlatView::edge_connectivity() over a snapshot of the true view (max-flow
+  /// on its CSR edges: no n x n residual exists anywhere in this path).
   /// Degradation diagnostics — e.g. the B4 cascading-failure investigation
   /// — compare it against Config::kappa.
   [[nodiscard]] int achievable_kappa();

@@ -19,9 +19,12 @@ double bounded_pareto(double mean, double alpha, double u) {
 
 }  // namespace
 
-ChurnGenerator::ChurnGenerator(Graph graph, ChurnConfig config,
+ChurnGenerator::ChurnGenerator(const Graph& graph, ChurnConfig config,
                                std::uint64_t seed, Time start)
-    : graph_(std::move(graph)), config_(config), rng_(seed) {
+    : relay_(static_cast<std::size_t>(graph.n()), 1),
+      config_(config),
+      rng_(seed) {
+  graph_.assign(graph);
   if (!(config_.rate > 0)) {
     throw std::invalid_argument("churn: rate must be > 0");
   }
@@ -100,23 +103,12 @@ void ChurnGenerator::advance(Time until, std::vector<FlowArrival>& out) {
 const std::vector<NodeId>& ChurnGenerator::tree_toward(NodeId dst) {
   auto it = trees_.find(dst);
   if (it != trees_.end()) return it->second;
-  // BFS from dst over sorted adjacency with a FIFO queue: for every node v
-  // the recorded hop is the first shortest-path neighbor toward dst — the
-  // same "first shortest path" determinism contract Graph documents.
+  // Search from dst: every node's parent in the tree is its first
+  // shortest-path neighbor toward dst.
   std::vector<NodeId> next(static_cast<std::size_t>(graph_.n()), kNoNode);
-  std::vector<NodeId> queue;
-  queue.reserve(static_cast<std::size_t>(graph_.n()));
-  std::vector<char> seen(static_cast<std::size_t>(graph_.n()), 0);
-  seen[static_cast<std::size_t>(dst)] = 1;
-  queue.push_back(dst);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const NodeId u = queue[head];
-    for (int v : graph_.neighbors(u)) {
-      if (seen[static_cast<std::size_t>(v)]) continue;
-      seen[static_cast<std::size_t>(v)] = 1;
-      next[static_cast<std::size_t>(v)] = u;
-      queue.push_back(static_cast<NodeId>(v));
-    }
+  graph_.search(dst, -1, relay_);
+  for (const std::int32_t v : graph_.order()) {
+    if (v != dst) next[static_cast<std::size_t>(v)] = graph_.parent(v);
   }
   return trees_.emplace(dst, std::move(next)).first->second;
 }

@@ -15,10 +15,10 @@
 // harness-lane tick events.
 //
 // The generator also owns the routing of flows: per-destination BFS
-// next-hop trees over the switch graph ("first shortest path": sorted
-// adjacency + FIFO queue, the same determinism contract as Graph), cached
-// per destination, so the scenario engine can install one exact-match
-// microflow entry per hop (switchd::FlowRule) without re-deriving paths.
+// next-hop trees over the switch graph (FlatView::search from the
+// destination: the deterministic "first shortest path" tree), cached per
+// destination, so the scenario engine can install one exact-match microflow
+// entry per hop (switchd::FlowRule) without re-deriving paths.
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,7 @@ class ChurnGenerator {
  public:
   /// `graph` is the switch fabric (node ids = switch NodeIds); `start` is
   /// the simulated time of the first interarrival draw.
-  ChurnGenerator(Graph graph, ChurnConfig config, std::uint64_t seed,
+  ChurnGenerator(const Graph& graph, ChurnConfig config, std::uint64_t seed,
                  Time start);
 
   /// Pop every arrival with `at <= until`, in arrival order.
@@ -80,7 +80,8 @@ class ChurnGenerator {
   [[nodiscard]] NodeId draw_endpoint();
   const std::vector<NodeId>& tree_toward(NodeId dst);
 
-  Graph graph_;
+  FlatView graph_;
+  std::vector<std::uint8_t> relay_;  ///< all ones: every node forwards
   ChurnConfig config_;
   Rng rng_;
   Time next_at_ = 0;

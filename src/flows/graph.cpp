@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <set>
 
-#include "flows/connectivity.hpp"
 #include "net/network.hpp"
 
 namespace ren::flows {
@@ -31,54 +31,6 @@ bool Graph::has_edge(int a, int b) const {
   if (a >= n() || b >= n()) return false;
   const auto& v = adj_[static_cast<std::size_t>(a)];
   return std::binary_search(v.begin(), v.end(), b);
-}
-
-std::vector<int> Graph::bfs_dist(int src) const {
-  std::vector<int> dist(static_cast<std::size_t>(n()), -1);
-  std::deque<int> q;
-  dist[static_cast<std::size_t>(src)] = 0;
-  q.push_back(src);
-  while (!q.empty()) {
-    const int u = q.front();
-    q.pop_front();
-    for (int v : adj_[static_cast<std::size_t>(u)]) {
-      if (dist[static_cast<std::size_t>(v)] < 0) {
-        dist[static_cast<std::size_t>(v)] = dist[static_cast<std::size_t>(u)] + 1;
-        q.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
-bool Graph::connected() const {
-  if (n() == 0) return true;
-  const auto d = bfs_dist(0);
-  return std::none_of(d.begin(), d.end(), [](int x) { return x < 0; });
-}
-
-int Graph::diameter() const {
-  int best = 0;
-  for (int s = 0; s < n(); ++s) {
-    for (int d : bfs_dist(s)) best = std::max(best, d);
-  }
-  return best;
-}
-
-int Graph::edge_connectivity() const {
-  if (n() < 2) return 0;
-  if (!connected()) return 0;
-  // lambda(G) = min over t != 0 of maxflow(0, t): every cut separates node 0
-  // from some t. One SparseMaxFlow instance serves all n-1 runs (a run only
-  // resets the O(m) residual capacities), and each run is capped at the
-  // running minimum — a flow can't raise the min, so pushing past the best
-  // known cut is wasted work. deg(0) seeds the bound.
-  SparseMaxFlow flow(*this);
-  int best = static_cast<int>(neighbors(0).size());
-  for (int t = 1; t < n() && best > 0; ++t) {
-    best = std::min(best, flow.run(0, t, best));
-  }
-  return best;
 }
 
 // --- TopoView ---------------------------------------------------------------
@@ -175,6 +127,26 @@ void FlatView::assign(const TopoView& view) {
     }
     off_.push_back(static_cast<std::int32_t>(nbr_.size()));
   }
+  reset_scratch();
+}
+
+void FlatView::assign(const Graph& g) {
+  ids_.resize(static_cast<std::size_t>(g.n()));
+  std::iota(ids_.begin(), ids_.end(), 0);
+  direct_.assign(ids_.begin(), ids_.end());  // index i is node i
+  off_.clear();
+  off_.reserve(ids_.size() + 1);
+  off_.push_back(0);
+  nbr_.clear();
+  nbr_.reserve(2 * g.edge_count());  // one exact block, no regrowth
+  for (int u = 0; u < g.n(); ++u) {
+    nbr_.insert(nbr_.end(), g.neighbors(u).begin(), g.neighbors(u).end());
+    off_.push_back(static_cast<std::int32_t>(nbr_.size()));
+  }
+  reset_scratch();
+}
+
+void FlatView::reset_scratch() {
   mark_.assign(ids_.size(), 0);
   stamp_ = 0;
   parent_.resize(ids_.size());
@@ -277,6 +249,78 @@ int FlatView::parent(int idx) const {
   return stamp_ != 0 && mark_[static_cast<std::size_t>(idx)] == stamp_
              ? parent_[static_cast<std::size_t>(idx)]
              : -1;
+}
+
+std::vector<int> FlatView::distances(int src) {
+  std::vector<int> dist(static_cast<std::size_t>(n()), -1);
+  clear_blocked();
+  search(src, -1, std::vector<std::uint8_t>(static_cast<std::size_t>(n()), 1));
+  tree_depths(dist);
+  return dist;
+}
+
+int FlatView::diameter() {
+  const std::vector<std::uint8_t> relay(static_cast<std::size_t>(n()), 1);
+  std::vector<int> depth(static_cast<std::size_t>(n()));
+  clear_blocked();
+  int best = 0;
+  for (int s = 0; s < n(); ++s) {
+    search(s, -1, relay);
+    best = std::max(best, tree_depths(depth));
+  }
+  return best;
+}
+
+int FlatView::tree_depths(std::vector<int>& depth) const {
+  int deepest = 0;
+  for (const std::int32_t v : queue_) {  // parents come before children
+    const std::int32_t p = parent_[static_cast<std::size_t>(v)];
+    const int d = p == v ? 0 : depth[static_cast<std::size_t>(p)] + 1;
+    depth[static_cast<std::size_t>(v)] = d;
+    deepest = std::max(deepest, d);
+  }
+  return deepest;
+}
+
+int FlatView::max_flow(int s, int t, int cap_limit) {
+  return augment(s, t, cap_limit,
+                 std::vector<std::uint8_t>(static_cast<std::size_t>(n()), 1));
+}
+
+int FlatView::augment(int s, int t, int cap_limit,
+                      const std::vector<std::uint8_t>& relay) {
+  clear_blocked();
+  if (s == t) return 0;
+  int flow = 0;
+  for (; flow < cap_limit && search(s, t, relay); ++flow) {
+    for (int v = t; v != s; v = parent_[static_cast<std::size_t>(v)]) {
+      const int u = parent_[static_cast<std::size_t>(v)];
+      const int rev = edge_index(v, u);
+      if (rev >= 0 && blocked_[static_cast<std::size_t>(rev)] == block_stamp_) {
+        blocked_[static_cast<std::size_t>(rev)] = 0;
+      } else {
+        blocked_[static_cast<std::size_t>(edge_index(u, v))] = block_stamp_;
+      }
+    }
+  }
+  return flow;
+}
+
+int FlatView::edge_connectivity() {
+  if (n() < 2) return 0;
+  const std::vector<std::uint8_t> relay(static_cast<std::size_t>(n()), 1);
+  clear_blocked();
+  search(0, -1, relay);
+  if (static_cast<int>(queue_.size()) < n()) return 0;  // disconnected
+  // lambda(G) = min over t != 0 of maxflow(0, t): every cut separates node 0
+  // from some t. Each run is capped at the running minimum — a flow can't
+  // lower it, so pushing past the best known cut is wasted work — and deg(0)
+  // seeds the bound.
+  int best = off_[1] - off_[0];
+  for (int t = 1; t < n() && best > 0; ++t) {
+    best = std::min(best, augment(0, t, best, relay));
+  }
+  return best;
 }
 
 // --- ConnectivityProbe ------------------------------------------------------

@@ -1,19 +1,22 @@
 // Graph primitives shared by the rule compiler, the topology generators,
 // the fault injector and the controllers' topology views.
 //
-// Three types, one job each:
+// Two containers and the one graph that algorithms run on:
 //  * Graph     — compact, index-based, undirected: the physical fabric as
-//                generators and loaders produce it, and whole-network
-//                algorithms on it (diameter, edge connectivity).
+//                generators and loaders produce it. A container only; the
+//                memoized topologies are shared read-only across campaign
+//                threads, so it carries no search scratch.
 //  * TopoView  — sparse, NodeId-keyed, directed: what a controller *believes*
 //                the topology to be (paper: G(S) built from query replies),
 //                and the live ground truth. A container: build, compare,
 //                fingerprint. Its std::set walks (reachable_set here,
 //                disjoint_view_paths in my_rules) serve as oracles and for
 //                the off-hot-path data-flow compile.
-//  * FlatView  — an index-dense CSR snapshot of a TopoView that every search
-//                over a view runs on: controller reachability, the rule
-//                compiler's path searches, and fault-connectivity probes.
+//  * FlatView  — an index-dense CSR snapshot of either container, and the
+//                only graph that algorithms run on: controller reachability,
+//                the rule compiler's path searches, fault-connectivity
+//                probes, churn routing trees, distances, diameter, max-flow
+//                and edge connectivity.
 #pragma once
 
 #include <cstdint>
@@ -45,14 +48,6 @@ class Graph {
   [[nodiscard]] const std::vector<int>& neighbors(int v) const {
     return adj_[static_cast<std::size_t>(v)];
   }
-
-  /// BFS distances from src; unreachable = -1.
-  [[nodiscard]] std::vector<int> bfs_dist(int src) const;
-  [[nodiscard]] bool connected() const;
-  /// Largest shortest-path distance over all reachable pairs.
-  [[nodiscard]] int diameter() const;
-  /// Global edge connectivity lambda(G) (unit-capacity max-flow based).
-  [[nodiscard]] int edge_connectivity() const;
 
   friend bool operator==(const Graph&, const Graph&) = default;
 
@@ -110,21 +105,22 @@ class TopoView {
 [[nodiscard]] TopoView live_topology(const net::Network& net,
                                      std::vector<NodeId> live_ids);
 
-/// An index-dense snapshot of a TopoView: node ids are mapped to compact
-/// indices 0..n-1 (in the view's sorted node order) with CSR adjacency, so
-/// reachability runs as an integer BFS over flat arrays instead of a
-/// std::set-seeded walk over std::map adjacency. The visited array is
-/// epoch-stamped: re-assigning or re-running BFS bumps the stamp instead of
-/// clearing, and the scratch buffers are retained across assign() calls, so
-/// a long-lived FlatView (one per cached controller view) allocates nothing
-/// in steady state. The same arrays, plus a parent array and blocked-edge
-/// stamps, carry the rule compiler's path searches.
+/// An index-dense snapshot of a TopoView or a Graph: node ids are mapped to
+/// compact indices 0..n-1 (in sorted id order) with CSR adjacency, so
+/// every graph algorithm runs as an integer BFS over flat arrays. The
+/// visited array is epoch-stamped: re-assigning or re-running BFS bumps the
+/// stamp instead of clearing, and the scratch buffers are retained across
+/// assign() calls, so a long-lived FlatView (one per cached controller view)
+/// allocates nothing in steady state. A parent array and blocked-edge stamps
+/// carry the rule compiler's path searches and the max-flow.
 class FlatView {
  public:
   FlatView() = default;
 
   /// Snapshot `view`. Reuses this instance's buffers.
   void assign(const TopoView& view);
+  /// Snapshot `g`; node i keeps index i and id i.
+  void assign(const Graph& g);
 
   [[nodiscard]] int n() const { return static_cast<int>(ids_.size()); }
   /// Compact index of `id`, or -1 when the node is not in the snapshot.
@@ -143,7 +139,7 @@ class FlatView {
   /// Membership in the most recent reachable_from() or search() run.
   [[nodiscard]] bool reached(NodeId id) const;
 
-  // --- Path search (RuleCompiler::compile) ----------------------------------
+  // --- Path search -----------------------------------------------------------
   // Works on compact indices. Blocked edges are epoch-stamped like the
   // visited array: unblocking everything is one stamp bump.
 
@@ -169,7 +165,32 @@ class FlatView {
     return queue_;
   }
 
+  // --- Whole-graph algorithms ----------------------------------------------
+  // Each unblocks every edge and lets every node relay. Max-flow and edge
+  // connectivity count unit-capacity undirected edges, so they need a
+  // symmetric snapshot: a Graph, or a view like live_topology().
+
+  /// Hop distances from index `src`, by index; unreachable = -1.
+  [[nodiscard]] std::vector<int> distances(int src);
+  /// Largest hop distance over all reachable pairs.
+  [[nodiscard]] int diameter();
+  /// Edge-disjoint paths between indices `s` and `t`, counted up to
+  /// `cap_limit` (callers that only need "at least k" pass k).
+  [[nodiscard]] int max_flow(int s, int t, int cap_limit);
+  /// Global edge connectivity lambda; 0 when disconnected or n < 2.
+  [[nodiscard]] int edge_connectivity();
+
  private:
+  /// Edmonds-Karp from zero flow, one search() per augmenting path. Edge
+  /// {u, v} holds residual 2 over its arcs, and an arc is blocked exactly
+  /// when it holds 0: augmenting u -> v unblocks v -> u if it was blocked,
+  /// else blocks u -> v. Only the arcs on the path change.
+  int augment(int s, int t, int cap_limit,
+              const std::vector<std::uint8_t>& relay);
+  /// depth[v] for every v the last search() reached; returns the largest.
+  int tree_depths(std::vector<int>& depth) const;
+  void reset_scratch();  // after the CSR arrays were rebuilt
+
   std::vector<NodeId> ids_;           // sorted node ids (map order)
   std::vector<std::int32_t> direct_;  // id -> index table for dense ids
   std::vector<std::int32_t> off_;     // CSR offsets (size n+1)

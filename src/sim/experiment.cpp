@@ -192,8 +192,10 @@ void Experiment::build() {
   // Optional host pair at maximum switch-graph distance.
   if (config_.with_hosts) {
     int best_a = 0, best_b = 0, best_d = -1;
+    flows::FlatView flat;
+    flat.assign(topo_.switch_graph);
     for (int s = 0; s < n_switches; ++s) {
-      const auto dist = topo_.switch_graph.bfs_dist(s);
+      const auto dist = flat.distances(s);
       for (int t = 0; t < n_switches; ++t) {
         if (dist[static_cast<std::size_t>(t)] > best_d) {
           best_d = dist[static_cast<std::size_t>(t)];

@@ -72,7 +72,9 @@ Topology make_random_wan(int nodes, int m, std::uint64_t seed) {
     }
     for (int u : targets) link(v, u);
   }
-  const int diameter = g.diameter();
+  flows::FlatView flat;
+  flat.assign(g);
+  const int diameter = flat.diameter();
   return Topology{"random_wan(nodes=" + std::to_string(nodes) +
                       ",m=" + std::to_string(m) +
                       ",seed=" + std::to_string(seed) + ")",

@@ -35,32 +35,22 @@ Topology build_from_edges(const std::string& format, const std::string& name,
 
   // Largest connected component; a tie keeps the component holding the
   // smallest original identifier (components are discovered in id order).
+  flows::FlatView flat;
+  flat.assign(full);
   std::vector<int> comp(static_cast<std::size_t>(full.n()), -1);
-  int comp_count = 0;
-  std::vector<int> sizes;
-  std::vector<int> queue;
+  std::vector<std::size_t> sizes;  // by component label
+  std::vector<NodeId> members;
   for (int s = 0; s < full.n(); ++s) {
     if (comp[static_cast<std::size_t>(s)] >= 0) continue;
-    const int c = comp_count++;
-    sizes.push_back(0);
-    queue.assign(1, s);
-    comp[static_cast<std::size_t>(s)] = c;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      ++sizes[static_cast<std::size_t>(c)];
-      for (int v : full.neighbors(queue[head])) {
-        if (comp[static_cast<std::size_t>(v)] < 0) {
-          comp[static_cast<std::size_t>(v)] = c;
-          queue.push_back(v);
-        }
-      }
+    members.clear();
+    flat.reachable_from(s, members);
+    for (const NodeId v : members) {
+      comp[static_cast<std::size_t>(v)] = static_cast<int>(sizes.size());
     }
+    sizes.push_back(members.size());
   }
-  int best = 0;
-  for (int c = 1; c < comp_count; ++c) {
-    if (sizes[static_cast<std::size_t>(c)] > sizes[static_cast<std::size_t>(best)]) {
-      best = c;
-    }
-  }
+  const auto best = static_cast<int>(
+      std::max_element(sizes.begin(), sizes.end()) - sizes.begin());
 
   std::vector<int> dense(static_cast<std::size_t>(full.n()), -1);
   int kept = 0;
@@ -79,7 +69,8 @@ Topology build_from_edges(const std::string& format, const std::string& name,
       }
     }
   }
-  const int diameter = g.diameter();
+  flat.assign(g);
+  const int diameter = flat.diameter();
   return Topology{name, std::move(g), diameter};
 }
 

@@ -129,8 +129,7 @@ std::vector<TopoInfo> list_topos() {
                     const std::string& summary) {
     const Topology t = resolve(spec);
     out.push_back(TopoInfo{spec, kind, summary, t.switch_graph.n(),
-                           t.switch_graph.edge_count(),
-                           t.switch_graph.diameter()});
+                           t.switch_graph.edge_count(), t.expected_diameter});
   };
   add("B4", "builtin", "Google's SDN WAN (paper Table 8)");
   add("Clos", "builtin", "3-stage fat-tree, k=4 (paper Table 8)");

@@ -83,7 +83,8 @@ TEST(Experiment, HostsSitAtMaximumDistance) {
   auto cfg = fast_config("B4", 1);
   cfg.with_hosts = true;
   Experiment exp(cfg);
-  const auto d = exp.topology().switch_graph.bfs_dist(exp.host_a()->attach());
+  const auto d = ren::testing::flat_of(exp.topology().switch_graph)
+                     .distances(exp.host_a()->attach());
   EXPECT_EQ(d[static_cast<std::size_t>(exp.host_b()->attach())],
             exp.topology().expected_diameter);
 }

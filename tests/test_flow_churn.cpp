@@ -110,6 +110,28 @@ TEST(ChurnGenerator, NextHopFollowsShortestPaths) {
   EXPECT_EQ(hops, (std::vector<NodeId>{1, 2, 3}));  // src..pre-dst
 }
 
+TEST(ChurnGenerator, NextHopsArePinnedWhereShortestPathsTie) {
+  // Clos has many equal-length paths between pods; the routing tree must
+  // keep picking the same one (the lowest-id neighbor found first).
+  flows::ChurnGenerator gen(topo::make_clos().switch_graph, small_churn(), 1,
+                            0);
+  std::vector<NodeId> hops;
+  gen.path_hops(0, 7, hops);
+  EXPECT_EQ(hops, (std::vector<NodeId>{0, 8, 16, 14}));
+  std::size_t total = 0;
+  int pairs = 0;
+  for (NodeId src = 0; src < 20; ++src) {
+    for (NodeId dst = 0; dst < 20; ++dst) {
+      if (src == dst) continue;
+      gen.path_hops(src, dst, hops);
+      total += hops.size();
+      ++pairs;
+    }
+  }
+  EXPECT_EQ(pairs, 380);
+  EXPECT_EQ(total, 984u);
+}
+
 TEST(ChurnGenerator, RejectsInvalidConfigs) {
   const auto g = line_graph(4);
   auto bad = [&](auto mutate) {

@@ -3,13 +3,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "flows/connectivity.hpp"
 #include "flows/graph.hpp"
 #include "flows/resilient_paths.hpp"
+#include "test_helpers.hpp"
 #include "util/rng.hpp"
 
 namespace ren::flows {
 namespace {
+
+using ren::testing::flat_of;
 
 Graph cycle(int n) {
   Graph g(n);
@@ -35,49 +37,59 @@ TEST(Graph, BasicEdgeOps) {
   EXPECT_TRUE(g.has_edge(4, 5));
 }
 
+// The graph algorithms run on a FlatView snapshot of the Graph.
+
 TEST(Graph, BfsDistances) {
-  Graph g = cycle(6);
-  const auto d = g.bfs_dist(0);
-  EXPECT_EQ(d[0], 0);
-  EXPECT_EQ(d[1], 1);
-  EXPECT_EQ(d[3], 3);
-  EXPECT_EQ(d[5], 1);
+  const auto d = flat_of(cycle(6)).distances(0);
+  EXPECT_EQ(d, (std::vector<int>{0, 1, 2, 3, 2, 1}));
+  Graph apart(3);
+  apart.add_edge(0, 1);
+  EXPECT_EQ(flat_of(apart).distances(1), (std::vector<int>{1, 0, -1}));
 }
 
 TEST(Graph, DiameterOfKnownGraphs) {
-  EXPECT_EQ(cycle(6).diameter(), 3);
-  EXPECT_EQ(cycle(7).diameter(), 3);
+  EXPECT_EQ(flat_of(cycle(6)).diameter(), 3);
+  EXPECT_EQ(flat_of(cycle(7)).diameter(), 3);
   Graph path(5);
   for (int i = 0; i + 1 < 5; ++i) path.add_edge(i, i + 1);
-  EXPECT_EQ(path.diameter(), 4);
+  EXPECT_EQ(flat_of(path).diameter(), 4);
+  EXPECT_EQ(flat_of(Graph{}).diameter(), 0);
 }
 
 TEST(Graph, Connectivity) {
   Graph g(4);
   g.add_edge(0, 1);
   g.add_edge(2, 3);
-  EXPECT_FALSE(g.connected());
+  std::vector<NodeId> reached;
+  flat_of(g).reachable_from(0, reached);
+  EXPECT_EQ(reached, (std::vector<NodeId>{0, 1}));
+  EXPECT_EQ(flat_of(g).edge_connectivity(), 0);
   g.add_edge(1, 2);
-  EXPECT_TRUE(g.connected());
+  reached.clear();
+  flat_of(g).reachable_from(0, reached);
+  EXPECT_EQ(reached, (std::vector<NodeId>{0, 1, 2, 3}));
+  EXPECT_EQ(flat_of(g).edge_connectivity(), 1);
 }
 
 TEST(Graph, EdgeConnectivity) {
-  EXPECT_EQ(cycle(5).edge_connectivity(), 2);
+  EXPECT_EQ(flat_of(cycle(5)).edge_connectivity(), 2);
   Graph path(4);
   for (int i = 0; i < 3; ++i) path.add_edge(i, i + 1);
-  EXPECT_EQ(path.edge_connectivity(), 1);
+  EXPECT_EQ(flat_of(path).edge_connectivity(), 1);
   Graph k4(4);
   for (int i = 0; i < 4; ++i) {
     for (int j = i + 1; j < 4; ++j) k4.add_edge(i, j);
   }
-  EXPECT_EQ(k4.edge_connectivity(), 3);
+  EXPECT_EQ(flat_of(k4).edge_connectivity(), 3);
+  EXPECT_EQ(flat_of(Graph(1)).edge_connectivity(), 0);
 }
 
 TEST(Graph, EdgeDisjointPathCount) {
   Graph g = cycle(6);
-  EXPECT_EQ(SparseMaxFlow(g).run(0, 3, g.n()), 2);
+  EXPECT_EQ(flat_of(g).max_flow(0, 3, g.n()), 2);
   g.add_edge(0, 3);
-  EXPECT_EQ(SparseMaxFlow(g).run(0, 3, g.n()), 3);
+  EXPECT_EQ(flat_of(g).max_flow(0, 3, g.n()), 3);
+  EXPECT_EQ(flat_of(g).max_flow(3, 3, g.n()), 0);
 }
 
 TEST(TopoView, DirectedEdgeSemantics) {

@@ -30,6 +30,14 @@ inline sim::ExperimentConfig paranoid_config(const std::string& topology,
   return cfg;
 }
 
+/// A FlatView snapshot of `g` (index i is node i), for the graph
+/// algorithms, which all run on FlatView.
+inline flows::FlatView flat_of(const flows::Graph& g) {
+  flows::FlatView flat;
+  flat.assign(g);
+  return flat;
+}
+
 /// Bootstrap to a legitimate state or fail the test.
 inline void bootstrap_or_fail(sim::Experiment& exp, Time limit = sec(60)) {
   const auto r = exp.run_until_legitimate(limit);
