@@ -123,23 +123,20 @@ std::shared_ptr<proto::Message> BatchPlanner::materialize(
 }
 
 void BatchPlanner::rotate_fanout(proto::Tag tag) {
-  const bool same_tag = tag == gate_.tag;
   // Deletion accounting (Theorem 1 experiments) counts every sent batch's
   // victims — exactly what a re-derivation would have produced.
-  for (std::size_t i = 0; i < peers_.size(); ++i) {
-    Entry* e = planned_entries_[i];
-    e->tick = tick_;
-    for (NodeId v : e->key.victims) hooks_.note_deletion(v);
-    if (same_tag) {
+  for (Entry& e : entries_) {
+    for (NodeId v : e.key.victims) hooks_.note_deletion(v);
+    if (e.key.tag == tag) {
       // Not even the round tag moved: resubmit the identical payload; the
       // transport refreshes its supersede slot without a new label.
       ++stats_.reused;
     } else {
-      e->key.tag = tag;
-      rotate(e->msg, tag);
+      e.key.tag = tag;
+      rotate(e.msg, tag);
     }
     ++stats_.planned;
-    hooks_.send(peers_[i], e->msg, e->key.command_count());
+    hooks_.send(e.peer, e.msg, e.key.command_count());
   }
 }
 
@@ -148,22 +145,17 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
                                proto::Tag curr_tag, bool new_round,
                                std::uint64_t flows_fingerprint,
                                std::uint64_t data_flow_revision) {
-  ++tick_;
   // The fan-out gate: when every input a key derivation reads is unchanged
   // — the three views' content (a cached view keeps its build_id), the
   // replyDB's management content, the rules provider — all keys are
   // unchanged up to the round tag, and the fan-out is a pure rotation.
-  if (gate_.valid && gate_.refer_build == refer.build_id &&
-      gate_.prev_build == res_prev.build_id &&
-      gate_.fusion_build == fusion.build_id &&
-      gate_.mgmt_revision == db.management_revision() &&
-      gate_.flows_fingerprint == flows_fingerprint &&
-      gate_.data_flow_revision == data_flow_revision &&
-      gate_.new_round == new_round) {
+  const Gate gate{refer.build_id, res_prev.build_id, fusion.build_id,
+                  db.management_revision(), flows_fingerprint,
+                  data_flow_revision, new_round};
+  if (gate_ == gate) {
     ++stats_.gate_rotations;
     last_was_rotation_ = true;
     rotate_fanout(curr_tag);
-    gate_.tag = curr_tag;
     if (config_.paranoid) {
       check_paranoid(db, refer, res_prev, fusion, curr_tag, new_round);
     }
@@ -173,12 +165,14 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
   ++stats_.full_plans;
   last_was_rotation_ = false;
   peers_.clear();
-  planned_entries_.clear();
   for (NodeId n : fusion.reach) {
     if (n != self_) peers_.push_back(n);
   }
   std::sort(peers_.begin(), peers_.end());
 
+  // Merge the cached entries (ascending by peer) against the new peers:
+  // a kept peer's entry moves into the next vector, a new peer starts empty.
+  auto old = entries_.begin();
   for (NodeId peer : peers_) {
     proto::BatchKey key;
     key.tag = curr_tag;
@@ -201,34 +195,28 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
         key.rules = hooks_.rules_for(peer);
       }
     }
-    Entry& entry = entries_[peer];
+    while (old != entries_.end() && old->peer < peer) ++old;
+    Entry& entry = entries_scratch_.emplace_back();
+    if (old != entries_.end() && old->peer == peer) {
+      entry = std::move(*old++);
+    } else {
+      entry.peer = peer;
+    }
     const std::size_t commands = key.command_count();
     std::shared_ptr<proto::Message> msg = materialize(entry, std::move(key));
-    entry.tick = tick_;
-    planned_entries_.push_back(&entry);
     ++stats_.planned;
     hooks_.send(peer, msg, commands);
   }
 
-  gate_.valid = true;
-  gate_.refer_build = refer.build_id;
-  gate_.prev_build = res_prev.build_id;
-  gate_.fusion_build = fusion.build_id;
-  gate_.mgmt_revision = db.management_revision();
-  gate_.flows_fingerprint = flows_fingerprint;
-  gate_.data_flow_revision = data_flow_revision;
-  gate_.new_round = new_round;
-  gate_.tag = curr_tag;
+  gate_ = gate;
+
+  // Entries of peers that left the fan-out are dropped here (bounding the
+  // cache alongside the transport's retain_only).
+  entries_.swap(entries_scratch_);
+  entries_scratch_.clear();
 
   if (config_.paranoid) {
     check_paranoid(db, refer, res_prev, fusion, curr_tag, new_round);
-  }
-
-  // Retire peers that left the fan-out (bounds the cache alongside the
-  // transport's retain_only). planned_entries_ pointers stay valid: only
-  // non-planned nodes are erased.
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    it = it->second.tick == tick_ ? std::next(it) : entries_.erase(it);
   }
 }
 
@@ -237,7 +225,7 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
 // A from-scratch reference written against the seed's original fan-out
 // (std::set preparation, per-peer command maps, fresh CommandBatch per
 // peer), deliberately independent of the key/rotation machinery under test.
-// Every planned batch must encode byte-identically to its shadow.
+// Every planned batch must compare equal to its shadow by value.
 
 void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
                                   const ResView& res_prev,
@@ -288,6 +276,15 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
     c.push_back(proto::UpdateRuleCmd{hooks_.rules_for(peer), curr_tag});
   }
 
+  // The oracle's peers and the planned entries are both ascending: walk them
+  // in lockstep. The planner must not have sent to anyone the shadow would
+  // not, nor skipped anyone it would.
+  auto non_recipient = [](NodeId p) {
+    return std::logic_error(
+        "BatchPlanner paranoia: batch planned for non-recipient peer " +
+        std::to_string(p));
+  };
+  auto e = entries_.begin();
   for (NodeId peer : peers) {
     proto::CommandBatch batch;
     batch.from = self_;
@@ -297,42 +294,32 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
     }
     batch.commands.push_back(proto::QueryCmd{curr_tag});
 
-    auto eit = entries_.find(peer);
-    if (eit == entries_.end() || eit->second.tick != tick_ ||
-        eit->second.msg == nullptr) {
+    if (e != entries_.end() && e->peer < peer) throw non_recipient(e->peer);
+    if (e == entries_.end() || e->peer != peer || e->msg == nullptr) {
       throw std::logic_error(
           "BatchPlanner paranoia: no planned batch for peer " +
           std::to_string(peer));
     }
     // The Fig. 9 accounting: the count the planner reported to the send
     // hook is the key's, so it must match the oracle batch too.
-    if (eit->second.key.command_count() != batch.commands.size()) {
+    if (e->key.command_count() != batch.commands.size()) {
       throw std::logic_error(
           "BatchPlanner paranoia: key command count " +
-          std::to_string(eit->second.key.command_count()) +
+          std::to_string(e->key.command_count()) +
           " != from-scratch batch size " +
           std::to_string(batch.commands.size()) + " for peer " +
           std::to_string(peer));
     }
-    std::string want, got;
-    proto::debug_encode(proto::Message{std::move(batch)}, want);
-    proto::debug_encode(*eit->second.msg, got);
-    if (want != got) {
+    if (*e->msg != proto::Message{std::move(batch)}) {
       throw std::logic_error(
           "BatchPlanner paranoia: planned batch diverges from the "
           "from-scratch build for peer " +
           std::to_string(peer));
     }
     ++stats_.paranoid_checks;
+    ++e;
   }
-  // The planner must not have sent to anyone the shadow would not.
-  for (const auto& [peer, entry] : entries_) {
-    if (entry.tick == tick_ && peers.count(peer) == 0) {
-      throw std::logic_error(
-          "BatchPlanner paranoia: batch planned for non-recipient peer " +
-          std::to_string(peer));
-    }
-  }
+  if (e != entries_.end()) throw non_recipient(e->peer);
 }
 
 }  // namespace ren::core

@@ -28,14 +28,14 @@
 //
 // Config::paranoid mirrors the view-cache differential pattern: every
 // planned batch is shadowed by a from-scratch build using the seed's
-// std::set-based preparation, and any divergence in the canonical byte
-// encoding (proto::debug_encode) or in the key's command count throws
-// std::logic_error.
+// std::set-based preparation, and a batch that does not compare equal by
+// value to its shadow (rule lists by content), or whose key's command
+// count differs, throws std::logic_error.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "core/reply_db.hpp"
@@ -62,8 +62,8 @@ class BatchPlanner {
     int retention = 2;
     bool memory_adaptive = true;
     /// Differential-test mode: shadow every planned batch with a
-    /// from-scratch build and throw std::logic_error unless the canonical
-    /// encodings are byte-equal (slow; tests/CI only).
+    /// from-scratch build and throw std::logic_error unless the two compare
+    /// equal by value (slow; tests/CI only).
     bool paranoid = false;
   };
   struct Hooks {
@@ -118,24 +118,22 @@ class BatchPlanner {
   /// messages may describe tampered state their keys no longer witness).
   void invalidate() {
     entries_.clear();
-    planned_entries_.clear();
     peers_.clear();
-    gate_.valid = false;
+    gate_.reset();
   }
 
  private:
   struct Entry {
+    NodeId peer = kNoNode;
     proto::BatchKey key;
     /// Cached batch; non-const so a uniquely-owned message can be retagged
     /// in place on round flips. Handed out as proto::MessagePtr.
     std::shared_ptr<proto::Message> msg;
-    std::uint64_t tick = 0;  ///< last plan_fanout that planned this peer
   };
 
   /// Everything a full plan read, beyond the round tag. Equality means the
   /// next tick's keys are key.same_except_tag-identical for every peer.
   struct Gate {
-    bool valid = false;
     std::uint64_t refer_build = 0;
     std::uint64_t prev_build = 0;
     std::uint64_t fusion_build = 0;
@@ -143,7 +141,8 @@ class BatchPlanner {
     std::uint64_t flows_fingerprint = 0;
     std::uint64_t data_flow_revision = 0;
     bool new_round = false;
-    proto::Tag tag;  ///< tag of the cached batches (not part of the gate)
+
+    friend bool operator==(const Gate&, const Gate&) = default;
   };
 
   /// Lines 15-17: the sorted eviction victims for one switch reply; calls
@@ -167,17 +166,16 @@ class BatchPlanner {
   NodeId self_;
   Config config_;
   Hooks hooks_;
-  std::unordered_map<NodeId, Entry> entries_;
-  std::uint64_t tick_ = 0;
-  Gate gate_;
+  /// One entry per recipient of the last full plan, ascending by peer: a
+  /// full plan merges it against the new peers_, a gate rotation walks it.
+  std::vector<Entry> entries_;
+  std::optional<Gate> gate_;  ///< empty until the first full plan
   bool last_was_rotation_ = false;
   PlannerStats stats_;
 
   // Per-tick scratch, cleared not shrunk.
   std::vector<NodeId> peers_;
-  /// entries_ nodes in peers_ order from the last full plan (unordered_map
-  /// node addresses are stable), so a gate rotation walks a flat array.
-  std::vector<Entry*> planned_entries_;
+  std::vector<Entry> entries_scratch_;  ///< the next entries_ of a full plan
   std::vector<NodeId> owners_scratch_;
   std::vector<NodeId> managers_scratch_;
   std::vector<NodeId> victims_scratch_;

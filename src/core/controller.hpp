@@ -53,8 +53,8 @@ class Controller final : public transport::InBandNode {
     int rule_retention = 2;          ///< 3 = Section 6.2 variant
     /// Differential-test mode: shadow every cached view and every planned
     /// batch with a from-scratch build and throw std::logic_error on
-    /// divergence — batches must match byte for byte on the wire (slow;
-    /// tests/CI only).
+    /// divergence — batches must compare equal by value, rule lists by
+    /// content (slow; tests/CI only).
     bool paranoid = false;
   };
 

@@ -43,35 +43,35 @@ void add_reply(const proto::QueryReply& m, ResView& out) {
   out.reply_ids.insert(m.id);
 }
 
+/// The view of the self record plus every replyDB entry whose tag `keep`
+/// accepts.
+template <class Keep>
+void build_view(NodeId self, const ReplyDb& db,
+                const detect::ThetaDetector& detector, Keep keep,
+                ResView& out) {
+  start_with_self(self, detector, out);
+  for (const auto& [rid, m] : db.entries()) {
+    if (keep(m.tag_for_querier)) add_reply(m, out);
+  }
+  out.finalize(self);
+}
+
 }  // namespace
 
 void ViewCache::build_res(NodeId self, const ReplyDb& db, proto::Tag tag,
                           const detect::ThetaDetector& detector,
                           ResView& out) {
-  start_with_self(self, detector, out);
-  for (const auto& [rid, m] : db.entries()) {
-    if (m.tag_for_querier == tag) add_reply(m, out);
-  }
-  out.finalize(self);
+  build_view(self, db, detector, [&](proto::Tag t) { return t == tag; }, out);
 }
 
 void ViewCache::build_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
                              proto::Tag prev,
                              const detect::ThetaDetector& detector,
                              ResView& out) {
-  start_with_self(self, detector, out);
-  // res(currTag), then res(prevTag) entries not shadowed by a curr reply.
-  for (const auto& [rid, m] : db.entries()) {
-    const bool is_curr = m.tag_for_querier == curr;
-    const bool is_prev = m.tag_for_querier == prev;
-    if (!is_curr && !is_prev) continue;
-    if (is_prev && !is_curr) {
-      const proto::QueryReply* other = db.find(m.id);
-      if (other != nullptr && other->tag_for_querier == curr) continue;
-    }
-    add_reply(m, out);
-  }
-  out.finalize(self);
+  // The replyDB holds one entry per id, so no prev entry is shadowed by a
+  // curr one: the fusion is every entry with either tag.
+  build_view(self, db, detector,
+             [&](proto::Tag t) { return t == curr || t == prev; }, out);
 }
 
 // --- Cache maintenance --------------------------------------------------------
@@ -105,18 +105,23 @@ const ResView* ViewCache::class_view(const ReplyDb& db, proto::Tag tag,
     }
     return &self_only_.res;
   }
-  if (count == db.size()) {
-    const std::uint64_t shape = db.view_shape_revision();
-    if (!all_.fresh(shape, live)) {
-      build_res(self_, db, tag, detector, all_.res);
-      all_.stamp(shape, live);
-      built = true;
-    }
-    return &all_.res;
-  }
+  if (count == db.size()) return all_entries_view(db, detector, built);
   build_res(self_, db, tag, detector, partial);
   built = true;
   return &partial;
+}
+
+const ResView* ViewCache::all_entries_view(
+    const ReplyDb& db, const detect::ThetaDetector& detector, bool& built) {
+  const std::uint64_t shape = db.view_shape_revision();
+  const std::uint64_t live = detector.liveness_epoch();
+  if (!all_.fresh(shape, live)) {
+    build_view(self_, db, detector, [](proto::Tag) { return true; },
+               all_.res);
+    all_.stamp(shape, live);
+    built = true;
+  }
+  return &all_.res;
 }
 
 void ViewCache::resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
@@ -126,6 +131,7 @@ void ViewCache::resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
     n_curr += m.tag_for_querier == curr ? 1 : 0;
     n_prev += m.tag_for_querier == prev ? 1 : 0;
   }
+  const std::size_t n_fused = curr == prev ? n_curr : n_curr + n_prev;
   bool built = false;
   curr_ = class_view(db, curr, n_curr, detector, curr_partial_, built);
   prev_ = class_view(db, prev, n_prev, detector, prev_partial_, built);
@@ -133,6 +139,8 @@ void ViewCache::resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
     fusion_ = curr_;
   } else if (n_curr == 0) {
     fusion_ = prev_;
+  } else if (n_fused == db.size()) {
+    fusion_ = all_entries_view(db, detector, built);
   } else {
     build_fusion(self_, db, curr, prev, detector, fusion_partial_);
     fusion_ = &fusion_partial_;

@@ -25,7 +25,8 @@
 // follows (every entry curr-tagged) therefore build nothing. Only a mixed
 // state builds its partial views. The fusion is res(curr) when no entry is
 // prev-tagged and res(prev) when none is curr-tagged: with one tag class
-// empty the fusion definition collapses onto the other.
+// empty the fusion definition collapses onto the other. When the two
+// classes together hold every entry, the fusion is the all-entries view.
 //
 // Reachability is precomputed per view on an index-mapped flat adjacency
 // (flows::FlatView): one integer BFS per build with an epoch-stamped visited
@@ -146,6 +147,10 @@ class ViewCache {
                             std::size_t count,
                             const detect::ThetaDetector& detector,
                             ResView& partial, bool& built);
+  /// The cached all-entries view, rebuilt from every entry when stale.
+  const ResView* all_entries_view(const ReplyDb& db,
+                                  const detect::ThetaDetector& detector,
+                                  bool& built);
   void check_paranoid(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
                       const detect::ThetaDetector& detector);
 

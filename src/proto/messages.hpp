@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <variant>
 #include <vector>
 
@@ -32,22 +31,43 @@ struct NewRoundCmd {
   Tag tag;            ///< becomes the sender's meta-rule (round) tag
   int retention = 2;  ///< rounds of old rule lists the switch retains:
                       ///< 2 = Algorithm 2, 3 = the Section 6.2 variant
+
+  friend bool operator==(const NewRoundCmd&, const NewRoundCmd&) = default;
 };
 struct DelMngrCmd {
   NodeId k = kNoNode;  ///< manager to remove
+
+  friend bool operator==(const DelMngrCmd&, const DelMngrCmd&) = default;
 };
 struct AddMngrCmd {
   NodeId k = kNoNode;  ///< manager to add
+
+  friend bool operator==(const AddMngrCmd&, const AddMngrCmd&) = default;
 };
 struct DelAllRulesCmd {
   NodeId k = kNoNode;  ///< delete every rule whose cID == k
+
+  friend bool operator==(const DelAllRulesCmd&,
+                         const DelAllRulesCmd&) = default;
 };
 struct UpdateRuleCmd {
   RuleListPtr rules;  ///< replaces the sender's rules for round `tag`
   Tag tag;
+
+  /// Compares rule-list *contents*, not pointers; a null list equals an
+  /// empty one (the switch installs nothing for either).
+  friend bool operator==(const UpdateRuleCmd& a, const UpdateRuleCmd& b) {
+    auto content = [](const RuleListPtr& p) -> const RuleList& {
+      static const RuleList kNone;
+      return p != nullptr ? *p : kNone;
+    };
+    return a.tag == b.tag && content(a.rules) == content(b.rules);
+  }
 };
 struct QueryCmd {
   Tag tag;  ///< round tag echoed in the reply
+
+  friend bool operator==(const QueryCmd&, const QueryCmd&) = default;
 };
 
 using Command = std::variant<NewRoundCmd, DelMngrCmd, AddMngrCmd,
@@ -57,6 +77,8 @@ using Command = std::variant<NewRoundCmd, DelMngrCmd, AddMngrCmd,
 struct CommandBatch {
   NodeId from = kNoNode;  ///< issuing controller p_i
   std::vector<Command> commands;
+
+  friend bool operator==(const CommandBatch&, const CommandBatch&) = default;
 };
 
 // --- Replies ------------------------------------------------------------
@@ -96,7 +118,7 @@ inline MessagePtr make_message(Message&& m) {
 // --- Outbound batch fingerprint (zero-copy fan-out) -------------------------
 
 /// Content fingerprint of an outbound CommandBatch. Two batches from the
-/// same controller with equal keys encode to identical wire bytes, so
+/// same controller with equal keys build equal CommandBatches, so
 /// successive-batch equality is an O(victims) tag/pointer compare instead of
 /// a deep command-list compare: `rules` is the *identity* of the
 /// UpdateRuleCmd payload (rule lists are immutable and shared, so pointer
@@ -171,102 +193,6 @@ inline std::size_t wire_size(const QueryReply& r) {
 
 inline std::size_t wire_size(const Message& m) {
   return std::visit([](const auto& v) { return wire_size(v); }, m);
-}
-
-// --- Canonical debug encoding ----------------------------------------------
-//
-// A deterministic byte rendering of a message, including the full rule
-// bytes. Not a real wire format: it exists so differential modes (e.g.
-// Controller::Config::paranoid) can assert that two independently
-// constructed messages are byte-equal without hand-writing field-by-field
-// comparisons.
-
-namespace detail {
-inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-inline void put_id(std::string& out, NodeId v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-inline void put_tag(std::string& out, const Tag& t) {
-  put_id(out, t.owner);
-  put_u64(out, t.epoch);
-}
-}  // namespace detail
-
-inline void debug_encode(const Command& c, std::string& out) {
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, NewRoundCmd>) {
-          out.push_back(1);
-          detail::put_tag(out, v.tag);
-          detail::put_u64(out, static_cast<std::uint64_t>(v.retention));
-        } else if constexpr (std::is_same_v<T, DelMngrCmd>) {
-          out.push_back(2);
-          detail::put_id(out, v.k);
-        } else if constexpr (std::is_same_v<T, AddMngrCmd>) {
-          out.push_back(3);
-          detail::put_id(out, v.k);
-        } else if constexpr (std::is_same_v<T, DelAllRulesCmd>) {
-          out.push_back(4);
-          detail::put_id(out, v.k);
-        } else if constexpr (std::is_same_v<T, UpdateRuleCmd>) {
-          out.push_back(5);
-          detail::put_tag(out, v.tag);
-          detail::put_u64(out, v.rules ? v.rules->size() : 0);
-          if (v.rules) {
-            for (const Rule& r : *v.rules) {
-              detail::put_id(out, r.cid);
-              detail::put_id(out, r.sid);
-              detail::put_id(out, r.src);
-              detail::put_id(out, r.dest);
-              detail::put_u64(out, static_cast<std::uint64_t>(r.prt));
-              detail::put_id(out, r.fwd);
-            }
-          }
-        } else if constexpr (std::is_same_v<T, QueryCmd>) {
-          out.push_back(6);
-          detail::put_tag(out, v.tag);
-        }
-      },
-      c);
-}
-
-inline void debug_encode(const Message& m, std::string& out) {
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, CommandBatch>) {
-          out.push_back('B');
-          detail::put_id(out, v.from);
-          detail::put_u64(out, v.commands.size());
-          for (const Command& c : v.commands) debug_encode(c, out);
-        } else {
-          out.push_back('R');
-          detail::put_id(out, v.id);
-          detail::put_u64(out, v.nc.size());
-          for (NodeId n : v.nc) detail::put_id(out, n);
-          detail::put_u64(out, v.managers.size());
-          for (NodeId n : v.managers) detail::put_id(out, n);
-          detail::put_u64(out, v.rule_owners.size());
-          for (const RuleOwnerSummary& s : v.rule_owners) {
-            detail::put_id(out, s.cid);
-            detail::put_tag(out, s.tag);
-            detail::put_u64(out, s.count);
-          }
-          detail::put_u64(out, v.rules_wire_bytes);
-          detail::put_tag(out, v.tag_for_querier);
-          out.push_back(v.from_controller ? 1 : 0);
-        }
-      },
-      m);
-}
-
-[[nodiscard]] inline std::string debug_encode(const Message& m) {
-  std::string out;
-  debug_encode(m, out);
-  return out;
 }
 
 }  // namespace ren::proto

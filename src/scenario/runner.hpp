@@ -38,7 +38,7 @@ struct RunnerOptions {
   /// oracle alongside and fails the trial on divergence — the incremental
   /// legitimacy verdict against a full check, each controller's res/fusion
   /// views against fresh builds, and each planned outbound batch against a
-  /// from-scratch build with a byte-equal wire encoding.
+  /// from-scratch build, compared by value.
   bool paranoid = false;
   /// Attach raw per-trial samples to each cell (and its JSON) instead of
   /// only the percentile aggregates.

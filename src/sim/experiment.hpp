@@ -57,7 +57,7 @@ struct ExperimentConfig {
   /// oracle alongside and throws std::logic_error on divergence — the
   /// monitor's incremental verdict against a full check, each controller's
   /// cached views against fresh builds, and each planned batch against a
-  /// byte-equal from-scratch build (slow; tests/CI only).
+  /// from-scratch build, compared by value (slow; tests/CI only).
   bool paranoid = false;
   std::size_t max_rules = 1u << 20;
   std::size_t max_replies = 0;        ///< 0 = auto: 2(N_C+N_S)+4

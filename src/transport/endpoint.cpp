@@ -25,8 +25,8 @@ void refill(std::shared_ptr<proto::Payload>& slot, proto::Frame&& frame) {
 
 }  // namespace
 
-Endpoint::Endpoint(NodeId self, Config config, Hooks hooks)
-    : self_(self), config_(config), hooks_(std::move(hooks)) {}
+Endpoint::Endpoint(NodeId self, Hooks hooks)
+    : self_(self), hooks_(std::move(hooks)) {}
 
 void Endpoint::submit(NodeId peer, proto::MessagePtr message) {
   SendSession& s = send_[peer];
@@ -119,8 +119,8 @@ void Endpoint::retain_only(std::span<const NodeId> keep_sorted) {
     it = kept(it->first) ? std::next(it) : recv_.erase(it);
   }
   // Hard bound, even if the caller's keep-set is oversized.
-  while (send_.size() > config_.max_sessions) send_.erase(send_.begin());
-  while (recv_.size() > config_.max_sessions) recv_.erase(recv_.begin());
+  while (send_.size() > max_sessions_) send_.erase(send_.begin());
+  while (recv_.size() > max_sessions_) recv_.erase(recv_.begin());
 }
 
 bool Endpoint::idle(NodeId peer) const {

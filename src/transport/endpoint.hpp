@@ -43,14 +43,6 @@ namespace ren::transport {
 /// Bounded label space of the alternating-label protocol.
 inline constexpr std::uint32_t kLabelDomain = 1u << 16;
 
-struct Config {
-  /// Bound on per-node session state (per direction). Nodes in a
-  /// simulation replace it with the node count N at start — a node has at
-  /// most one session per peer, and the paper bounds per-node state by N —
-  /// so the default only applies to free-standing endpoints.
-  std::size_t max_sessions = 4096;
-};
-
 class Endpoint {
  public:
   struct Hooks {
@@ -71,7 +63,7 @@ class Endpoint {
     std::function<void(NodeId peer)> on_new_message;
   };
 
-  Endpoint(NodeId self, Config config, Hooks hooks);
+  Endpoint(NodeId self, Hooks hooks);
 
   /// Send the shared immutable `message` reliably to `peer`, superseding
   /// any unacknowledged message to the same peer under a fresh label.
@@ -95,11 +87,12 @@ class Endpoint {
   /// its already-sorted peer scratch instead of materializing a std::set.
   void retain_only(std::span<const NodeId> keep_sorted);
 
-  /// Replace Config::max_sessions (see there).
-  void set_max_sessions(std::size_t bound) { config_.max_sessions = bound; }
-  [[nodiscard]] std::size_t max_sessions() const {
-    return config_.max_sessions;
-  }
+  /// Bound on per-node session state (per direction). Nodes in a
+  /// simulation set it to the node count N at start — a node has at most
+  /// one session per peer, and the paper bounds per-node state by N — so
+  /// the default 4096 only applies to free-standing endpoints.
+  void set_max_sessions(std::size_t bound) { max_sessions_ = bound; }
+  [[nodiscard]] std::size_t max_sessions() const { return max_sessions_; }
 
   [[nodiscard]] bool idle(NodeId peer) const;
   [[nodiscard]] std::size_t session_count() const {
@@ -147,7 +140,7 @@ class Endpoint {
   void transmit(NodeId peer, const SendSession& s);
 
   NodeId self_;
-  Config config_;
+  std::size_t max_sessions_ = 4096;
   Hooks hooks_;
   std::unordered_map<NodeId, SendSession> send_;
   std::unordered_map<NodeId, RecvSession> recv_;

@@ -20,7 +20,7 @@ InBandNode::InBandNode(NodeId id, NodeKind kind, Time task_interval,
     : net::Node(id, kind),
       detector_(id, detect::ThetaDetector::Config{theta}),
       endpoint_(
-          id, Config{},
+          id,
           Endpoint::Hooks{
               [this](NodeId peer, proto::PayloadPtr f, std::uint32_t bytes) {
                 route_frame(peer, std::move(f), bytes);

@@ -3,8 +3,10 @@
 // fault storms, across rotations/reuse/sharing, and through the built-in
 // scenario timelines with Config::paranoid live. The differential
 // reference inside BatchPlanner::check_paranoid is written against the
-// seed's original std::set fan-out and compares canonical byte encodings.
+// seed's original std::set fan-out and compares the batches by value.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "core/batch_planner.hpp"
 #include "test_helpers.hpp"
@@ -145,6 +147,87 @@ TEST(BatchPlannerParanoid, ScenarioTimelinesPass) {
   // live on every controller tick (trials 0 and 1 run in the monitor and
   // view timeline tests).
   ren::testing::expect_builtin_timelines_pass_paranoid(/*trial=*/2);
+}
+
+/// Plan two fan-outs (a full plan, then a gate rotation under the next
+/// tag) to one replied switch with the shadow live. The planner's
+/// rules_for call gets `planned`; every later call, the shadow's, gets a
+/// fresh copy of `shadow`.
+void plan_with_shadow_rules(const proto::RuleList& planned,
+                            const proto::RuleList& shadow) {
+  const NodeId self = 0;
+  ReplyDb db(ReplyDb::Config{16, true});
+  detect::ThetaDetector det(self, detect::ThetaDetector::Config{3});
+  det.set_candidates({1});
+  det.on_probe_reply(1);
+  det.tick([](NodeId, proto::Probe) {});
+  const proto::Tag prev{self, 1}, curr{self, 2}, next{self, 3};
+  proto::QueryReply m;
+  m.id = 1;
+  m.nc = {self};
+  m.tag_for_querier = curr;
+  db.store(m);
+  ResView refer, res_prev, fusion;
+  ViewCache::build_res(self, db, curr, det, refer);
+  ViewCache::build_res(self, db, prev, det, res_prev);
+  ViewCache::build_fusion(self, db, curr, prev, det, fusion);
+
+  int rules_calls = 0, sends = 0;
+  BatchPlanner::Hooks hooks;
+  hooks.rules_for = [&](NodeId) {
+    return std::make_shared<const proto::RuleList>(
+        rules_calls++ == 0 ? planned : shadow);
+  };
+  hooks.note_deletion = [](NodeId) {};
+  hooks.send = [&](NodeId peer, proto::MessagePtr, std::size_t commands) {
+    EXPECT_EQ(peer, 1);
+    EXPECT_EQ(commands, 4u);
+    ++sends;
+  };
+  BatchPlanner planner(self, BatchPlanner::Config{2, true, true},
+                       std::move(hooks));
+  planner.plan_fanout(db, refer, res_prev, fusion, curr, false, 0, 0);
+  planner.plan_fanout(db, refer, res_prev, fusion, next, false, 0, 0);
+  EXPECT_EQ(sends, 2);
+  EXPECT_EQ(planner.stats().gate_rotations, 1u);
+  EXPECT_EQ(planner.stats().paranoid_checks, 2u);
+}
+
+TEST(BatchPlannerParanoid, ShadowComparesContentNotPointers) {
+  // The shadow's rule lists are always new objects: equal content must
+  // pass, and one changed rule must be reported.
+  const proto::RuleList rules = {{0, 1, kNoNode, 0, 1, 0},
+                                 {0, 1, 2, 3, 0, 4}};
+  EXPECT_NO_THROW(plan_with_shadow_rules(rules, rules));
+  proto::RuleList changed = rules;
+  changed[1].fwd = 5;
+  EXPECT_THROW(plan_with_shadow_rules(rules, changed), std::logic_error);
+  // A null list and an empty one carry the same (no) rules.
+  const proto::UpdateRuleCmd null_list{nullptr, proto::Tag{0, 1}};
+  const proto::UpdateRuleCmd empty_list{
+      std::make_shared<const proto::RuleList>(), proto::Tag{0, 1}};
+  EXPECT_EQ(null_list, empty_list);
+}
+
+TEST(BatchPlannerParanoid, LossyLinksCloneUnderTheShadow) {
+  // A lost frame or ack keeps a batch in flight into the next tick, so the
+  // steady-state rotation must clone it instead of retagging in place; the
+  // shadow checks every cloned batch.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    auto cfg = paranoid_config("B4", 3, seed);
+    cfg.link_loss = 0.05;
+    sim::Experiment exp(cfg);
+    const auto r = exp.run_until_legitimate(sec(60));
+    ASSERT_TRUE(r.converged) << "seed " << seed << ": " << r.last_reason;
+    exp.sim().run_until(exp.sim().now() + sec(2));
+    std::uint64_t cloned = 0, checks = 0;
+    for (const Controller* c : exp.controllers()) {
+      cloned += c->batch_planner().stats().cloned;
+      checks += c->batch_planner().stats().paranoid_checks;
+    }
+    EXPECT_GT(cloned, 0u) << "seed " << seed;
+    EXPECT_GT(checks, 0u) << "seed " << seed;
+  }
 }
 
 TEST(BatchPlanner, FigNineAccountingMatchesTheBaseline) {

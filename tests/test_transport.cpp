@@ -27,7 +27,7 @@ struct Harness {
                             std::unique_ptr<Endpoint>& slot,
                             std::vector<int>& delivered) {
       slot = std::make_unique<Endpoint>(
-          self, Config{},
+          self,
           Endpoint::Hooks{
               [this, self](NodeId to, proto::PayloadPtr f, std::uint32_t) {
                 wire.push_back({self, to, std::get<proto::Frame>(*f)});
@@ -213,7 +213,7 @@ TEST(Transport, RetainOnlyKeepsKeepSetsBeyond4096Peers) {
   // at the node count, a prune keeps every session of such a keep-set; the
   // bound itself still trims an oversized one.
   constexpr NodeId kPeers = 5000;
-  Endpoint e(0, Config{},
+  Endpoint e(0,
              Endpoint::Hooks{[](NodeId, proto::PayloadPtr, std::uint32_t) {},
                              [](NodeId, proto::MessagePtr) {},
                              [](NodeId) {}});

@@ -244,8 +244,9 @@ TEST(ViewCache, HitRotationAndRebuildCounters) {
 
 TEST(ViewCache, MixedStateKeepsTheAllEntriesView) {
   // All entries curr-tagged, then one re-tagged prev (a mixed state that
-  // builds partial views), then re-tagged curr again: the all-entries view
-  // cached in the first step still describes the db and is served as is.
+  // builds partial class views but serves the fusion from the all-entries
+  // view), then re-tagged curr again: the all-entries view cached in the
+  // first step still describes the db and is served as is.
   const NodeId self = 0;
   ReplyDb db(ReplyDb::Config{16, true});
   detect::ThetaDetector det(self, detect::ThetaDetector::Config{3});
@@ -280,6 +281,9 @@ TEST(ViewCache, MixedStateKeepsTheAllEntriesView) {
   expect_matches_scratch(1);
   EXPECT_EQ(cache.stats().rebuilds, rebuilds + 1);
   EXPECT_NE(cache.res_curr().build_id, all_id);
+  // The two classes together hold every entry: the fusion is the
+  // all-entries view.
+  EXPECT_EQ(cache.fusion().build_id, all_id);
 
   db.store(reply(2, curr));
   cache.refresh(db, curr, prev, det);

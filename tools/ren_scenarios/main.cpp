@@ -76,8 +76,8 @@ void usage(std::FILE* to) {
                "                         legitimacy monitor per sample and its\n"
                "                         reference rule compiles, each\n"
                "                         controller's res/fusion views and\n"
-               "                         planned outbound batches (byte-equal\n"
-               "                         encodings) per tick (slow)\n"
+               "                         planned outbound batches (compared\n"
+               "                         by value) per tick (slow)\n"
                "  --paper-timers         paper Section 6.3 timers instead of fast\n"
                "  --out FILE             write the JSON report here (default stdout)\n"
                "  --verbose              enable Info-level simulation logging\n");
