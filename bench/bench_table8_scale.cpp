@@ -19,6 +19,11 @@
 // true view for every controller, and checks the outputs are identical
 // (compile_speedup / compile_identical in the JSON).
 //
+// The first bootstrap of each fabric also runs under the probe's live-heap
+// count: boot_peak_live_mb is the most heap the Experiment held at once,
+// from its construction to legitimacy (malloc_usable_size of every live
+// operator-new block, so it is deterministic per seed).
+//
 // Acceptance: every fabric (including fat-tree k=16 and the >= 1,000-node
 // WAN) converges to a legitimate state, with no dense-sized allocation in
 // the connectivity audit and compile output identical to the oracle. --quick (CI) runs one trial per fabric; the full
@@ -62,6 +67,7 @@ struct FabricRow {
   double oracle_s = 0;     ///< compile_oracle() wall seconds, same inputs
   double compile_speedup = 0;
   bool compile_identical = false;
+  double boot_peak_live_mb = 0;  ///< first bootstrap's live-heap peak
 };
 
 /// The fast timer profile (sim::fast_profile) with 3 controllers:
@@ -83,15 +89,13 @@ sim::ExperimentConfig scale_config(const std::string& spec, int kappa,
 /// residual would be.
 void audit_connectivity(FabricRow& row, const flows::Graph& g) {
   using namespace bench;
-  g_probe_allocs.store(0, std::memory_order_relaxed);
-  g_probe_max_bytes.store(0, std::memory_order_relaxed);
-  g_probe.store(true, std::memory_order_relaxed);
+  start_probe();
   {
     flows::FlatView flat;
     flat.assign(g);
     row.lambda = flat.edge_connectivity();
   }
-  g_probe.store(false, std::memory_order_relaxed);
+  (void)stop_probe();
   row.connectivity_allocs = g_probe_allocs.load(std::memory_order_relaxed);
   row.connectivity_max_alloc =
       g_probe_max_bytes.load(std::memory_order_relaxed);
@@ -143,12 +147,17 @@ bool run_fabric(const std::string& spec, int trials, FabricRow& row) {
 
   Sample sim_s, wall_s;
   for (int trial = 0; trial < trials; ++trial) {
+    if (trial == 0) bench::start_probe();
     sim::Experiment exp(
         scale_config(spec, row.kappa, bench::kBaseSeed + trial));
     const auto t0 = Clock::now();
     const auto boot = exp.run_until_legitimate(sec(600));
     const double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();
+    if (trial == 0) {
+      row.boot_peak_live_mb =
+          static_cast<double>(bench::stop_probe()) / (1024.0 * 1024.0);
+    }
     if (!boot.converged) {
       std::printf("%-34s trial %d did not converge: %s\n", spec.c_str(),
                   trial, boot.last_reason.c_str());
@@ -184,9 +193,9 @@ int main(int argc, char** argv) {
   bench::print_header(
       "Table 8 at scale — time to legitimacy on 80..1280-node fabrics",
       "Table 8 methodology on fat-tree k=8/16 and a 1k-node random WAN");
-  std::printf("%-34s %6s %6s %4s %7s %6s %10s %10s %11s %9s\n", "fabric",
-              "nodes", "links", "diam", "lambda", "kappa", "boot (s)",
-              "wall (s)", "max alloc", "compile");
+  std::printf("%-34s %6s %6s %4s %7s %6s %10s %10s %11s %9s %9s\n",
+              "fabric", "nodes", "links", "diam", "lambda", "kappa",
+              "boot (s)", "wall (s)", "max alloc", "compile", "live MB");
 
   bool all_pass = true;
   scenario::Json rows{scenario::JsonArray{}};
@@ -195,10 +204,11 @@ int main(int argc, char** argv) {
     if (!run_fabric(spec, trials, row)) all_pass = false;
     if (!row.alloc_ok || !row.compile_identical) all_pass = false;
     std::printf("%-34s %6d %6zu %4d %7d %6d %10.2f %10.2f %9" PRIu64
-                " B %8.1fx%s%s\n",
+                " B %8.1fx %9.2f%s%s\n",
                 row.spec.c_str(), row.nodes, row.links, row.diameter,
                 row.lambda, row.kappa, row.boot_sim_s, row.boot_wall_s,
                 row.connectivity_max_alloc, row.compile_speedup,
+                row.boot_peak_live_mb,
                 row.alloc_ok ? "" : "  << DENSE-SIZED ALLOCATION",
                 row.compile_identical ? "" : "  << COMPILE != ORACLE");
 
@@ -222,6 +232,7 @@ int main(int argc, char** argv) {
     rj.set("oracle_s", row.oracle_s);
     rj.set("compile_speedup", row.compile_speedup);
     rj.set("compile_identical", row.compile_identical);
+    rj.set("boot_peak_live_mb", row.boot_peak_live_mb);
     rows.push_back(std::move(rj));
   }
 

@@ -95,31 +95,32 @@ void ViewCache::refresh(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
 const ResView* ViewCache::class_view(const ReplyDb& db, proto::Tag tag,
                                      std::size_t count,
                                      const detect::ThetaDetector& detector,
-                                     ResView& partial, bool& built) {
+                                     ResView& partial) {
   const std::uint64_t live = detector.liveness_epoch();
   if (count == 0) {
     if (!self_only_.fresh(0, live)) {
       start_with_self(self_, detector, self_only_.res);
       self_only_.res.finalize(self_);
       self_only_.stamp(0, live);
+      ++stats_.rebuilds;
     }
     return &self_only_.res;
   }
-  if (count == db.size()) return all_entries_view(db, detector, built);
+  if (count == db.size()) return all_entries_view(db, detector);
   build_res(self_, db, tag, detector, partial);
-  built = true;
+  ++stats_.rebuilds;
   return &partial;
 }
 
 const ResView* ViewCache::all_entries_view(
-    const ReplyDb& db, const detect::ThetaDetector& detector, bool& built) {
+    const ReplyDb& db, const detect::ThetaDetector& detector) {
   const std::uint64_t shape = db.view_shape_revision();
   const std::uint64_t live = detector.liveness_epoch();
   if (!all_.fresh(shape, live)) {
     build_view(self_, db, detector, [](proto::Tag) { return true; },
                all_.res);
     all_.stamp(shape, live);
-    built = true;
+    ++stats_.rebuilds;
   }
   return &all_.res;
 }
@@ -132,21 +133,19 @@ void ViewCache::resync(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
     n_prev += m.tag_for_querier == prev ? 1 : 0;
   }
   const std::size_t n_fused = curr == prev ? n_curr : n_curr + n_prev;
-  bool built = false;
-  curr_ = class_view(db, curr, n_curr, detector, curr_partial_, built);
-  prev_ = class_view(db, prev, n_prev, detector, prev_partial_, built);
+  curr_ = class_view(db, curr, n_curr, detector, curr_partial_);
+  prev_ = class_view(db, prev, n_prev, detector, prev_partial_);
   if (n_prev == 0) {
     fusion_ = curr_;
   } else if (n_curr == 0) {
     fusion_ = prev_;
   } else if (n_fused == db.size()) {
-    fusion_ = all_entries_view(db, detector, built);
+    fusion_ = all_entries_view(db, detector);
   } else {
     build_fusion(self_, db, curr, prev, detector, fusion_partial_);
     fusion_ = &fusion_partial_;
-    built = true;
+    ++stats_.rebuilds;
   }
-  if (built) ++stats_.rebuilds;
 }
 
 void ViewCache::check_paranoid(const ReplyDb& db, proto::Tag curr,

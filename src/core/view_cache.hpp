@@ -81,7 +81,9 @@ class ViewCache {
   struct Stats {
     std::uint64_t refreshes = 0;   ///< refresh() calls
     std::uint64_t hits = 0;        ///< key unchanged, views reused untouched
-    std::uint64_t rebuilds = 0;    ///< refreshes that built from replyDB entries
+    /// Views built: each partial curr/prev view, all-entries view,
+    /// self-only view or fusion a refresh constructs.
+    std::uint64_t rebuilds = 0;
     std::uint64_t paranoid_checks = 0;  ///< differential shadows run
   };
 
@@ -146,11 +148,10 @@ class ViewCache {
   const ResView* class_view(const ReplyDb& db, proto::Tag tag,
                             std::size_t count,
                             const detect::ThetaDetector& detector,
-                            ResView& partial, bool& built);
+                            ResView& partial);
   /// The cached all-entries view, rebuilt from every entry when stale.
   const ResView* all_entries_view(const ReplyDb& db,
-                                  const detect::ThetaDetector& detector,
-                                  bool& built);
+                                  const detect::ThetaDetector& detector);
   void check_paranoid(const ReplyDb& db, proto::Tag curr, proto::Tag prev,
                       const detect::ThetaDetector& detector);
 

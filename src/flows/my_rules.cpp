@@ -194,6 +194,8 @@ CompiledFlowsPtr RuleCompiler::compile(
     if (rules.empty()) continue;
     std::sort(rules.begin(), rules.end(), rule_order);
     rules.erase(std::unique(rules.begin(), rules.end()), rules.end());
+    // Published lists live as long as a switch holds them: no growth slack.
+    rules.shrink_to_fit();
     flows->per_switch.emplace_hint(
         flows->per_switch.end(), g.id_at(static_cast<int>(v)),
         std::make_shared<const proto::RuleList>(std::move(rules)));

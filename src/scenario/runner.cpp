@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <variant>
 
@@ -409,9 +410,7 @@ class TrialExecutor {
     churn_running_ = false;  // the pending tick fires once and goes quiet
     // Flush every active flow: departures ahead of schedule, but removed —
     // the workload window ends with management rules alone in the tables.
-    while (!active_flows_.empty()) {
-      retire_flow(active_flows_.begin());
-    }
+    while (!active_flows_.empty()) retire_flow();
   }
 
   /// One harness-lane churn tick: install the arrivals due by now, retire
@@ -422,9 +421,8 @@ class TrialExecutor {
     arrivals_buf_.clear();
     churn_->advance(now, arrivals_buf_);
     for (const flows::FlowArrival& a : arrivals_buf_) install_flow(a);
-    while (!active_flows_.empty() &&
-           active_flows_.begin()->first.first <= now) {
-      retire_flow(active_flows_.begin());
+    while (!active_flows_.empty() && active_flows_.front().end <= now) {
+      retire_flow();
     }
     exp_->sim().schedule(kChurnTick, [this] { churn_tick(); });
   }
@@ -432,34 +430,43 @@ class TrialExecutor {
   /// Install one microflow entry per hop of the flow's shortest path (the
   /// table may evict or reject under pressure — that is the experiment).
   void install_flow(const flows::FlowArrival& a) {
-    churn_->path_hops(a.src, a.dst, hops_buf_);
-    if (hops_buf_.empty()) return;  // currently unreachable in the fabric
+    if (free_hops_.empty()) {
+      free_hops_.push_back(static_cast<std::uint32_t>(hop_pool_.size()));
+      hop_pool_.emplace_back();
+    }
+    const std::uint32_t slot = free_hops_.back();
+    std::vector<NodeId>& hops = hop_pool_[slot];
+    churn_->path_hops(a.src, a.dst, hops);
+    if (hops.empty()) return;  // currently unreachable in the fabric
+    free_hops_.pop_back();
     switchd::FlowRule r;
     r.id = a.id;
     r.src = a.src;
     r.dst = a.dst;
     r.prt = a.prt;
     const auto& switches = exp_->switches();
-    for (NodeId v : hops_buf_) {
+    for (NodeId v : hops) {
       r.fwd = churn_->next_hop(v, a.dst);
       switches[static_cast<std::size_t>(v)]->rule_table().install_flow(r);
     }
-    active_flows_.emplace(std::pair{a.at + a.duration, a.id}, hops_buf_);
+    active_flows_.push_back(ActiveFlow{a.at + a.duration, a.id, slot});
+    std::push_heap(active_flows_.begin(), active_flows_.end(), later);
     tbl_peak_active_ =
         std::max(tbl_peak_active_, static_cast<double>(active_flows_.size()));
   }
 
-  void retire_flow(
-      std::map<std::pair<Time, std::uint64_t>,
-               std::vector<NodeId>>::iterator it) {
-    const std::uint64_t id = it->first.second;
+  /// Remove the entries of the active flow that ends first.
+  void retire_flow() {
+    std::pop_heap(active_flows_.begin(), active_flows_.end(), later);
+    const ActiveFlow f = active_flows_.back();
+    active_flows_.pop_back();
     const auto& switches = exp_->switches();
-    for (NodeId v : it->second) {
+    for (NodeId v : hop_pool_[f.slot]) {
       // false = the entry was already evicted under pressure; fine.
-      switches[static_cast<std::size_t>(v)]->rule_table().remove_flow(id);
+      switches[static_cast<std::size_t>(v)]->rule_table().remove_flow(f.id);
     }
+    free_hops_.push_back(f.slot);
     ++tbl_departures_;
-    active_flows_.erase(it);
   }
 
   // --- Adversary lifecycle + stabilization watchdog -----------------------
@@ -752,11 +759,22 @@ class TrialExecutor {
   bool table_active_ = false;   ///< scenario contains a StartFlowChurn
   bool churn_running_ = false;  ///< between start_flow_churn and stop
   std::unique_ptr<flows::ChurnGenerator> churn_;
-  /// (end time, flow id) -> hop switches the flow's entries sit on. Ordered,
-  /// so departures retire in (time, id) order — deterministic.
-  std::map<std::pair<Time, std::uint64_t>, std::vector<NodeId>> active_flows_;
+  /// An installed flow: its end time, id and the hop_pool_ slot listing the
+  /// switches its entries sit on.
+  struct ActiveFlow {
+    Time end = 0;
+    std::uint64_t id = 0;
+    std::uint32_t slot = 0;
+  };
+  static bool later(const ActiveFlow& a, const ActiveFlow& b) {
+    return std::tie(a.end, a.id) > std::tie(b.end, b.id);
+  }
+  /// Min-heap on (end time, flow id), a unique key, so departures retire in
+  /// (time, id) order — deterministic.
+  std::vector<ActiveFlow> active_flows_;
+  std::vector<std::vector<NodeId>> hop_pool_;  ///< reused hop lists
+  std::vector<std::uint32_t> free_hops_;       ///< hop_pool_ slots not in use
   std::vector<flows::FlowArrival> arrivals_buf_;
-  std::vector<NodeId> hops_buf_;
   double tbl_departures_ = 0;
   double tbl_peak_active_ = 0;
 };

@@ -144,7 +144,11 @@ std::optional<NodeId> RuleForwarding::next_hop(NodeId at, NodeId src,
                                                NodeId dst) const {
   AbstractSwitch* s = live_switch(at);
   if (s == nullptr) return std::nullopt;
-  for (const auto& cand : s->rule_table().candidates(src, dst)) {
+  // match(), not candidates(): a walk must not fill the packet path's
+  // lookup cache.
+  match_buf_.clear();
+  s->rule_table().match(src, dst, match_buf_);
+  for (const Candidate& cand : match_buf_) {
     if (net_.link_operational(at, cand.fwd)) return cand.fwd;
   }
   if (net_.link_operational(at, dst)) return dst;  // adjacency

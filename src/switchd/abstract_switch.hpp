@@ -110,6 +110,7 @@ class RuleForwarding {
 
   const net::Network& net_;
   std::vector<AbstractSwitch*> live_;  ///< indexed by node id
+  mutable std::vector<Candidate> match_buf_;  ///< next_hop() scratch
 };
 
 }  // namespace ren::switchd

@@ -1,6 +1,7 @@
 #include "switchd/rule_table.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace ren::switchd {
 
@@ -13,7 +14,8 @@ std::uint64_t lookup_key(NodeId src, NodeId dst) {
 
 /// Position of `tag` among an owner's recent round tags (0 = current);
 /// recent_tags.size() for a tag no longer among them.
-int tag_rank(const std::deque<proto::Tag>& recent_tags, const proto::Tag& tag) {
+int tag_rank(const std::vector<proto::Tag>& recent_tags,
+             const proto::Tag& tag) {
   return static_cast<int>(
       std::find(recent_tags.begin(), recent_tags.end(), tag) -
       recent_tags.begin());
@@ -25,7 +27,7 @@ void RuleTable::new_round(NodeId cid, proto::Tag tag, int retention) {
   OwnerEntry& e = owners_[cid];
   e.retention = std::max(1, retention);
   if (e.recent_tags.empty() || !(e.recent_tags.front() == tag)) {
-    e.recent_tags.push_front(tag);
+    e.recent_tags.insert(e.recent_tags.begin(), tag);
   }
   e.touch = ++touch_counter_;
   trim_to_retention(e);
@@ -37,7 +39,7 @@ void RuleTable::update_rules(NodeId cid, proto::RuleListPtr rules,
   OwnerEntry& e = owners_[cid];
   if (std::find(e.recent_tags.begin(), e.recent_tags.end(), tag) ==
       e.recent_tags.end()) {
-    e.recent_tags.push_front(tag);
+    e.recent_tags.insert(e.recent_tags.begin(), tag);
   }
   bool replaced = false;
   for (auto& tl : e.lists) {
@@ -102,10 +104,15 @@ std::size_t RuleTable::FlatHash<V>::position(std::uint64_t key) const {
 }
 
 template <class V>
-V* RuleTable::FlatHash<V>::find(std::uint64_t key) {
+const V* RuleTable::FlatHash<V>::find(std::uint64_t key) const {
   if (size_ == 0) return nullptr;
-  Slot& s = slots_[position(key)];
+  const Slot& s = slots_[position(key)];
   return s.used ? &s.value : nullptr;
+}
+
+template <class V>
+V* RuleTable::FlatHash<V>::find(std::uint64_t key) {
+  return const_cast<V*>(std::as_const(*this).find(key));
 }
 
 template <class V>
@@ -204,7 +211,7 @@ void RuleTable::erase_flow(std::uint32_t slot,
   unlink(*match, slot, &FlowEntry::hdr);
   if (match->head == kNil) flow_match_.erase(key);
   flow_slot_.erase(e.rule.id);
-  lookup_cache_.erase(key);
+  drop_cached(key);
   e.rule.id = 0;
   e.lru.next = free_;
   free_ = slot;
@@ -245,7 +252,7 @@ bool RuleTable::install_flow(const FlowRule& r) {
     e.rule.fwd = r.fwd;
     e.stamp = ++flow_stamp_;
     link_tail(class_of(r.prt), *slot, &FlowEntry::lru);
-    lookup_cache_.erase(lookup_key(e.rule.src, e.rule.dst));
+    drop_cached(lookup_key(e.rule.src, e.rule.dst));
     return true;
   }
   if (occupancy() >= config_.max_rules) {
@@ -274,7 +281,7 @@ bool RuleTable::install_flow(const FlowRule& r) {
   if (match == nullptr) match = &flow_match_.insert(key, FlowList{});
   link_tail(*match, slot, &FlowEntry::hdr);
   flow_slot_.insert(r.id, slot);
-  lookup_cache_.erase(key);
+  drop_cached(key);
   ++flow_stats_.installs;
   note_peak();
   return true;
@@ -289,9 +296,7 @@ bool RuleTable::remove_flow(std::uint64_t id) {
 
 void RuleTable::clear_flows() {
   flow_stats_.removals += flow_slot_.size();
-  flow_match_.for_each_key([this](std::uint64_t key) {
-    lookup_cache_.erase(key);
-  });
+  flow_match_.for_each_key([this](std::uint64_t key) { drop_cached(key); });
   slab_ = {};
   free_ = kNil;
   flow_slot_.clear();
@@ -299,7 +304,7 @@ void RuleTable::clear_flows() {
   flow_match_.clear();
 }
 
-const std::vector<Candidate>& RuleTable::lookup(NodeId src, NodeId dst) {
+std::span<const Candidate> RuleTable::lookup(NodeId src, NodeId dst) {
   // Lookup-cost model (docs/ARCHITECTURE.md): one probe of the priority-
   // sorted table — ~log2 of the occupancy, the sorted-array idiom — plus a
   // unit per candidate the fast-failover scan may examine. Charged per
@@ -308,7 +313,7 @@ const std::vector<Candidate>& RuleTable::lookup(NodeId src, NodeId dst) {
   ++flow_stats_.lookups;
   std::uint64_t probe = 1;
   for (std::size_t occ = occupancy(); occ > 1; occ >>= 1) ++probe;
-  const std::vector<Candidate>& cands = candidates(src, dst);
+  const std::span<const Candidate> cands = candidates(src, dst);
   flow_stats_.lookup_cost += probe + cands.size();
   // Matched flow entries are "used": refresh their LRU stamps, in install
   // order, so popular flows survive priority-masked LRU pressure.
@@ -354,36 +359,59 @@ std::uint64_t RuleTable::content_signature() const {
   return h;
 }
 
-bool RuleTable::describes(const Layout& layout) const {
-  auto ref = layout.lists.begin();
+bool RuleTable::layout_current() const {
+  auto ref = layout_.begin();
   for (const auto& [cid, e] : owners_) {
     for (const auto& tl : e.lists) {
       if (!tl.rules) continue;
-      if (ref == layout.lists.end() || ref->cid != cid ||
-          ref->rules != tl.rules ||
+      if (ref == layout_.end() || ref->cid != cid || ref->rules != tl.rules ||
           ref->rank != tag_rank(e.recent_tags, tl.tag)) {
         return false;
       }
       ++ref;
     }
   }
-  return ref == layout.lists.end();
+  return ref == layout_.end();
 }
 
 void RuleTable::select_layout() {
   layout_stale_ = false;
-  if (describes(layout_)) return;
-  // Entries built under the replaced layout's id can never match again.
-  layout_.id = ++layout_ids_;
-  layout_.lists.clear();
+  if (layout_current()) return;
+  // Every cached entry was built under the replaced layout.
+  drop_all_cached();
+  layout_.clear();
   for (const auto& [cid, e] : owners_) {
     for (const auto& tl : e.lists) {
       if (tl.rules) {
-        layout_.lists.push_back(
+        layout_.push_back(
             ListRef{cid, tag_rank(e.recent_tags, tl.tag), tl.rules});
       }
     }
   }
+}
+
+void RuleTable::drop_cached(std::uint64_t key) {
+  const CachedLookup* cached = lookup_cache_.find(key);
+  if (cached == nullptr) return;
+  arena_dead_ += cached->length;
+  lookup_cache_.erase(key);
+  if (2 * arena_dead_ <= arena_.size()) return;
+  // Compact: copy every live range, in slot order, to a fresh arena.
+  std::vector<Candidate> live;
+  live.reserve(arena_.size() - arena_dead_);
+  lookup_cache_.for_each_value([&](CachedLookup& c) {
+    const auto from = arena_.begin() + c.offset;
+    c.offset = static_cast<std::uint32_t>(live.size());
+    live.insert(live.end(), from, from + c.length);
+  });
+  arena_ = std::move(live);
+  arena_dead_ = 0;
+}
+
+void RuleTable::drop_all_cached() {
+  lookup_cache_.clear();
+  arena_ = {};
+  arena_dead_ = 0;
 }
 
 void RuleTable::note_mutation() {
@@ -484,54 +512,61 @@ proto::RuleListPtr RuleTable::newest_rules_of(NodeId cid) const {
   return nullptr;
 }
 
-const std::vector<Candidate>& RuleTable::candidates(NodeId src, NodeId dst) {
+std::span<const Candidate> RuleTable::candidates(NodeId src, NodeId dst) {
   if (layout_stale_) select_layout();
-  const Layout& layout = layout_;
   const std::uint64_t key = lookup_key(src, dst);
-  auto cached = lookup_cache_.find(key);
-  if (cached != lookup_cache_.end() && cached->second.layout == layout.id) {
+  if (const CachedLookup* cached = lookup_cache_.find(key)) {
     ++cache_stats_.hits;
-    return cached->second.cands;
+    return {arena_.data() + cached->offset, cached->length};
   }
   ++cache_stats_.misses;
-  if (cached == lookup_cache_.end()) {
-    // Bound the cache (flow pairs are few in practice; corruption could blow
-    // it up, so clamp hard).
-    if (lookup_cache_.size() > 65536) lookup_cache_.clear();
-    cached = lookup_cache_.try_emplace(key).first;
-  }
-  cached->second.layout = layout.id;
-  std::vector<Candidate>& cands = cached->second.cands;
-  cands.clear();
-  for (const ListRef& ref : layout.lists) {
-    const proto::RuleList& rules = *ref.rules;
-    // Lists are sorted by (dest, src, -prt): binary-search the dest range,
-    // then scan it for matching src groups (exact src and wildcard src).
-    auto lo = std::lower_bound(
-        rules.begin(), rules.end(), dst,
-        [](const proto::Rule& r, NodeId d) { return r.dest < d; });
-    for (auto it = lo; it != rules.end() && it->dest == dst; ++it) {
-      if (!it->matches(src, dst)) continue;
-      cands.push_back(
-          Candidate{it->fwd, it->prt, it->specificity(), ref.rank, ref.cid});
-    }
-    // Wildcard-dest rules are not produced by the compiler but may exist
-    // after state corruption; include them for faithful recovery behavior.
-    auto wlo = std::lower_bound(
-        rules.begin(), rules.end(), kNoNode,
-        [](const proto::Rule& r, NodeId d) { return r.dest < d; });
-    for (auto it = wlo; it != rules.end() && it->dest == kNoNode; ++it) {
-      if (!it->matches(src, dst)) continue;
-      cands.push_back(
-          Candidate{it->fwd, it->prt, it->specificity(), ref.rank, ref.cid});
+  // Bound the cache (flow pairs are few in practice; corruption could blow
+  // it up, so clamp hard).
+  if (lookup_cache_.size() > 65536) drop_all_cached();
+  const std::size_t offset = arena_.size();
+  match(src, dst, arena_);
+  const auto length = static_cast<std::uint32_t>(arena_.size() - offset);
+  lookup_cache_.insert(
+      key, CachedLookup{static_cast<std::uint32_t>(offset), length});
+  return {arena_.data() + offset, length};
+}
+
+void RuleTable::match(NodeId src, NodeId dst,
+                      std::vector<Candidate>& out) const {
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  for (const auto& [cid, e] : owners_) {
+    for (const auto& tl : e.lists) {
+      if (!tl.rules) continue;
+      const proto::RuleList& rules = *tl.rules;
+      const int rank = tag_rank(e.recent_tags, tl.tag);
+      // Lists are sorted by (dest, src, -prt): binary-search the dest range,
+      // then scan it for matching src groups (exact src and wildcard src).
+      auto lo = std::lower_bound(
+          rules.begin(), rules.end(), dst,
+          [](const proto::Rule& r, NodeId d) { return r.dest < d; });
+      for (auto it = lo; it != rules.end() && it->dest == dst; ++it) {
+        if (!it->matches(src, dst)) continue;
+        out.push_back(
+            Candidate{it->fwd, it->prt, it->specificity(), rank, cid});
+      }
+      // Wildcard-dest rules are not produced by the compiler but may exist
+      // after state corruption; include them for faithful recovery behavior.
+      auto wlo = std::lower_bound(
+          rules.begin(), rules.end(), kNoNode,
+          [](const proto::Rule& r, NodeId d) { return r.dest < d; });
+      for (auto it = wlo; it != rules.end() && it->dest == kNoNode; ++it) {
+        if (!it->matches(src, dst)) continue;
+        out.push_back(
+            Candidate{it->fwd, it->prt, it->specificity(), rank, cid});
+      }
     }
   }
   // Flow-store entries are exact matches on both header fields (specificity
   // 2, current tag rank, no owning controller).
-  if (const FlowList* match = flow_match_.find(key)) {
+  if (const FlowList* match = flow_match_.find(lookup_key(src, dst))) {
     for (std::uint32_t s = match->head; s != kNil; s = slab_[s].hdr.next) {
       const FlowRule& r = slab_[s].rule;
-      cands.push_back(Candidate{r.fwd, r.prt, 2, 0, kNoNode});
+      out.push_back(Candidate{r.fwd, r.prt, 2, 0, kNoNode});
     }
   }
   // Round freshness first: rules of an owner's *current* round always beat
@@ -540,23 +575,20 @@ const std::vector<Candidate>& RuleTable::candidates(NodeId src, NodeId dst) {
   // override fresh state (a corrupted old-tag rule could otherwise shadow
   // the repair forever). Within a round: priority first (the paper: "the
   // rule with the highest prt that matches"), specificity as tie-breaker.
-  std::sort(cands.begin(), cands.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.tag_rank != b.tag_rank) return a.tag_rank < b.tag_rank;
-              if (a.prt != b.prt) return a.prt > b.prt;
-              if (a.specificity != b.specificity)
-                return a.specificity > b.specificity;
-              return a.cid < b.cid;
-            });
+  const auto begin = out.begin() + first;
+  std::sort(begin, out.end(), [](const Candidate& a, const Candidate& b) {
+    if (a.tag_rank != b.tag_rank) return a.tag_rank < b.tag_rank;
+    if (a.prt != b.prt) return a.prt > b.prt;
+    if (a.specificity != b.specificity) return a.specificity > b.specificity;
+    return a.cid < b.cid;
+  });
   // Collapse duplicates (several controllers installing the same decision).
-  cands.erase(std::unique(cands.begin(), cands.end(),
-                          [](const Candidate& a, const Candidate& b) {
-                            return a.fwd == b.fwd && a.prt == b.prt &&
-                                   a.specificity == b.specificity;
-                          }),
-              cands.end());
-
-  return cands;
+  out.erase(std::unique(begin, out.end(),
+                        [](const Candidate& a, const Candidate& b) {
+                          return a.fwd == b.fwd && a.prt == b.prt &&
+                                 a.specificity == b.specificity;
+                        }),
+            out.end());
 }
 
 void RuleTable::corrupt(Rng& rng, NodeId node_space) {
@@ -595,7 +627,7 @@ void RuleTable::corrupt(Rng& rng, NodeId node_space) {
     ++it;
   }
   // Scrambled flow entries keep their layout, so drop every cached lookup.
-  lookup_cache_.clear();
+  drop_all_cached();
   // Scramble flow-store out-ports too, one draw per flow in ascending id
   // order — but only when flows exist, so the RNG draw sequence (and thus
   // every downstream random choice) in flow-free trials is identical to a

@@ -34,21 +34,30 @@
 // same victims as a (priority, stamp)-ordered index. Each class's head is
 // its oldest entry; the victim search hops class heads.
 //
-// The lookup cache survives steady rounds: each entry records the layout —
-// the exact (owner, tag rank, list pointer) sequence — it was built under,
-// and is rebuilt lazily on the next lookup only if the layout has changed.
-// A mutation only marks the layout stale; the next lookup re-selects it. A
-// steady newRound + updateRule pair passes through a transient layout and
-// returns to the same one before any lookup (a switch applies a whole batch
-// before it routes the reply), so the layout keeps its id and the entries
-// stay valid.
+// The lookup cache survives steady rounds. The table keeps one layout —
+// the exact (owner, tag rank, list pointer) sequence candidates() reads —
+// and every cached entry was built under it. A mutation only marks the
+// layout stale; the next lookup re-selects it, and only a layout that no
+// longer describes the state drops the whole cache. A steady newRound +
+// updateRule pair passes through a transient layout and returns to the
+// same one before any lookup (a switch applies a whole batch before it
+// routes the reply), so the entries stay valid. A flow install, removal or
+// reinstall drops only its own header's entry; corrupt() and the entry
+// bound drop everything.
+//
+// The cache is one flat hash from header to a (offset, length) range of a
+// per-table candidate arena. Dropped entries leave dead arena space behind;
+// once more than half the arena is dead, the live ranges are compacted.
+// match() is the from-scratch computation behind a miss. It is the oracle
+// the cache is tested against, and the path monitor and data-path walks
+// take (RuleForwarding), so measuring the tables never fills the packet
+// path's cache.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "proto/messages.hpp"
@@ -104,7 +113,7 @@ class RuleTable {
   };
 
   /// Lookup-cache accounting for candidates() (and so lookup()): a hit
-  /// returns an entry built under the current layout, a miss (re)builds one.
+  /// returns a cached entry, a miss builds one with match().
   struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -140,8 +149,9 @@ class RuleTable {
   /// Forwarding-path lookup: candidates() plus the lookup-cost model (one
   /// binary-search probe of the priority-sorted table, ~log2(occupancy),
   /// plus one unit per candidate examined). Only the switch's packet path
-  /// calls this — monitor walks use candidates() and stay cost-free.
-  [[nodiscard]] const std::vector<Candidate>& lookup(NodeId src, NodeId dst);
+  /// calls this — monitor walks use match() and stay cost-free. The span
+  /// is valid until the next lookup or mutation.
+  [[nodiscard]] std::span<const Candidate> lookup(NodeId src, NodeId dst);
 
   // --- Queries ----------------------------------------------------------
   /// The owner's current round tag (the paper's meta-rule tag), if any.
@@ -163,10 +173,18 @@ class RuleTable {
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
   /// Ordered forwarding candidates for a packet header; cached while the
-  /// layout and the header's flow entries stay the same. The returned
-  /// reference is valid until the next mutation.
-  [[nodiscard]] const std::vector<Candidate>& candidates(NodeId src, NodeId dst);
+  /// layout and the header's flow entries stay the same. The span is valid
+  /// until the next lookup or mutation.
+  [[nodiscard]] std::span<const Candidate> candidates(NodeId src, NodeId dst);
+  /// The candidates() list computed from scratch, appended to `out`; reads
+  /// and writes no cache.
+  void match(NodeId src, NodeId dst, std::vector<Candidate>& out) const;
   [[nodiscard]] const CacheStats& cache_stats() const { return cache_stats_; }
+  /// Headers with a cached candidate list.
+  [[nodiscard]] std::size_t cache_size() const { return lookup_cache_.size(); }
+  /// Cached candidates, and the part of them no entry refers to any more.
+  [[nodiscard]] std::size_t arena_size() const { return arena_.size(); }
+  [[nodiscard]] std::size_t arena_dead() const { return arena_dead_; }
 
   /// Transient-fault hook: scramble stored rules (tests only). `node_space`
   /// bounds the random ids written into corrupted entries.
@@ -178,7 +196,7 @@ class RuleTable {
     proto::RuleListPtr rules;
   };
   struct OwnerEntry {
-    std::deque<proto::Tag> recent_tags;  ///< front = current round tag
+    std::vector<proto::Tag> recent_tags;  ///< front = current round tag
     std::vector<TaggedList> lists;
     int retention = 2;
     std::uint64_t touch = 0;  ///< LRU stamp
@@ -192,16 +210,10 @@ class RuleTable {
     int rank = 0;
     proto::RuleListPtr rules;
   };
-  /// The lists candidates() reads, in its order, under an id unique to this
-  /// content while the layout is held (id 0 = the initial empty layout).
-  struct Layout {
-    std::uint64_t id = 0;
-    std::vector<ListRef> lists;
-  };
-  /// A cached candidate list and the id of the layout it was built under.
+  /// A cached candidate list: its range of the arena.
   struct CachedLookup {
-    std::uint64_t layout = 0;
-    std::vector<Candidate> cands;
+    std::uint32_t offset = 0;
+    std::uint32_t length = 0;
   };
 
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
@@ -213,6 +225,7 @@ class RuleTable {
   class FlatHash {
    public:
     [[nodiscard]] V* find(std::uint64_t key);
+    [[nodiscard]] const V* find(std::uint64_t key) const;
     /// Insert an absent key; the reference is valid until the next insert
     /// or erase.
     V& insert(std::uint64_t key, V value);
@@ -223,6 +236,12 @@ class RuleTable {
     void for_each_key(F f) const {
       for (const Slot& s : slots_) {
         if (s.used) f(s.key);
+      }
+    }
+    template <class F>
+    void for_each_value(F f) {
+      for (Slot& s : slots_) {
+        if (s.used) f(s.value);
       }
     }
 
@@ -269,11 +288,14 @@ class RuleTable {
   /// actually changed. Called at the end of every mutating entry point.
   void note_mutation();
   /// Make the layout describe the state: a layout that already does keeps
-  /// its id (its cache entries stay valid); otherwise it is rebuilt under a
-  /// fresh id.
+  /// its cache entries; otherwise it is rebuilt and the cache dropped.
   void select_layout();
-  /// True when `layout` is exactly the state's (owner, rank, list) sequence.
-  [[nodiscard]] bool describes(const Layout& layout) const;
+  /// True when layout_ is exactly the state's (owner, rank, list) sequence.
+  [[nodiscard]] bool layout_current() const;
+  /// Drop the cached entry of `key`, if any; compact the arena once more
+  /// than half of it is dead.
+  void drop_cached(std::uint64_t key);
+  void drop_all_cached();
   [[nodiscard]] std::size_t count_owner_rules() const;
   [[nodiscard]] std::uint64_t content_signature() const;
   /// Erase the flow entry in `slot` and unlink it from every index;
@@ -301,10 +323,12 @@ class RuleTable {
   std::uint64_t epoch_ = 0;
   std::uint64_t content_sig_ = 0;
   std::size_t owner_rules_ = 0;  ///< total_rules(), recounted per mutation
-  Layout layout_;
+  /// The lists candidates() read when the cache was filled, in its order.
+  std::vector<ListRef> layout_;
   bool layout_stale_ = false;  ///< mutated since select_layout()
-  std::uint64_t layout_ids_ = 0;
-  std::unordered_map<std::uint64_t, CachedLookup> lookup_cache_;
+  FlatHash<CachedLookup> lookup_cache_;  ///< lookup_key(src, dst) -> range
+  std::vector<Candidate> arena_;  ///< every cached candidate list
+  std::size_t arena_dead_ = 0;    ///< arena entries no range refers to
   CacheStats cache_stats_;
 
   // --- Flow store ---------------------------------------------------------

@@ -125,5 +125,32 @@ TEST(Legitimacy, AchievableKappaFollowsTheLiveFabric) {
   EXPECT_EQ(sparse.monitor().achievable_kappa(), 1);
 }
 
+TEST(RuleForwarding, WalksLeaveTheLookupCacheUntouched) {
+  // The monitor's walks compute candidates with RuleTable::match(), so
+  // measuring the tables does not change the packet path's cache.
+  sim::Experiment exp(fast_config("Clos", 2));
+  bootstrap_or_fail(exp);
+  struct Snapshot {
+    std::uint64_t hits, misses;
+    std::size_t size;
+    bool operator==(const Snapshot&) const = default;
+  };
+  const auto snapshot = [&exp] {
+    std::vector<Snapshot> out;
+    for (const auto* sw : exp.switches()) {
+      const auto& t = sw->rule_table();
+      out.push_back({t.cache_stats().hits, t.cache_stats().misses,
+                     t.cache_size()});
+    }
+    return out;
+  };
+  const std::vector<Snapshot> before = snapshot();
+  EXPECT_TRUE(exp.monitor().check().legitimate);
+  // check() may replay its cached verdict; check_full() always walks every
+  // controller's flows, and a legitimate verdict means every walk ran.
+  EXPECT_TRUE(exp.monitor().check_full().legitimate);
+  EXPECT_TRUE(snapshot() == before);
+}
+
 }  // namespace
 }  // namespace ren::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -220,11 +221,15 @@ TEST(RuleTable, LookupCacheMissesOnEveryInvalidation) {
 
 TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
   // One operation stream drives a table that looks headers up after every
-  // step (so its cache is exercised across every kind of mutation); at each
-  // checkpoint a table that replays the stream without lookups — an empty
-  // cache, so every candidate list is built from scratch — must agree on
-  // every header.
-  enum Kind { kNewRound, kUpdate, kDelAll, kInstall, kRemove, kCorrupt, kClear };
+  // step (so its cache is exercised across every kind of mutation). After
+  // every step its cached candidates must equal match() on every header;
+  // at each checkpoint a table that replays the stream without lookups —
+  // an empty cache, so every candidate list is built from scratch — must
+  // agree on every header too.
+  enum Kind {
+    kNewRound, kUpdate, kDelAll, kInstall, kRemove, kClearFlows, kCorrupt,
+    kClear
+  };
   struct Op {
     Kind kind = kNewRound;
     NodeId cid = 0;
@@ -250,6 +255,7 @@ TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
       case kDelAll: t.del_all(op.cid); break;
       case kInstall: (void)t.install_flow(flow(op.value)); break;
       case kRemove: (void)t.remove_flow(op.value); break;
+      case kClearFlows: t.clear_flows(); break;
       case kCorrupt: {
         Rng r(op.value);
         t.corrupt(r, 6);
@@ -258,8 +264,8 @@ TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
       case kClear: t.clear(); break;
     }
   };
-  const auto same = [](const std::vector<Candidate>& a,
-                       const std::vector<Candidate>& b) {
+  const auto same = [](std::span<const Candidate> a,
+                       std::span<const Candidate> b) {
     const auto fields = [](const Candidate& c) {
       return std::tie(c.fwd, c.prt, c.specificity, c.tag_rank, c.cid);
     };
@@ -302,8 +308,10 @@ TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
         op.kind = kDelAll;
       } else if (pick < 84) {
         op.kind = kInstall;
-      } else if (pick < 96) {
+      } else if (pick < 95) {
         op.kind = kRemove;
+      } else if (pick < 96) {
+        op.kind = kClearFlows;
       } else if (pick < 99) {
         op.kind = kCorrupt;
       } else {
@@ -313,6 +321,15 @@ TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
       apply(cached, op, pool);
       for (int k = 0; k < 3; ++k) {
         (void)cached.candidates(hdr[rng.next_below(4)], hdr[rng.next_below(4)]);
+      }
+      for (NodeId src : hdr) {
+        for (NodeId dst : hdr) {
+          std::vector<Candidate> oracle;
+          cached.match(src, dst, oracle);
+          ASSERT_TRUE(same(cached.candidates(src, dst), oracle))
+              << "seed " << seed << " step " << step << " header " << src
+              << "->" << dst << " vs match()";
+        }
       }
       if (step % 10 != 9) continue;
       RuleTable fresh({64});
@@ -328,6 +345,40 @@ TEST(RuleTable, CachedCandidatesMatchAFreshTableUnderRandomMutations) {
     }
     EXPECT_GT(cached.cache_stats().hits, 0u) << "seed " << seed;
   }
+}
+
+TEST(RuleTable, LookupArenaStaysBounded) {
+  // Flow churn under one fixed layout: every install, reinstall and
+  // removal drops its header's cached range and leaves dead arena space,
+  // and a lookup after each step caches a fresh range. Compaction keeps
+  // the dead space at or below half of the arena throughout.
+  RuleTable t({256});
+  t.new_round(7, tag(7, 1), 2);
+  t.update_rules(7, rules_of(7, 0, {{kNoNode, 1003, 3, 100}}), tag(7, 1));
+  Rng rng(11);
+  std::size_t max_arena = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t id = 1 + rng.next_below(400);
+    const NodeId src = 1000 + static_cast<NodeId>(id % 8);
+    const NodeId dst = 1000 + static_cast<NodeId>((id / 8) % 8);
+    if (rng.chance(0.6)) {
+      (void)t.install_flow(FlowRule{id, src, dst,
+                                    static_cast<Priority>(rng.next_below(4)),
+                                    static_cast<NodeId>(rng.next_below(5))});
+    } else {
+      (void)t.remove_flow(id);
+    }
+    (void)t.lookup(src, dst);
+    (void)t.lookup(1000 + static_cast<NodeId>(rng.next_below(8)),
+                   1000 + static_cast<NodeId>(rng.next_below(8)));
+    ASSERT_LE(2 * t.arena_dead(), t.arena_size()) << "step " << step;
+    max_arena = std::max(max_arena, t.arena_size());
+  }
+  EXPECT_GT(t.cache_stats().hits, 0u);
+  EXPECT_LE(t.cache_size(), 64u);  // 8 x 8 headers
+  // 64 headers of at most the 256 stored flows plus one management rule,
+  // twice over for the dead half.
+  EXPECT_LE(max_arena, 2u * (256u + 64u));
 }
 
 TEST(RuleTable, CloggedMemoryEvictsLeastRecentlyUpdatedOwner) {
@@ -526,8 +577,8 @@ struct FlowRef {
   }
 };
 
-bool same_candidates(const std::vector<Candidate>& a,
-                     const std::vector<Candidate>& b) {
+bool same_candidates(std::span<const Candidate> a,
+                     std::span<const Candidate> b) {
   const auto fields = [](const Candidate& c) {
     return std::tie(c.fwd, c.prt, c.specificity, c.tag_rank, c.cid);
   };
