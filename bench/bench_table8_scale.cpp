@@ -113,16 +113,13 @@ void audit_connectivity(FabricRow& row, const flows::Graph& g) {
 /// once per controller, and checks that the outputs are identical.
 void probe_compile(sim::Experiment& exp, FabricRow& row) {
   const flows::TopoView& truth = exp.monitor().true_view();
-  std::map<NodeId, bool> transit;
-  for (auto* sw : exp.switches()) transit.insert({sw->id(), true});
-  for (auto* c : exp.controllers()) transit.insert({c->id(), false});
   const flows::RuleCompiler compiler({row.kappa});
   row.compile_identical = true;
   for (auto* c : exp.controllers()) {
     const auto t0 = Clock::now();
-    const auto fast = compiler.compile(truth, c->id(), transit);
+    const auto fast = compiler.compile(truth, c->id());
     const auto t1 = Clock::now();
-    const auto oracle = compiler.compile_oracle(truth, c->id(), transit);
+    const auto oracle = compiler.compile_oracle(truth, c->id());
     const auto t2 = Clock::now();
     row.compile_s += std::chrono::duration<double>(t1 - t0).count();
     row.oracle_s += std::chrono::duration<double>(t2 - t1).count();

@@ -177,23 +177,21 @@ void BatchPlanner::plan_fanout(const ReplyDb& db, const ResView& refer,
     proto::BatchKey key;
     key.tag = curr_tag;
     key.retention = config_.retention;
+    // A peer replied in `refer` when its kind is known there.
     const proto::QueryReply* m =
-        refer.reply_ids.count(peer) != 0 ? db.find(peer) : nullptr;
+        refer.view.kind(peer) ? db.find(peer) : nullptr;
     if (m != nullptr && !m->from_controller) {
       // Lines 14-18: eviction + rule refresh for a replied switch.
       compute_victims(*m, new_round, res_prev, victims_scratch_);
       key.victims = victims_scratch_;
       key.rules = hooks_.rules_for(peer);
+    } else if (fusion.view.kind(peer) == NodeKind::Controller) {
+      key.query_only = true;  // controllers only answer the query
     } else {
-      auto t = fusion.transit.find(peer);
-      if (t != fusion.transit.end() && !t->second) {
-        key.query_only = true;  // controllers only answer the query
-      } else {
-        // Modify-by-neighbor (Section 2.1.1): a discovered switch that has
-        // not replied yet still gets a manager entry and a flow back to
-        // this controller, installed through its neighbors.
-        key.rules = hooks_.rules_for(peer);
-      }
+      // Modify-by-neighbor (Section 2.1.1): a discovered switch that has
+      // not replied yet still gets a manager entry and a flow back to
+      // this controller, installed through its neighbors.
+      key.rules = hooks_.rules_for(peer);
     }
     while (old != entries_.end() && old->peer < peer) ++old;
     Entry& entry = entries_scratch_.emplace_back();
@@ -232,7 +230,8 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
                                   const ResView& fusion, proto::Tag curr_tag,
                                   bool new_round) {
   std::map<NodeId, std::vector<proto::Command>> cmds;
-  for (NodeId j : refer.reply_ids) {
+  for (const auto& [j, node] : refer.view.nodes()) {
+    if (j == self_ || !node.kind) continue;  // not a replier
     const proto::QueryReply* m = db.find(j);
     if (m == nullptr || m->from_controller) continue;
     auto& out = cmds[j];
@@ -269,8 +268,7 @@ void BatchPlanner::check_paranoid(const ReplyDb& db, const ResView& refer,
   }
   for (NodeId peer : peers) {
     if (cmds.count(peer) != 0) continue;
-    auto t = fusion.transit.find(peer);
-    if (t != fusion.transit.end() && !t->second) continue;  // controller
+    if (fusion.view.kind(peer) == NodeKind::Controller) continue;
     auto& c = cmds[peer];
     c.push_back(proto::AddMngrCmd{self_});
     c.push_back(proto::UpdateRuleCmd{hooks_.rules_for(peer), curr_tag});

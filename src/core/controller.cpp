@@ -1,6 +1,7 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace ren::core {
 
@@ -66,11 +67,12 @@ void Controller::prune_reply_db() {
 
 bool Controller::round_complete() const {
   // Line 10: every node reachable in G(res(currTag)) has replied with
-  // currTag (the self record stands in for p_i's own reply).
+  // currTag (the self record stands in for p_i's own reply). A node's kind
+  // is known in the view exactly when it replied.
   const ResView& res = views_.res_curr();
   for (NodeId n : res.reach) {
     if (n == id()) continue;
-    if (res.reply_ids.count(n) == 0) return false;
+    if (!res.view.kind(n)) return false;
   }
   return true;
 }
@@ -97,10 +99,13 @@ void Controller::run_iteration() {
     refresh_views();  // a clean flip reuses the cached views
   }
 
-  // Line 13: reference tag selection.
+  // Line 13: reference tag selection. The test compares graphs only: a
+  // switch that answered again with an empty neighbour list is known in the
+  // fusion and may be unknown in res(prev), and that must not move `refer`.
   const ResView& res_prev = views_.res_prev();
   const ResView& fusion = views_.fusion();
-  const bool topo_stable = &fusion == &res_prev || fusion.view == res_prev.view;
+  const bool topo_stable =
+      &fusion == &res_prev || same_graph(fusion.view, res_prev.view);
   const ResView& refer = topo_stable ? res_prev : views_.res_curr();
   if (!(fusion_view_ == fusion.view)) {
     fusion_view_ = fusion.view;
@@ -110,9 +115,18 @@ void Controller::run_iteration() {
   // myRules() for the reference view; also drives the controller's own
   // first-hop routing.
   const flows::CompiledFlowsPtr prior_flows = current_flows_;
-  current_flows_ = compiler_.compile_cached(refer.view, id(), refer.transit);
-  if (current_flows_ != prior_flows) ++change_epoch_;
-  rebuild_merged_rules(refer.view, refer.transit);
+  current_flows_ = compiler_.compile_cached(refer.view, id());
+  if (current_flows_ != prior_flows) {
+    ++change_epoch_;
+    if (config_.paranoid &&
+        !flows::identical_flows(*current_flows_,
+                                *compiler_.compile_oracle(refer.view, id()))) {
+      throw std::logic_error("Controller paranoid divergence: compile != "
+                             "compile_oracle for controller " +
+                             std::to_string(id()));
+    }
+  }
+  rebuild_merged_rules(refer.view);
 
   // Lines 14-19 via the batch planner: each per-peer batch is assembled at
   // most once per input-state change; unchanged batches are resubmitted as
@@ -148,9 +162,7 @@ void Controller::note_deletion(NodeId victim) {
   }
 }
 
-void Controller::rebuild_merged_rules(
-    const flows::TopoView& refer_view,
-    const std::map<NodeId, bool>& refer_transit) {
+void Controller::rebuild_merged_rules(const flows::TopoView& refer_view) {
   if (current_flows_ == nullptr) return;
   const std::uint64_t fp = current_flows_->view_fingerprint;
   if (merged_fingerprint_ == fp && merged_revision_ == data_flow_revision_)
@@ -161,20 +173,20 @@ void Controller::rebuild_merged_rules(
   merged_rules_.clear();
   if (data_flows_.empty()) return;  // rules_for_switch falls through
   merged_rules_ = merge_data_flows(current_flows_->per_switch, data_flows_,
-                                   compiler_, refer_view, id(), refer_transit);
+                                   compiler_, refer_view, id());
 }
 
 std::map<NodeId, proto::RuleListPtr> merge_data_flows(
     const std::map<NodeId, proto::RuleListPtr>& control,
     const std::vector<Controller::DataFlowSpec>& data_flows,
     const flows::RuleCompiler& compiler, const flows::TopoView& view,
-    NodeId owner, const std::map<NodeId, bool>& transit) {
+    NodeId owner) {
   std::map<NodeId, proto::RuleList> merged;
   for (const auto& [sid, list] : control) merged[sid] = *list;
   for (const auto& spec : data_flows) {
     const flows::DataFlow df =
         compiler.compile_data_flow(view, owner, spec.host_a, spec.attach_a,
-                                   spec.host_b, spec.attach_b, transit);
+                                   spec.host_b, spec.attach_b);
     for (const auto& [sid, list] : df.per_switch) {
       auto& dst = merged[sid];
       dst.insert(dst.end(), list->begin(), list->end());

@@ -51,10 +51,10 @@ class Controller final : public transport::InBandNode {
     std::size_t max_replies = 1024;  ///< >= 2(N_C+N_S) per the paper
     bool memory_adaptive = true;     ///< false = Section 8.1 variant
     int rule_retention = 2;          ///< 3 = Section 6.2 variant
-    /// Differential-test mode: shadow every cached view and every planned
-    /// batch with a from-scratch build and throw std::logic_error on
-    /// divergence — batches must compare equal by value, rule lists by
-    /// content (slow; tests/CI only).
+    /// Differential-test mode: shadow every cached view, every newly
+    /// compiled flow set and every planned batch with a from-scratch build
+    /// and throw std::logic_error on divergence — batches must compare equal
+    /// by value, rule lists by content (slow; tests/CI only).
     bool paranoid = false;
   };
 
@@ -150,8 +150,7 @@ class Controller final : public transport::InBandNode {
   [[nodiscard]] bool round_complete() const;
 
   [[nodiscard]] proto::RuleListPtr rules_for_switch(NodeId j);
-  void rebuild_merged_rules(const flows::TopoView& refer_view,
-                            const std::map<NodeId, bool>& refer_transit);
+  void rebuild_merged_rules(const flows::TopoView& refer_view);
   void note_deletion(NodeId victim);
 
   Config config_;
@@ -185,13 +184,13 @@ class Controller final : public transport::InBandNode {
 
 /// The control rules `control` merged per switch with the rules of every
 /// flow in `data_flows`, each compiled by `compiler` for `owner` against the
-/// same `view` and `transit`; every list sorted by flows::rule_order. The one
+/// same `view`; every list sorted by flows::rule_order. The one
 /// definition of a controller's combined install set: the controller merges
 /// on its own view, the legitimacy monitor on the true one.
 [[nodiscard]] std::map<NodeId, proto::RuleListPtr> merge_data_flows(
     const std::map<NodeId, proto::RuleListPtr>& control,
     const std::vector<Controller::DataFlowSpec>& data_flows,
     const flows::RuleCompiler& compiler, const flows::TopoView& view,
-    NodeId owner, const std::map<NodeId, bool>& transit);
+    NodeId owner);
 
 }  // namespace ren::core

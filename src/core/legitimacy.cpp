@@ -42,7 +42,7 @@ std::vector<NodeId> LegitimacyMonitor::live_ids() const {
 const flows::TopoView& LegitimacyMonitor::true_view() const {
   const std::uint64_t topo = sim_.network().epoch();
   if (!truth_valid_ || truth_epoch_ != topo) {
-    truth_ = flows::live_topology(sim_.network(), live_ids());
+    truth_ = flows::live_topology(sim_, live_ids());
     truth_epoch_ = topo;
     truth_valid_ = true;
     ++stats_.truth_rebuilds;
@@ -100,7 +100,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check() {
 }
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_full() {
-  return evaluate(flows::live_topology(sim_.network(), live_ids()),
+  return evaluate(flows::live_topology(sim_, live_ids()),
                   /*fresh=*/true);
 }
 
@@ -118,8 +118,10 @@ LegitimacyMonitor::Status LegitimacyMonitor::evaluate(
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_views(
     const flows::TopoView& truth, const Live& live) {
+  // Definition 1 compares graphs: the truth knows every kind, while a
+  // legitimate view may still hold a switch whose kind it has not learnt.
   for (Controller* c : live.controllers) {
-    if (!(c->fused_view() == truth)) {
+    if (!same_graph(c->fused_view(), truth)) {
       return {false, "controller " + std::to_string(c->id()) + " view != Gc"};
     }
   }
@@ -148,8 +150,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_managers(const Live& live) {
 }
 
 const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
-    Controller* c, const flows::TopoView& truth,
-    const std::map<NodeId, bool>& transit, bool fresh) {
+    Controller* c, const flows::TopoView& truth, bool fresh) {
   const std::uint64_t fp = truth.fingerprint();
   ReferenceCache& rc = reference_[c->id()];
   if (!fresh) {
@@ -162,10 +163,10 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
   }
   // Reference compilation, merged with the controller's data flows by the
   // same merge_data_flows the controller installs from.
-  const auto expected = compiler_.compile_cached(truth, c->id(), transit);
+  const auto expected = compiler_.compile_cached(truth, c->id());
   if (config_.paranoid &&
-      !flows::identical_flows(
-          *expected, *compiler_.compile_oracle(truth, c->id(), transit))) {
+      !flows::identical_flows(*expected,
+                              *compiler_.compile_oracle(truth, c->id()))) {
     throw std::logic_error("LegitimacyMonitor paranoid divergence: "
                            "compile != compile_oracle for controller " +
                            std::to_string(c->id()));
@@ -174,7 +175,7 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
                       ? expected->per_switch
                       : merge_data_flows(expected->per_switch,
                                          c->data_flows(), compiler_, truth,
-                                         c->id(), transit);
+                                         c->id());
   rc.truth_fingerprint = fp;
   rc.data_flow_revision = c->data_flow_revision();
   return rc.per_switch;
@@ -182,12 +183,8 @@ const std::map<NodeId, proto::RuleListPtr>& LegitimacyMonitor::reference_rules(
 
 LegitimacyMonitor::Status LegitimacyMonitor::check_rules(
     const flows::TopoView& truth, const Live& live, bool fresh) {
-  std::map<NodeId, bool> transit;
-  for (const auto* c : live.controllers) transit[c->id()] = false;
-  for (const auto* s : live.switches) transit[s->id()] = true;
-
   for (Controller* c : live.controllers) {
-    const auto& per_switch = reference_rules(c, truth, transit, fresh);
+    const auto& per_switch = reference_rules(c, truth, fresh);
     for (auto* s : live.switches) {
       const proto::RuleListPtr actual = s->rule_table().newest_rules_of(c->id());
       auto want_it = per_switch.find(s->id());
@@ -219,7 +216,7 @@ LegitimacyMonitor::Status LegitimacyMonitor::check_walks(
     if (flows_ptr == nullptr) {
       return {false, "controller " + std::to_string(c->id()) + " has no flows"};
     }
-    for (const auto& [node, _] : truth.adj()) {
+    for (const auto& [node, _] : truth.nodes()) {
       if (node == c->id()) continue;
       // Forward walk c -> node.
       std::vector<NodeId> first;

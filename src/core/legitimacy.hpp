@@ -128,8 +128,7 @@ class LegitimacyMonitor {
   /// The reference per-switch rule lists controller `c` must have installed
   /// given `truth` (control flows merged with its registered data flows).
   [[nodiscard]] const std::map<NodeId, proto::RuleListPtr>& reference_rules(
-      Controller* c, const flows::TopoView& truth,
-      const std::map<NodeId, bool>& transit, bool fresh);
+      Controller* c, const flows::TopoView& truth, bool fresh);
 
   net::Simulator& sim_;
   std::vector<Controller*> controllers_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -9,8 +10,6 @@ namespace ren::core {
 
 void ResView::clear() {
   view = flows::TopoView{};
-  transit.clear();
-  reply_ids.clear();
   reach.clear();
 }
 
@@ -31,16 +30,14 @@ namespace {
 void start_with_self(NodeId self, const detect::ThetaDetector& detector,
                      ResView& out) {
   out.clear();
-  out.view.add_node(self);
-  out.transit[self] = false;
+  out.view.set_kind(self, NodeKind::Controller);
   for (NodeId n : detector.live()) out.view.add_edge(self, n);
 }
 
 void add_reply(const proto::QueryReply& m, ResView& out) {
-  out.view.add_node(m.id);
+  out.view.set_kind(m.id, m.from_controller ? NodeKind::Controller
+                                            : NodeKind::Switch);
   for (NodeId n : m.nc) out.view.add_edge(m.id, n);
-  out.transit[m.id] = !m.from_controller;
-  out.reply_ids.insert(m.id);
 }
 
 /// The view of the self record plus every replyDB entry whose tag `keep`
@@ -156,11 +153,7 @@ void ViewCache::check_paranoid(const ReplyDb& db, proto::Tag curr,
                     const char* which) {
     std::ostringstream what;
     if (!(cached.view == fresh.view)) {
-      what << "view mismatch";
-    } else if (cached.transit != fresh.transit) {
-      what << "transit mismatch";
-    } else if (cached.reply_ids != fresh.reply_ids) {
-      what << "reply_ids mismatch";
+      what << "view mismatch";  // nodes, edges or kinds
     } else {
       // Reachability differential against the independent std::set BFS of
       // TopoView (not the FlatView code path under test).
@@ -169,7 +162,7 @@ void ViewCache::check_paranoid(const ReplyDb& db, proto::Tag curr,
           std::set<NodeId>(expect.begin(), expect.end())) {
         what << "reach set mismatch";
       } else {
-        for (const auto& [n, _] : fresh.view.adj()) {
+        for (const auto& [n, _] : fresh.view.nodes()) {
           const bool want = std::find(expect.begin(), expect.end(), n) !=
                             expect.end();
           if (cached.reachable(n) != want) {

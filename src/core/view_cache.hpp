@@ -41,8 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "core/reply_db.hpp"
@@ -55,16 +53,17 @@ namespace ren::core {
 
 /// A topology view materialized from replyDB entries with one tag (or the
 /// curr/prev fusion), plus its precomputed reachability from the owner.
+/// The view's kinds say who replied: the owner is a controller, a replier
+/// has the kind its reply states, a node known only as a claimed neighbor
+/// has none. So "n replied" is "n has a kind and is not the owner".
 struct ResView {
   flows::TopoView view;
-  std::map<NodeId, bool> transit;  ///< id -> is-switch (may relay)
-  std::set<NodeId> reply_ids;      ///< ids that actually replied
   flows::FlatView flat;            ///< index-mapped snapshot of `view`
   std::vector<NodeId> reach;       ///< reachable from the owner, BFS order
   /// Process-unique content stamp assigned by finalize(): equal build_ids
   /// mean "the exact same materialized view" (what lets the batch planner
   /// O(1)-compare the views feeding a fan-out instead of deep-comparing
-  /// reach/reply sets).
+  /// views and reach sets).
   std::uint64_t build_id = 0;
 
   /// O(1): was `n` reachable from the owning controller when this view was

@@ -21,7 +21,7 @@ std::vector<NodeId> live_control_ids(const ControlPlane& cp) {
 }  // namespace
 
 flows::TopoView control_topology(const ControlPlane& cp) {
-  return flows::live_topology(cp.sim->network(), live_control_ids(cp));
+  return flows::live_topology(*cp.sim, live_control_ids(cp));
 }
 
 void kill_node(ControlPlane& cp, NodeId id) {
@@ -163,7 +163,7 @@ std::pair<NodeId, NodeId> fail_random_link(ControlPlane& cp, Rng& rng,
   }
   rng.shuffle(candidates);
   // One live-topology snapshot for the whole probe loop.
-  flows::ConnectivityProbe probe(flows::live_topology(net, ids));
+  flows::ConnectivityProbe probe(flows::live_topology(*cp.sim, ids));
   for (const auto& [a, b] : candidates) {
     if (keep_connected && !probe.connected_without_edge(a, b)) continue;
     fail_link(cp, a, b);

@@ -42,8 +42,9 @@ struct ControlPlane {
   std::vector<int> failed_links;  ///< indices failed via fail_link*()
 };
 
-/// The current control-plane topology over live nodes and non-permanently-
-/// failed links (the injector's notion of Gc; flows::live_topology).
+/// The current control-plane topology over live nodes, each with its kind,
+/// and non-permanently-failed links (the injector's notion of Gc;
+/// flows::live_topology).
 flows::TopoView control_topology(const ControlPlane& cp);
 
 /// Fail-stop a specific node (controller or switch), recording the links the

@@ -5,7 +5,7 @@
 #include <numeric>
 #include <set>
 
-#include "net/network.hpp"
+#include "net/simulator.hpp"
 
 namespace ren::flows {
 
@@ -36,27 +36,43 @@ bool Graph::has_edge(int a, int b) const {
 // --- TopoView ---------------------------------------------------------------
 
 void TopoView::add_edge(NodeId a, NodeId b) {
-  auto& v = adj_[a];
+  auto& v = nodes_[a].out;
   auto it = std::lower_bound(v.begin(), v.end(), b);
   if (it == v.end() || *it != b) v.insert(it, b);
-  adj_[b];  // the claimed neighbor becomes a node of the view
+  nodes_[b];  // the claimed neighbor becomes a node of the view
 }
 
 bool TopoView::has_edge(NodeId a, NodeId b) const {
-  auto it = adj_.find(a);
-  if (it == adj_.end()) return false;
-  return std::binary_search(it->second.begin(), it->second.end(), b);
+  const auto* out = neighbors(a);
+  return out != nullptr && std::binary_search(out->begin(), out->end(), b);
 }
 
 std::size_t TopoView::edge_count() const {
   std::size_t deg = 0;
-  for (const auto& [_, nbrs] : adj_) deg += nbrs.size();
+  for (const auto& [_, node] : nodes_) deg += node.out.size();
   return deg;
 }
 
 const std::vector<NodeId>* TopoView::neighbors(NodeId n) const {
-  auto it = adj_.find(n);
-  return it == adj_.end() ? nullptr : &it->second;
+  auto it = nodes_.find(n);
+  return it == nodes_.end() ? nullptr : &it->second.out;
+}
+
+std::optional<NodeKind> TopoView::kind(NodeId n) const {
+  auto it = nodes_.find(n);
+  return it == nodes_.end() ? std::nullopt : it->second.kind;
+}
+
+bool TopoView::relays(NodeId n) const {
+  auto it = nodes_.find(n);
+  return it == nodes_.end() || it->second.relays();
+}
+
+bool same_graph(const TopoView& a, const TopoView& b) {
+  return std::equal(a.nodes().begin(), a.nodes().end(), b.nodes().begin(),
+                    b.nodes().end(), [](const auto& x, const auto& y) {
+                      return x.first == y.first && x.second.out == y.second.out;
+                    });
 }
 
 std::vector<NodeId> TopoView::reachable_set(NodeId from) const {
@@ -77,11 +93,12 @@ std::vector<NodeId> TopoView::reachable_set(NodeId from) const {
   return out;
 }
 
-TopoView live_topology(const net::Network& net,
+TopoView live_topology(const net::Simulator& sim,
                        std::vector<NodeId> live_ids) {
   std::sort(live_ids.begin(), live_ids.end());
+  const net::Network& net = sim.network();
   TopoView view;
-  for (NodeId n : live_ids) view.add_node(n);
+  for (NodeId n : live_ids) view.set_kind(n, sim.node(n).kind());
   for (NodeId n : live_ids) {
     for (const auto& e : net.adjacency(n)) {
       if (net.link(e.link).state() == net::LinkState::PermanentDown) continue;
@@ -96,14 +113,14 @@ TopoView live_topology(const net::Network& net,
 // --- FlatView ---------------------------------------------------------------
 
 void FlatView::assign(const TopoView& view) {
-  const auto n = view.adj().size();
+  const auto n = view.node_count();
   ids_.clear();
   ids_.reserve(n);
   off_.clear();
   off_.reserve(n + 1);
   nbr_.clear();
   nbr_.reserve(view.edge_count());
-  for (const auto& [id, _] : view.adj()) ids_.push_back(id);
+  for (const auto& [id, _] : view.nodes()) ids_.push_back(id);
 
   // Direct id -> index table when the id range is reasonably dense (the
   // protocol's ids are 0..N-1; only corrupt replies fabricate outliers).
@@ -120,8 +137,8 @@ void FlatView::assign(const TopoView& view) {
   }
 
   off_.push_back(0);
-  for (const auto& [_, nbrs] : view.adj()) {
-    for (NodeId v : nbrs) {
+  for (const auto& [_, node] : view.nodes()) {
+    for (NodeId v : node.out) {
       // Claimed neighbors are always nodes of the view (TopoView::add_edge).
       nbr_.push_back(static_cast<std::int32_t>(index_of(v)));
     }
@@ -354,15 +371,15 @@ bool ConnectivityProbe::connected_without_edge(NodeId a, NodeId b) {
 }
 
 std::uint64_t TopoView::fingerprint() const {
-  // FNV-1a over the sorted adjacency structure.
+  // FNV-1a over the sorted adjacency structure and the relay bits.
   std::uint64_t h = 1469598103934665603ULL;
   auto mix = [&h](std::uint64_t x) {
     h ^= x;
     h *= 1099511628211ULL;
   };
-  for (const auto& [node, nbrs] : adj_) {
-    mix(static_cast<std::uint64_t>(node) + 0x9e37);
-    for (NodeId v : nbrs) mix(static_cast<std::uint64_t>(v) + 0x85eb);
+  for (const auto& [n, node] : nodes_) {
+    mix(static_cast<std::uint64_t>(n) * 2 + (node.relays() ? 1 : 0) + 0x9e37);
+    for (NodeId v : node.out) mix(static_cast<std::uint64_t>(v) + 0x85eb);
   }
   return h;
 }

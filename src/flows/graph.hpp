@@ -11,7 +11,12 @@
 //                and the live ground truth. A container: build, compare,
 //                fingerprint. Its std::set walks (reachable_set here,
 //                disjoint_view_paths in my_rules) serve as oracles and for
-//                the off-hot-path data-flow compile.
+//                the off-hot-path data-flow compile. Each node carries its
+//                kind (switch, controller or not yet known); relays() is
+//                the one answer to "may n forward in-band traffic": all but
+//                known controllers (paper Section 3.3). operator== compares
+//                kinds too; same_graph() only nodes and edges, as the
+//                paper's G(S) = Gc tests (Alg. 2 line 13, Def. 1) do.
 //  * FlatView  — an index-dense CSR snapshot of either container, and the
 //                only graph that algorithms run on: controller reachability,
 //                the rule compiler's path searches, fault-connectivity
@@ -21,12 +26,13 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "util/types.hpp"
 
 namespace ren::net {
-class Network;
+class Simulator;
 }
 
 namespace ren::flows {
@@ -63,11 +69,26 @@ class Graph {
 /// but never paths *into* a real node, so queries keep reaching every real
 /// node and fresh replies flush the corruption. In a converged view every
 /// physical link is reported by both endpoints, so the view coincides with
-/// the symmetric ground-truth topology.
+/// the symmetric ground-truth topology. A node's kind is known once it
+/// replied (or, in the ground truth, from the simulator); a node known only
+/// as a claimed neighbor has none yet.
 class TopoView {
  public:
-  void add_node(NodeId n) { adj_[n]; }
-  /// Add the directed edge a -> b (idempotent).
+  struct Node {
+    std::vector<NodeId> out;         ///< sorted unique out-neighbors
+    std::optional<NodeKind> kind;    ///< empty: not known yet
+    /// May this node relay in-band traffic? All but a known controller.
+    [[nodiscard]] bool relays() const { return kind != NodeKind::Controller; }
+    friend bool operator==(const Node&, const Node&) = default;
+  };
+
+  void add_node(NodeId n) { nodes_[n]; }
+  /// Set n's kind (empty: unknown), adding n when it is not a node yet.
+  void set_kind(NodeId n, std::optional<NodeKind> kind) {
+    nodes_[n].kind = kind;
+  }
+  /// Add the directed edge a -> b (idempotent). Creates missing endpoints
+  /// with unknown kind and keeps the kind of existing ones.
   void add_edge(NodeId a, NodeId b);
   /// Add both directions (used when building ground-truth views).
   void add_sym_edge(NodeId a, NodeId b) {
@@ -75,34 +96,43 @@ class TopoView {
     add_edge(b, a);
   }
 
-  [[nodiscard]] bool has_node(NodeId n) const { return adj_.count(n) != 0; }
+  [[nodiscard]] bool has_node(NodeId n) const { return nodes_.count(n) != 0; }
   [[nodiscard]] bool has_edge(NodeId a, NodeId b) const;
-  [[nodiscard]] std::size_t node_count() const { return adj_.size(); }
+  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   /// Number of directed edges.
   [[nodiscard]] std::size_t edge_count() const;
-  [[nodiscard]] const std::map<NodeId, std::vector<NodeId>>& adj() const {
-    return adj_;
-  }
+  [[nodiscard]] const std::map<NodeId, Node>& nodes() const { return nodes_; }
   /// Out-neighbors of n (claimed by n itself), or nullptr.
   [[nodiscard]] const std::vector<NodeId>* neighbors(NodeId n) const;
+  /// n's kind; empty when n is unknown or not a node.
+  [[nodiscard]] std::optional<NodeKind> kind(NodeId n) const;
+  /// Node::relays() of n; true for a node the view does not hold.
+  [[nodiscard]] bool relays(NodeId n) const;
 
   /// Nodes reachable from `from` along directed edges (including `from`).
   [[nodiscard]] std::vector<NodeId> reachable_set(NodeId from) const;
 
-  /// Stable content hash for caching compiled rules per view.
+  /// Stable content hash for caching compiled rules per view: nodes, edges
+  /// and each node's relays() bit (an unknown node and a switch hash alike,
+  /// as they compile alike).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
+  /// Same nodes, edges and kinds.
   friend bool operator==(const TopoView&, const TopoView&) = default;
 
  private:
-  std::map<NodeId, std::vector<NodeId>> adj_;  // sorted unique out-neighbors
+  std::map<NodeId, Node> nodes_;
 };
 
+/// Same nodes and edges, whatever the kinds.
+[[nodiscard]] bool same_graph(const TopoView& a, const TopoView& b);
+
 /// The live control-plane topology (the paper's Gc): the nodes `live_ids`
-/// (any order) and, between them, every link of `net` that is not
-/// PermanentDown, in both directions. The fault injector and the legitimacy
-/// monitor both build their ground truth here.
-[[nodiscard]] TopoView live_topology(const net::Network& net,
+/// (any order), each stamped with its kind in `sim`, and, between them,
+/// every link of `sim`'s network that is not PermanentDown, in both
+/// directions. The fault injector and the legitimacy monitor both build
+/// their ground truth here.
+[[nodiscard]] TopoView live_topology(const net::Simulator& sim,
                                      std::vector<NodeId> live_ids);
 
 /// An index-dense snapshot of a TopoView or a Graph: node ids are mapped to

@@ -13,61 +13,13 @@ bool rule_order(const proto::Rule& a, const proto::Rule& b) {
 
 namespace {
 
-/// Effective transit map over all view nodes: nodes of unknown kind are
-/// optimistically treated as switches (the compilation is refreshed once
-/// their reply reveals otherwise); `owner` never relays its own flows.
-std::map<NodeId, bool> effective_transit(
-    const TopoView& view, NodeId owner,
-    const std::map<NodeId, bool>& is_transit) {
-  std::map<NodeId, bool> transit;
-  for (const auto& [n, _] : view.adj()) {
-    if (n == owner) {
-      transit[n] = false;
-      continue;
-    }
-    auto it = is_transit.find(n);
-    transit[n] = (it == is_transit.end()) ? true : it->second;
-  }
-  return transit;
-}
-
-/// Calls f(n, transit) for every view node in id order, with the flag
-/// effective_transit() would store, without materializing the map.
-template <class F>
-void for_each_effective_transit(const TopoView& view, NodeId owner,
-                                const std::map<NodeId, bool>& is_transit,
-                                F&& f) {
-  auto it = is_transit.begin();
-  for (const auto& [n, _] : view.adj()) {
-    while (it != is_transit.end() && it->first < n) ++it;
-    const bool known = it != is_transit.end() && it->first == n;
-    f(n, n != owner && (!known || it->second));
-  }
-}
-
-std::uint64_t mix_transit(std::uint64_t h, NodeId n, bool t) {
-  h ^= (static_cast<std::uint64_t>(n) * 2 + (t ? 1 : 0)) +
-       0x9e3779b97f4a7c15ULL;
-  return h * 1099511628211ULL;
-}
-
-/// combined_fingerprint(view, effective_transit(view, owner, is_transit)).
-std::uint64_t effective_fingerprint(const TopoView& view, NodeId owner,
-                                    const std::map<NodeId, bool>& is_transit) {
-  std::uint64_t h = view.fingerprint();
-  for_each_effective_transit(view, owner, is_transit, [&h](NodeId n, bool t) {
-    h = mix_transit(h, n, t);
-  });
-  return h;
-}
-
 using EdgeSet = std::set<std::pair<NodeId, NodeId>>;
 
-/// Shortest s->t path whose interior nodes are transit, avoiding edges in
+/// Shortest s->t path whose interior nodes relay, avoiding edges in
 /// `used`. Deterministic (neighbors explored in sorted order). Empty when
-/// no such path exists.
+/// no such path exists. Never asks whether s or t relays: s is exempt, and
+/// the search ends as soon as t has a parent.
 std::vector<NodeId> bfs_path(const TopoView& view, NodeId s, NodeId t,
-                             const std::map<NodeId, bool>& transit,
                              const EdgeSet& used) {
   std::map<NodeId, NodeId> parent;
   parent[s] = s;
@@ -75,10 +27,7 @@ std::vector<NodeId> bfs_path(const TopoView& view, NodeId s, NodeId t,
   while (!q.empty() && parent.count(t) == 0) {
     const NodeId u = q.front();
     q.pop_front();
-    if (u != s) {
-      auto it = transit.find(u);
-      if (it == transit.end() || !it->second) continue;  // endpoint only
-    }
+    if (u != s && !view.relays(u)) continue;  // endpoint only
     const auto* nbrs = view.neighbors(u);
     if (nbrs == nullptr) continue;
     for (NodeId v : *nbrs) {
@@ -105,25 +54,18 @@ void mark_used(EdgeSet& used, const std::vector<NodeId>& path) {
 
 }  // namespace
 
-std::vector<std::vector<NodeId>> disjoint_view_paths(
-    const TopoView& view, NodeId s, NodeId t, int count,
-    const std::map<NodeId, bool>& transit) {
+std::vector<std::vector<NodeId>> disjoint_view_paths(const TopoView& view,
+                                                     NodeId s, NodeId t,
+                                                     int count) {
   std::vector<std::vector<NodeId>> paths;
   EdgeSet used;
   for (int k = 0; k < count; ++k) {
-    auto p = bfs_path(view, s, t, transit, used);
+    auto p = bfs_path(view, s, t, used);
     if (p.empty()) break;
     mark_used(used, p);
     paths.push_back(std::move(p));
   }
   return paths;
-}
-
-std::uint64_t RuleCompiler::combined_fingerprint(
-    const TopoView& view, const std::map<NodeId, bool>& transit) {
-  std::uint64_t h = view.fingerprint();
-  for (const auto& [n, t] : transit) h = mix_transit(h, n, t);
-  return h;
 }
 
 bool identical_flows(const CompiledFlows& a, const CompiledFlows& b) {
@@ -139,16 +81,32 @@ bool identical_flows(const CompiledFlows& a, const CompiledFlows& b) {
 CompiledFlowsPtr RuleCompiler::compile(
     const TopoView& view, NodeId owner,
     const std::map<NodeId, bool>& is_transit) const {
+  TopoView stamped = view;
+  for (const auto& [n, _] : view.nodes()) {
+    const auto it = is_transit.find(n);
+    std::optional<NodeKind> kind;
+    if (it != is_transit.end()) {
+      kind = it->second ? NodeKind::Switch : NodeKind::Controller;
+    }
+    stamped.set_kind(n, kind);
+  }
+  return compile(stamped, owner);
+}
+
+CompiledFlowsPtr RuleCompiler::compile(const TopoView& view,
+                                       NodeId owner) const {
   auto flows = std::make_shared<CompiledFlows>();
   Scratch& s = scratch_;
   FlatView& g = s.flat;
   g.assign(view);
   const auto n = static_cast<std::size_t>(g.n());
-  flows->view_fingerprint = effective_fingerprint(view, owner, is_transit);
+  flows->view_fingerprint = view.fingerprint();
   s.relay.resize(n);
   std::size_t i = 0;  // FlatView indices follow the view's id order
-  for_each_effective_transit(view, owner, is_transit,
-                             [&](NodeId, bool t) { s.relay[i++] = t ? 1 : 0; });
+  for (const auto& [id, node] : view.nodes()) {
+    // The owner never relays its own flows.
+    s.relay[i++] = id != owner && node.relays() ? 1 : 0;
+  }
   const int root = g.index_of(owner);
   if (root < 0 || config_.kappa < 0) return flows;
 
@@ -232,12 +190,10 @@ void RuleCompiler::emit_path(int k, NodeId dest) const {
   }
 }
 
-CompiledFlowsPtr RuleCompiler::compile_oracle(
-    const TopoView& view, NodeId owner,
-    const std::map<NodeId, bool>& is_transit) const {
+CompiledFlowsPtr RuleCompiler::compile_oracle(const TopoView& view,
+                                              NodeId owner) const {
   auto flows = std::make_shared<CompiledFlows>();
-  const auto transit = effective_transit(view, owner, is_transit);
-  flows->view_fingerprint = combined_fingerprint(view, transit);
+  flows->view_fingerprint = view.fingerprint();
 
   const std::vector<NodeId> nodes = view.reachable_set(owner);
   std::map<NodeId, proto::RuleList> building;
@@ -245,7 +201,7 @@ CompiledFlowsPtr RuleCompiler::compile_oracle(
   for (NodeId d : nodes) {
     if (d == owner) continue;
     const auto paths =
-        disjoint_view_paths(view, owner, d, config_.kappa + 1, transit);
+        disjoint_view_paths(view, owner, d, config_.kappa + 1);
     std::vector<NodeId>& fh = flows->first_hops[d];
     for (std::size_t k = 0; k < paths.size(); ++k) {
       const auto& path = paths[k];
@@ -273,16 +229,13 @@ CompiledFlowsPtr RuleCompiler::compile_oracle(
       }
       // The terminal needs the inbound direction too when it is a switch:
       // its replies to the controller ride the reverse of its own flow.
-      if (path.size() >= 2) {
-        auto t_it = transit.find(d);
-        if (t_it != transit.end() && t_it->second) {
-          const NodeId back = path[path.size() - 2];
-          if (k == 0) {
-            building[d].push_back(
-                proto::Rule{owner, d, kNoNode, owner, prt, back});
-          } else {
-            building[d].push_back(proto::Rule{owner, d, d, owner, prt, back});
-          }
+      if (path.size() >= 2 && view.relays(d)) {
+        const NodeId back = path[path.size() - 2];
+        if (k == 0) {
+          building[d].push_back(
+              proto::Rule{owner, d, kNoNode, owner, prt, back});
+        } else {
+          building[d].push_back(proto::Rule{owner, d, d, owner, prt, back});
         }
       }
     }
@@ -300,10 +253,9 @@ CompiledFlowsPtr RuleCompiler::compile_oracle(
   return flows;
 }
 
-CompiledFlowsPtr RuleCompiler::compile_cached(
-    const TopoView& view, NodeId owner,
-    const std::map<NodeId, bool>& is_transit) {
-  const std::uint64_t fp = effective_fingerprint(view, owner, is_transit);
+CompiledFlowsPtr RuleCompiler::compile_cached(const TopoView& view,
+                                              NodeId owner) {
+  const std::uint64_t fp = view.fingerprint();
   for (std::size_t i = 0; i < cache_.size(); ++i) {
     if (cache_[i].fingerprint == fp && cache_[i].owner == owner) {
       CacheEntry hit = cache_[i];
@@ -315,29 +267,26 @@ CompiledFlowsPtr RuleCompiler::compile_cached(
   CacheEntry e;
   e.fingerprint = fp;
   e.owner = owner;
-  e.flows = compile(view, owner, is_transit);
+  e.flows = compile(view, owner);
   cache_.insert(cache_.begin(), std::move(e));
   constexpr std::size_t kCacheSize = 8;
   if (cache_.size() > kCacheSize) cache_.resize(kCacheSize);
   return cache_.front().flows;
 }
 
-DataFlow RuleCompiler::compile_data_flow(
-    const TopoView& view, NodeId owner, NodeId host_a, NodeId attach_a,
-    NodeId host_b, NodeId attach_b,
-    const std::map<NodeId, bool>& is_transit) const {
+DataFlow RuleCompiler::compile_data_flow(const TopoView& view, NodeId owner,
+                                         NodeId host_a, NodeId attach_a,
+                                         NodeId host_b,
+                                         NodeId attach_b) const {
   DataFlow flow;
   std::map<NodeId, proto::RuleList> building;
-  const auto transit = effective_transit(view, owner, is_transit);
 
-  // Paths between the attachment switches; both endpoints relay here, so
-  // mark them transit for the search. One pair and kappa+1 paths, off the
-  // hot path: the oracle helper is fast enough, no second fast path.
-  auto search_transit = transit;
-  search_transit[attach_a] = true;
-  search_transit[attach_b] = true;
-  const auto paths = disjoint_view_paths(view, attach_a, attach_b,
-                                         config_.kappa + 1, search_transit);
+  // Paths between the attachment switches, whose own kinds the search never
+  // asks. The owner is a controller of the view, so no path crosses it. One
+  // pair and kappa+1 paths, off the hot path: the oracle helper is fast
+  // enough, no second fast path.
+  const auto paths =
+      disjoint_view_paths(view, attach_a, attach_b, config_.kappa + 1);
 
   for (std::size_t k = 0; k < paths.size(); ++k) {
     const auto& path = paths[k];

@@ -21,11 +21,15 @@
 // controller has not fully discovered yet — a default return route, which
 // in-band bootstrapping depends on.
 //
-// Compilations are cached by (view, transit) fingerprint; rule lists are
-// immutable and shared by pointer with in-flight messages and switch tables.
+// Who may relay is read from the view (TopoView::relays(): all but known
+// controllers, paper Section 3.3); compile() adds one rule: the owner never
+// relays its own flows. Compilations are cached by (TopoView::fingerprint(),
+// owner); rule lists are immutable and shared by pointer with in-flight
+// messages and switch tables. The map overload of compile() is an adapter
+// for the repository benchmark's compile replay; no simulation path calls it.
 //
 // Fast path (compile): the view is snapshot into a flows::FlatView (CSR over
-// compact indices). One full BFS from the owner, expanding transit nodes
+// compact indices). One full BFS from the owner, expanding relay nodes
 // only, yields every primary path as a walk up its tree: the per-destination
 // early-exit BFS of the definition assigns exactly the same parents. Backup
 // paths are early-exit searches on the same CSR with epoch-stamped visited,
@@ -58,7 +62,7 @@ bool rule_order(const proto::Rule& a, const proto::Rule& b);
 
 /// Everything a controller installs for one topology view.
 struct CompiledFlows {
-  /// Combined fingerprint of the (view, transit) pair used to compile.
+  /// Fingerprint of the view compiled (TopoView::fingerprint()).
   std::uint64_t view_fingerprint = 0;
   /// Rules to install at each switch (sorted by rule_order).
   std::map<NodeId, proto::RuleListPtr> per_switch;
@@ -81,10 +85,10 @@ struct DataFlow {
 };
 
 /// Up to `count` pairwise edge-disjoint s->t paths in `view` whose interior
-/// nodes satisfy `transit` (switches). Shortest-first, deterministic.
-std::vector<std::vector<NodeId>> disjoint_view_paths(
-    const TopoView& view, NodeId s, NodeId t, int count,
-    const std::map<NodeId, bool>& transit);
+/// nodes relay (TopoView::relays). Shortest-first, deterministic.
+std::vector<std::vector<NodeId>> disjoint_view_paths(const TopoView& view,
+                                                     NodeId s, NodeId t,
+                                                     int count);
 
 class RuleCompiler {
  public:
@@ -100,35 +104,34 @@ class RuleCompiler {
   [[nodiscard]] int kappa() const { return config_.kappa; }
 
   /// Compile all rules controller `owner` must install given its `view`.
-  /// `is_transit(n)` tells whether n may relay packets (switches only);
-  /// nodes of unknown kind are treated as switches until they reply.
+  /// Interior path nodes are the view's relays() nodes other than `owner`.
   /// Reuses this compiler's scratch buffers, so a compiler must not be
   /// shared between threads.
+  [[nodiscard]] CompiledFlowsPtr compile(const TopoView& view,
+                                         NodeId owner) const;
+
+  /// Adapter for callers holding kinds as a map: an id mapped to true is a
+  /// switch, to false a controller, and every other node of `view` is of
+  /// unknown kind (whatever `view` says). Compiles a stamped copy of `view`.
   [[nodiscard]] CompiledFlowsPtr compile(
       const TopoView& view, NodeId owner,
       const std::map<NodeId, bool>& is_transit) const;
 
   /// The from-scratch definition compile() must reproduce byte for byte
   /// (see the file comment). For tests, paranoid mode and benches only.
-  [[nodiscard]] CompiledFlowsPtr compile_oracle(
-      const TopoView& view, NodeId owner,
-      const std::map<NodeId, bool>& is_transit) const;
+  [[nodiscard]] CompiledFlowsPtr compile_oracle(const TopoView& view,
+                                                NodeId owner) const;
 
-  /// Cached variant keyed by the combined (view, transit) fingerprint.
-  [[nodiscard]] CompiledFlowsPtr compile_cached(
-      const TopoView& view, NodeId owner,
-      const std::map<NodeId, bool>& is_transit);
+  /// Cached variant keyed by (view.fingerprint(), owner).
+  [[nodiscard]] CompiledFlowsPtr compile_cached(const TopoView& view,
+                                                NodeId owner);
 
   /// Compile a bidirectional host<->host flow owned by `owner`. Hosts a/b
   /// attach to switches attach_a/attach_b (hosts are not in the view).
-  [[nodiscard]] DataFlow compile_data_flow(
-      const TopoView& view, NodeId owner, NodeId host_a, NodeId attach_a,
-      NodeId host_b, NodeId attach_b,
-      const std::map<NodeId, bool>& is_transit) const;
-
-  /// Combined fingerprint used as the cache key.
-  [[nodiscard]] static std::uint64_t combined_fingerprint(
-      const TopoView& view, const std::map<NodeId, bool>& transit);
+  [[nodiscard]] DataFlow compile_data_flow(const TopoView& view, NodeId owner,
+                                           NodeId host_a, NodeId attach_a,
+                                           NodeId host_b,
+                                           NodeId attach_b) const;
 
  private:
   Config config_;
@@ -143,7 +146,7 @@ class RuleCompiler {
   // output.
   struct Scratch {
     FlatView flat;
-    std::vector<std::uint8_t> relay;   ///< effective transit per index
+    std::vector<std::uint8_t> relay;   ///< may relay, per index
     std::vector<std::int32_t> order;   ///< primary tree, BFS order
     std::vector<std::int32_t> tree;    ///< primary tree parents
     std::vector<std::int32_t> path;    ///< current path, owner first

@@ -122,6 +122,88 @@ TEST(TopoView, FingerprintSensitivity) {
   EXPECT_FALSE(a == b);
 }
 
+TEST(TopoView, KindsSurviveEdgesAndDecideRelays) {
+  TopoView v;
+  v.add_edge(1, 2);  // both endpoints join with unknown kind
+  EXPECT_FALSE(v.kind(1).has_value());
+  EXPECT_FALSE(v.kind(2).has_value());
+  EXPECT_TRUE(v.relays(1));  // unknown nodes relay, as switches do
+  v.set_kind(1, NodeKind::Controller);
+  v.set_kind(2, NodeKind::Switch);
+  v.add_edge(2, 1);  // adding edges keeps known kinds
+  v.add_edge(1, 3);
+  EXPECT_EQ(v.kind(1), NodeKind::Controller);
+  EXPECT_EQ(v.kind(2), NodeKind::Switch);
+  EXPECT_FALSE(v.relays(1));
+  EXPECT_TRUE(v.relays(2));
+  EXPECT_TRUE(v.relays(3));
+  EXPECT_FALSE(v.kind(9).has_value());  // not a node
+  EXPECT_FALSE(v.has_node(9));
+  v.set_kind(4, NodeKind::Switch);  // set_kind adds the node
+  EXPECT_TRUE(v.has_node(4));
+  EXPECT_EQ(v.edge_count(), 3u);
+}
+
+TEST(TopoView, SameGraphIgnoresKindsEqualityDoesNot) {
+  TopoView a, b;
+  a.add_sym_edge(1, 2);
+  b.add_sym_edge(1, 2);
+  b.set_kind(2, NodeKind::Switch);
+  EXPECT_TRUE(same_graph(a, b));
+  EXPECT_FALSE(a == b);
+  // An unknown node and a switch both relay: the fingerprint is alike.
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  b.set_kind(1, NodeKind::Controller);
+  EXPECT_TRUE(same_graph(a, b));
+  EXPECT_NE(a.fingerprint(), b.fingerprint());
+  a.set_kind(1, NodeKind::Controller);
+  a.set_kind(2, NodeKind::Switch);
+  EXPECT_TRUE(a == b);
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  // Graph differences count for both.
+  b.add_edge(2, 3);
+  EXPECT_FALSE(same_graph(a, b));
+  EXPECT_FALSE(a == b);
+  a.add_node(3);
+  EXPECT_FALSE(same_graph(a, b));  // same nodes, one edge fewer
+  a.add_edge(2, 3);
+  EXPECT_TRUE(same_graph(a, b));
+  TopoView c = a;
+  c.add_node(7);
+  EXPECT_FALSE(same_graph(a, c));
+  EXPECT_FALSE(same_graph(c, a));
+}
+
+TEST(LiveTopology, StampsNodeKinds) {
+  sim::Experiment exp(ren::testing::fast_config("B4", 3));
+  std::vector<NodeId> ids;
+  for (const auto* c : exp.controllers()) ids.push_back(c->id());
+  for (const auto* s : exp.switches()) ids.push_back(s->id());
+  const TopoView truth = live_topology(exp.sim(), ids);
+  ASSERT_EQ(truth.node_count(), ids.size());
+  for (const auto* c : exp.controllers()) {
+    EXPECT_EQ(truth.kind(c->id()), NodeKind::Controller);
+    EXPECT_FALSE(truth.relays(c->id()));
+  }
+  for (const auto* s : exp.switches()) {
+    EXPECT_EQ(truth.kind(s->id()), NodeKind::Switch);
+    EXPECT_TRUE(truth.relays(s->id()));
+  }
+  // The monitor's truth and the fault guards' topology are the same view.
+  EXPECT_TRUE(exp.monitor().true_view() == truth);
+  auto cp = exp.control_plane();
+  EXPECT_TRUE(faults::control_topology(cp) == truth);
+  // A dead switch leaves the topology, kind and all.
+  const NodeId victim = exp.switches().front()->id();
+  faults::kill_node(cp, victim);
+  const TopoView after = faults::control_topology(cp);
+  EXPECT_FALSE(after.has_node(victim));
+  EXPECT_EQ(after.node_count(), truth.node_count() - 1);
+  for (const auto& [n, node] : after.nodes()) {
+    EXPECT_EQ(node.kind, truth.kind(n)) << "node " << n;
+  }
+}
+
 TEST(TopoView, CorruptClaimCannotFabricatePathsIntoRealNodes) {
   // The property that makes recovery from state corruption work: a
   // corrupted reply (node 9 claiming edges to everything) does not create
@@ -144,16 +226,16 @@ TEST(TopoView, CorruptClaimCannotFabricatePathsIntoRealNodes) {
 
 bool copy_connected(const TopoView& view, NodeId x, NodeId a, NodeId b) {
   TopoView copy;
-  for (const auto& [n, nbrs] : view.adj()) {
+  for (const auto& [n, node] : view.nodes()) {
     if (n == x) continue;
     copy.add_node(n);
-    for (NodeId v : nbrs) {
+    for (NodeId v : node.out) {
       if (v == x || (n == a && v == b) || (n == b && v == a)) continue;
       copy.add_edge(n, v);
     }
   }
   return copy.node_count() == 0 ||
-         copy.reachable_set(copy.adj().begin()->first).size() ==
+         copy.reachable_set(copy.nodes().begin()->first).size() ==
              copy.node_count();
 }
 
@@ -162,11 +244,11 @@ bool copy_connected(const TopoView& view, NodeId x, NodeId a, NodeId b) {
 void expect_probe_matches_copy(const TopoView& view, NodeId absent) {
   ConnectivityProbe probe(view);
   EXPECT_EQ(probe.empty(), view.node_count() == 0);
-  for (const auto& [n, nbrs] : view.adj()) {
+  for (const auto& [n, node] : view.nodes()) {
     EXPECT_EQ(probe.connected_without_node(n),
               copy_connected(view, n, kNoNode, kNoNode))
         << "without node " << n;
-    for (NodeId v : nbrs) {
+    for (NodeId v : node.out) {
       EXPECT_EQ(probe.connected_without_edge(n, v),
                 copy_connected(view, kNoNode, n, v))
           << "without edge " << n << "-" << v;
@@ -174,10 +256,10 @@ void expect_probe_matches_copy(const TopoView& view, NodeId absent) {
   }
   EXPECT_EQ(probe.connected_without_node(absent),
             copy_connected(view, absent, kNoNode, kNoNode));
-  for (const auto& [n, _] : view.adj()) {
+  for (const auto& [n, _] : view.nodes()) {
     EXPECT_EQ(probe.connected_without_edge(n, absent),
               copy_connected(view, kNoNode, n, absent));
-    for (const auto& [m, __] : view.adj()) {
+    for (const auto& [m, __] : view.nodes()) {
       EXPECT_EQ(probe.connected_without_edge(n, m),
                 copy_connected(view, kNoNode, n, m))
           << "without pair " << n << "-" << m;
@@ -231,7 +313,7 @@ TEST(ConnectivityProbe, MatchesCopyAndBfsOnRandomViews) {
       }
     }
     const bool whole = view.node_count() == 0 ||
-                       view.reachable_set(view.adj().begin()->first).size() ==
+                       view.reachable_set(view.nodes().begin()->first).size() ==
                            view.node_count();
     ++(whole ? connected : disconnected);
     expect_probe_matches_copy(view, n * stride + 1);

@@ -122,7 +122,7 @@ TEST(Recovery, FaultInjectorPreservesConnectivity) {
     faults::kill_random_switch(cp, exp.fault_rng());
     const auto view = faults::control_topology(cp);
     ASSERT_GT(view.node_count(), 0u);
-    EXPECT_EQ(view.reachable_set(view.adj().begin()->first).size(),
+    EXPECT_EQ(view.reachable_set(view.nodes().begin()->first).size(),
               view.node_count())
         << "injector disconnected the control plane, seed " << seed;
   }

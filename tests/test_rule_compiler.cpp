@@ -10,10 +10,10 @@
 namespace ren::flows {
 namespace {
 
-/// View of a physical topology plus an attached controller.
+/// View of a physical topology plus an attached controller, every node's
+/// kind known.
 struct Scenario {
   TopoView view;
-  std::map<NodeId, bool> transit;
   NodeId owner;
 };
 
@@ -29,8 +29,8 @@ Scenario diamond() {
            {0, 1}, {0, 2}, {1, 3}, {2, 3}, {4, 0}, {4, 3}}) {
     s.view.add_sym_edge(a, b);
   }
-  for (NodeId n : {0, 1, 2, 3}) s.transit[n] = true;
-  s.transit[4] = false;
+  for (NodeId n : {0, 1, 2, 3}) s.view.set_kind(n, NodeKind::Switch);
+  s.view.set_kind(4, NodeKind::Controller);
   return s;
 }
 
@@ -38,18 +38,18 @@ Scenario from_topology(const topo::Topology& t, NodeId attach_a, NodeId attach_b
   Scenario s;
   s.owner = t.switch_graph.n();
   for (int u = 0; u < t.switch_graph.n(); ++u) {
-    s.transit[u] = true;
+    s.view.set_kind(u, NodeKind::Switch);
     for (int v : t.switch_graph.neighbors(u)) s.view.add_sym_edge(u, v);
   }
   s.view.add_sym_edge(s.owner, attach_a);
   s.view.add_sym_edge(s.owner, attach_b);
-  s.transit[s.owner] = false;
+  s.view.set_kind(s.owner, NodeKind::Controller);
   return s;
 }
 
 TEST(DisjointViewPaths, PairwiseEdgeDisjointAndSimple) {
   const auto s = diamond();
-  const auto paths = disjoint_view_paths(s.view, 4, 3, 3, s.transit);
+  const auto paths = disjoint_view_paths(s.view, 4, 3, 3);
   ASSERT_EQ(paths.size(), 2u);  // direct 4-3 and 4-0-...-3
   EXPECT_EQ(paths[0], (std::vector<NodeId>{4, 3}));
   std::set<std::pair<NodeId, NodeId>> used;
@@ -67,8 +67,8 @@ TEST(DisjointViewPaths, InteriorsAreTransitOnly) {
   auto s = diamond();
   s.view.add_sym_edge(5, 1);  // another controller hanging off switch 1
   s.view.add_sym_edge(5, 3);
-  s.transit[5] = false;
-  const auto paths = disjoint_view_paths(s.view, 4, 1, 3, s.transit);
+  s.view.set_kind(5, NodeKind::Controller);
+  const auto paths = disjoint_view_paths(s.view, 4, 1, 3);
   for (const auto& p : paths) {
     for (std::size_t i = 1; i + 1 < p.size(); ++i) {
       EXPECT_NE(p[i], 5) << "controller used as relay";
@@ -79,7 +79,7 @@ TEST(DisjointViewPaths, InteriorsAreTransitOnly) {
 TEST(RuleCompiler, EmitsForwardAndReverseAlongPaths) {
   RuleCompiler compiler({/*kappa=*/1});
   const auto s = diamond();
-  const auto flows = compiler.compile(s.view, s.owner, s.transit);
+  const auto flows = compiler.compile(s.view, s.owner);
 
   // Destination 1: primary 4-0-1 (lexicographic), backup 4-3-1.
   ASSERT_TRUE(flows->first_hops.count(1));
@@ -101,7 +101,7 @@ TEST(RuleCompiler, EmitsForwardAndReverseAlongPaths) {
 TEST(RuleCompiler, TerminalSwitchGetsReturnRoute) {
   RuleCompiler compiler({1});
   const auto s = diamond();
-  const auto flows = compiler.compile(s.view, s.owner, s.transit);
+  const auto flows = compiler.compile(s.view, s.owner);
   // Switch 1 (a flow terminal two hops away) must be able to route replies
   // back to the controller: a (src=*,dest=4) rule with an operational fwd.
   const auto rules1 = flows->per_switch.at(1);
@@ -115,7 +115,7 @@ TEST(RuleCompiler, TerminalSwitchGetsReturnRoute) {
 TEST(RuleCompiler, PrioritiesEncodePathRank) {
   RuleCompiler compiler({2});
   const auto s = diamond();
-  const auto flows = compiler.compile(s.view, s.owner, s.transit);
+  const auto flows = compiler.compile(s.view, s.owner);
   for (const auto& [sid, rules] : flows->per_switch) {
     for (const auto& r : *rules) {
       EXPECT_GE(r.prt, 0);
@@ -129,7 +129,7 @@ TEST(RuleCompiler, PrioritiesEncodePathRank) {
 TEST(RuleCompiler, RuleListsAreCanonicallySorted) {
   RuleCompiler compiler({2});
   const auto s = from_topology(topo::make_b4(), 0, 7);
-  const auto flows = compiler.compile(s.view, s.owner, s.transit);
+  const auto flows = compiler.compile(s.view, s.owner);
   for (const auto& [sid, rules] : flows->per_switch) {
     EXPECT_TRUE(std::is_sorted(rules->begin(), rules->end(), rule_order));
     // No exact duplicates.
@@ -146,7 +146,7 @@ TEST(RuleCompiler, RuleCountRespectsLemma1Bound) {
   RuleCompiler compiler({2});
   for (const auto& t : topo::paper_topologies()) {
     const auto s = from_topology(t, 0, t.switch_graph.n() / 2);
-    const auto flows = compiler.compile(s.view, s.owner, s.transit);
+    const auto flows = compiler.compile(s.view, s.owner);
     const std::size_t bound =
         static_cast<std::size_t>(s.view.node_count() - 1) * 2 *
         static_cast<std::size_t>(compiler.kappa() + 1);
@@ -157,24 +157,30 @@ TEST(RuleCompiler, RuleCountRespectsLemma1Bound) {
 }
 
 TEST(RuleCompiler, CacheKeyIncludesTransitMap) {
+  // The cache key folds in who relays: the view fingerprint hashes each
+  // node's relay bit.
   RuleCompiler compiler({1});
   auto s = diamond();
-  const auto a = compiler.compile_cached(s.view, s.owner, s.transit);
-  const auto b = compiler.compile_cached(s.view, s.owner, s.transit);
+  const auto a = compiler.compile_cached(s.view, s.owner);
+  const auto b = compiler.compile_cached(s.view, s.owner);
   EXPECT_EQ(a.get(), b.get());  // cache hit
-  // Same view, different knowledge about node kinds: must recompile.
-  auto transit2 = s.transit;
-  transit2[1] = false;  // node 1 turns out to be a controller
-  const auto c = compiler.compile_cached(s.view, s.owner, transit2);
+  // Same graph, different knowledge about node kinds: must recompile.
+  TopoView view2 = s.view;
+  view2.set_kind(1, NodeKind::Controller);  // node 1 turns out a controller
+  const auto c = compiler.compile_cached(view2, s.owner);
   EXPECT_NE(a.get(), c.get());
   EXPECT_NE(a->view_fingerprint, c->view_fingerprint);
+  // An unknown node relays like a switch, so it compiles from the cache.
+  TopoView view3 = s.view;
+  view3.set_kind(1, std::nullopt);
+  EXPECT_EQ(compiler.compile_cached(view3, s.owner).get(), a.get());
 }
 
 TEST(RuleCompiler, UnknownNodesAreOptimisticallyTransit) {
   RuleCompiler compiler({1});
   Scenario s = diamond();
-  std::map<NodeId, bool> partial = {{4, false}};  // kinds unknown otherwise
-  const auto flows = compiler.compile(s.view, s.owner, partial);
+  for (NodeId n : {0, 1, 2, 3}) s.view.set_kind(n, std::nullopt);
+  const auto flows = compiler.compile(s.view, s.owner);
   EXPECT_FALSE(flows->first_hops.empty());
   EXPECT_TRUE(flows->first_hops.count(3));
 }
@@ -183,8 +189,7 @@ TEST(RuleCompiler, DataFlowCoversBothDirectionsAndDelivery) {
   RuleCompiler compiler({1});
   const auto s = diamond();
   const NodeId ha = 10, hb = 11;
-  const auto df =
-      compiler.compile_data_flow(s.view, s.owner, ha, 0, hb, 3, s.transit);
+  const auto df = compiler.compile_data_flow(s.view, s.owner, ha, 0, hb, 3);
   EXPECT_EQ(df.first_hops_a, (std::vector<NodeId>{0}));
   EXPECT_EQ(df.first_hops_b, (std::vector<NodeId>{3}));
   // Delivery rules at the attachment switches.
@@ -199,6 +204,30 @@ TEST(RuleCompiler, DataFlowCoversBothDirectionsAndDelivery) {
   EXPECT_TRUE(deliver_a);
 }
 
+TEST(RuleCompiler, DataFlowIgnoresAttachmentKinds) {
+  // The path search never asks whether its source or its target relays, so
+  // marking both attachment switches as controllers changes no rule.
+  RuleCompiler compiler({1});
+  const auto s = from_topology(topo::make_b4(), 0, 7);
+  const NodeId ha = 100, hb = 101;
+  for (const auto& [a, b] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 7}, {2, 5}, {11, 3}}) {
+    const auto want = compiler.compile_data_flow(s.view, s.owner, ha, a, hb, b);
+    TopoView marked = s.view;
+    marked.set_kind(a, NodeKind::Controller);
+    marked.set_kind(b, NodeKind::Controller);
+    const auto got = compiler.compile_data_flow(marked, s.owner, ha, a, hb, b);
+    EXPECT_GT(want.per_switch.size(), 2u) << a << "-" << b;
+    EXPECT_EQ(got.first_hops_a, want.first_hops_a);
+    EXPECT_EQ(got.first_hops_b, want.first_hops_b);
+    ASSERT_EQ(got.per_switch.size(), want.per_switch.size()) << a << "-" << b;
+    for (const auto& [sid, list] : want.per_switch) {
+      ASSERT_EQ(got.per_switch.count(sid), 1u) << "switch " << sid;
+      EXPECT_EQ(*got.per_switch.at(sid), *list) << "switch " << sid;
+    }
+  }
+}
+
 TEST(RuleCompiler, SingleFailureLeavesAnInstalledPathIntact) {
   // The kappa-fault-resilience property at the flow level: with kappa=1,
   // two edge-disjoint paths exist for every destination on a 2-edge-
@@ -207,14 +236,13 @@ TEST(RuleCompiler, SingleFailureLeavesAnInstalledPathIntact) {
   for (const auto& t : topo::paper_topologies()) {
     const auto s = from_topology(t, 0, t.switch_graph.n() - 1);
     std::vector<NodeId> dsts;
-    for (const auto& [n, _] : s.view.adj()) {
+    for (const auto& [n, _] : s.view.nodes()) {
       if (n != s.owner) dsts.push_back(n);
     }
     int checked = 0;
     for (NodeId d : dsts) {
       if (++checked > 12) break;  // sample for speed
-      const auto paths =
-          disjoint_view_paths(s.view, s.owner, d, 2, s.transit);
+      const auto paths = disjoint_view_paths(s.view, s.owner, d, 2);
       ASSERT_GE(paths.size(), 2u)
           << t.name << ": no two disjoint paths to " << d;
     }
@@ -228,10 +256,10 @@ TEST(RuleCompiler, SingleFailureLeavesAnInstalledPathIntact) {
 // calls is exercised on views that grow and shrink.
 
 /// A control-plane view like sim::Experiment's truth: the switch fabric plus
-/// `controllers` controllers, each attached to `attach` distinct switches.
+/// `controllers` controllers, each attached to `attach` distinct switches,
+/// every kind known.
 struct ControlPlane {
   TopoView view;
-  std::map<NodeId, bool> transit;
   std::vector<NodeId> owners;
 };
 
@@ -240,8 +268,7 @@ ControlPlane control_plane(const flows::Graph& g, int controllers, int attach,
   ControlPlane cp;
   const int n = g.n();
   for (int u = 0; u < n; ++u) {
-    cp.view.add_node(u);
-    cp.transit[u] = true;
+    cp.view.set_kind(u, NodeKind::Switch);
     for (int v : g.neighbors(u)) cp.view.add_edge(u, v);
   }
   Rng rng(seed);
@@ -250,7 +277,7 @@ ControlPlane control_plane(const flows::Graph& g, int controllers, int attach,
   for (int k = 0; k < controllers; ++k) {
     const NodeId c = n + k;
     cp.owners.push_back(c);
-    cp.transit[c] = false;
+    cp.view.set_kind(c, NodeKind::Controller);
     rng.shuffle(switches);
     for (int a = 0; a < std::min(attach, n); ++a) {
       cp.view.add_sym_edge(c, switches[static_cast<std::size_t>(a)]);
@@ -260,10 +287,9 @@ ControlPlane control_plane(const flows::Graph& g, int controllers, int attach,
 }
 
 void expect_oracle(const RuleCompiler& compiler, const TopoView& view,
-                   NodeId owner, const std::map<NodeId, bool>& transit,
-                   const std::string& what) {
-  const auto fast = compiler.compile(view, owner, transit);
-  const auto oracle = compiler.compile_oracle(view, owner, transit);
+                   NodeId owner, const std::string& what) {
+  const auto fast = compiler.compile(view, owner);
+  const auto oracle = compiler.compile_oracle(view, owner);
   EXPECT_TRUE(identical_flows(*fast, *oracle))
       << what << " owner " << owner << " kappa " << compiler.kappa();
 }
@@ -285,11 +311,41 @@ void expect_oracle_on_fabric(const std::string& spec, int lo = 0, int hi = 3) {
     const ControlPlane cp =
         control_plane(t.switch_graph, 3, kappa + 1, 0x5eedULL + kappa);
     for (NodeId owner : cp.owners) {
-      const auto oracle = compiler.compile_oracle(cp.view, owner, cp.transit);
+      const auto oracle = compiler.compile_oracle(cp.view, owner);
       ASSERT_EQ(oracle->first_hops.size(), cp.view.node_count() - 1) << spec;
-      EXPECT_TRUE(identical_flows(
-          *compiler.compile(cp.view, owner, cp.transit), *oracle))
+      EXPECT_TRUE(identical_flows(*compiler.compile(cp.view, owner), *oracle))
           << spec << " owner " << owner << " kappa " << kappa;
+    }
+  }
+}
+
+TEST(RuleCompiler, MapAdapterMatchesStampedKinds) {
+  // compile(view, owner, map) is compile() on a copy of `view` whose kinds
+  // come from the map: true a switch, false a controller, every other node
+  // unknown. Ids the view lacks add no node.
+  const topo::Topology t = topo::resolve("ATT");
+  const RuleCompiler compiler({1});
+  const ControlPlane cp = control_plane(t.switch_graph, 3, 2, 7);
+  Rng rng(0xada7ULL);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::map<NodeId, bool> transit;
+    TopoView stamped = cp.view;
+    for (const auto& [n, node] : cp.view.nodes()) {
+      const double roll = rng.next_double();
+      if (roll < 0.6) {  // the true kind
+        transit[n] = node.kind == NodeKind::Switch;
+      } else if (roll < 0.7) {  // a relay reported as a controller
+        transit[n] = false;
+        stamped.set_kind(n, NodeKind::Controller);
+      } else {  // unknown
+        stamped.set_kind(n, std::nullopt);
+      }
+    }
+    transit[6000] = true;  // not a node of the view
+    for (NodeId owner : cp.owners) {
+      const auto via_map = compiler.compile(cp.view, owner, transit);
+      EXPECT_TRUE(identical_flows(*via_map, *compiler.compile(stamped, owner)))
+          << "trial " << trial << " owner " << owner;
     }
   }
 }
@@ -297,8 +353,8 @@ void expect_oracle_on_fabric(const std::string& spec, int lo = 0, int hi = 3) {
 TEST(RuleCompilerOracle, IdenticalFlowsComparesContent) {
   const RuleCompiler compiler({1});
   const auto s = diamond();
-  const auto a = compiler.compile(s.view, s.owner, s.transit);
-  const auto b = compiler.compile_oracle(s.view, s.owner, s.transit);
+  const auto a = compiler.compile(s.view, s.owner);
+  const auto b = compiler.compile_oracle(s.view, s.owner);
   EXPECT_NE(a.get(), b.get());
   EXPECT_TRUE(identical_flows(*a, *b));
   // One rule's out-port differs: same fingerprint and hops, other content.
@@ -346,7 +402,7 @@ TEST(RuleCompilerOracle, PartialAsymmetricAndCorruptedViews) {
   // corruption: directed evidence from a subset of repliers, one-way and
   // fabricated edges (some to far-out ids, which leave the dense index),
   // nodes of unknown kind, controllers and failed relays as interiors,
-  // unreachable islands, transit entries for nodes outside the view.
+  // unreachable islands.
   const topo::Topology t = topo::resolve("ATT");
   const int n = t.switch_graph.n();
   const auto compilers = compilers_by_kappa();
@@ -357,12 +413,11 @@ TEST(RuleCompilerOracle, PartialAsymmetricAndCorruptedViews) {
     const ControlPlane cp = control_plane(t.switch_graph, 3, kappa + 1,
                                           static_cast<std::uint64_t>(trial));
     TopoView view;
-    std::map<NodeId, bool> transit;
-    for (const auto& [u, nbrs] : cp.view.adj()) {
+    for (const auto& [u, node] : cp.view.nodes()) {
       if (!rng.chance(0.8)) continue;  // u has not replied yet
       view.add_node(u);
-      if (rng.chance(0.9)) transit[u] = cp.transit.at(u);  // else unknown
-      for (NodeId v : nbrs) {
+      if (rng.chance(0.9)) view.set_kind(u, node.kind);  // else unknown
+      for (NodeId v : node.out) {
         if (rng.chance(0.9)) view.add_edge(u, v);  // else one-way or lost
       }
     }
@@ -374,24 +429,28 @@ TEST(RuleCompilerOracle, PartialAsymmetricAndCorruptedViews) {
                                  static_cast<NodeId>(rng.next_below(4));
       view.add_edge(a, b);
     }
-    for (int f = 0; f < 4; ++f) {  // relays reported as non-transit
-      transit[static_cast<NodeId>(rng.next_below(n))] = false;
+    for (int f = 0; f < 4; ++f) {  // relays reported as controllers
+      const auto x = static_cast<NodeId>(rng.next_below(n));
+      if (view.has_node(x)) view.set_kind(x, NodeKind::Controller);
     }
     view.add_sym_edge(5000, 5001);  // an island no owner reaches
-    transit[6000] = true;           // kind known, node not in the view
     const std::string what = "trial " + std::to_string(trial);
     for (NodeId owner : cp.owners) {
-      expect_oracle(compiler, view, owner, transit, what);
-      auto claims_transit = transit;
-      claims_transit[owner] = true;  // the owner never relays its own flows
-      expect_oracle(compiler, view, owner, claims_transit, what);
+      expect_oracle(compiler, view, owner, what);
+      if (!view.has_node(owner)) continue;
+      TopoView claims_switch = view;
+      // The owner never relays its own flows, whatever its kind says.
+      claims_switch.set_kind(owner, NodeKind::Switch);
+      expect_oracle(compiler, claims_switch, owner, what);
+      claims_switch.set_kind(owner, std::nullopt);
+      expect_oracle(compiler, claims_switch, owner, what);
     }
-    expect_oracle(compiler, view, 7000, transit, what + " absent owner");
+    expect_oracle(compiler, view, 7000, what + " absent owner");
   }
 }
 
 TEST(RuleCompilerOracle, RandomDigraphs) {
-  // Small dense digraphs with random transit flags: many equal-length
+  // Small dense digraphs with random node kinds: many equal-length
   // alternatives, so every tie-break of the backup search is exercised.
   const auto compilers = compilers_by_kappa();
   Rng rng(0xd1ceULL);
@@ -400,14 +459,13 @@ TEST(RuleCompilerOracle, RandomDigraphs) {
         compilers[static_cast<std::size_t>(trial % 4)];
     const auto n = static_cast<NodeId>(3 + rng.next_below(14));
     TopoView view;
-    std::map<NodeId, bool> transit;
     for (NodeId u = 0; u < n; ++u) {
       view.add_node(u);
       const double roll = rng.next_double();
       if (roll < 0.7) {
-        transit[u] = true;
+        view.set_kind(u, NodeKind::Switch);
       } else if (roll < 0.85) {
-        transit[u] = false;
+        view.set_kind(u, NodeKind::Controller);
       }
     }
     const int edges = static_cast<int>(rng.next_below(4 * n));
@@ -421,7 +479,7 @@ TEST(RuleCompilerOracle, RandomDigraphs) {
       }
     }
     const auto owner = static_cast<NodeId>(rng.next_below(n));
-    expect_oracle(compiler, view, owner, transit,
+    expect_oracle(compiler, view, owner,
                   "digraph trial " + std::to_string(trial));
   }
 }

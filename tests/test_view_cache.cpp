@@ -23,33 +23,48 @@ using ren::testing::paranoid_config;
 
 // --- Reference implementation (the seed's build_res / build_fusion) ----------
 
+// A reference view stamps kinds as the seed's transit map held them: self a
+// controller, each replier the kind its reply states, claimed neighbours
+// unknown. reply_ids stays a separate set here, so the "kind known and not
+// self" reading of the cached view is checked against it.
 struct RefView {
   flows::TopoView view;
-  std::map<NodeId, bool> transit;
   std::set<NodeId> reply_ids;
 };
+
+void ref_add_reply(const proto::QueryReply& m, RefView& res) {
+  res.view.add_node(m.id);
+  for (NodeId n : m.nc) res.view.add_edge(m.id, n);
+  res.view.set_kind(m.id, m.from_controller ? NodeKind::Controller
+                                            : NodeKind::Switch);
+  res.reply_ids.insert(m.id);
+}
 
 RefView ref_res(NodeId self, const ReplyDb& db, proto::Tag tag,
                 const detect::ThetaDetector& det) {
   RefView res;
-  res.view.add_node(self);
-  res.transit[self] = false;
+  res.view.set_kind(self, NodeKind::Controller);
   for (NodeId n : det.live()) res.view.add_edge(self, n);
   for (const auto& [rid, m] : db.entries()) {
     if (!(m.tag_for_querier == tag)) continue;
-    res.view.add_node(m.id);
-    for (NodeId n : m.nc) res.view.add_edge(m.id, n);
-    res.transit[m.id] = !m.from_controller;
-    res.reply_ids.insert(m.id);
+    ref_add_reply(m, res);
   }
   return res;
+}
+
+/// Ids with a known kind other than `self`: who replied, read off the view.
+std::set<NodeId> replied(NodeId self, const flows::TopoView& view) {
+  std::set<NodeId> out;
+  for (const auto& [n, node] : view.nodes()) {
+    if (n != self && node.kind) out.insert(n);
+  }
+  return out;
 }
 
 RefView ref_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
                    proto::Tag prev, const detect::ThetaDetector& det) {
   RefView res;
-  res.view.add_node(self);
-  res.transit[self] = false;
+  res.view.set_kind(self, NodeKind::Controller);
   for (NodeId n : det.live()) res.view.add_edge(self, n);
   for (const auto& [rid, m] : db.entries()) {
     const bool is_curr = m.tag_for_querier == curr;
@@ -59,10 +74,7 @@ RefView ref_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
       const proto::QueryReply* other = db.find(m.id);
       if (other != nullptr && other->tag_for_querier == curr) continue;
     }
-    res.view.add_node(m.id);
-    for (NodeId n : m.nc) res.view.add_edge(m.id, n);
-    res.transit[m.id] = !m.from_controller;
-    res.reply_ids.insert(m.id);
+    ref_add_reply(m, res);
   }
   return res;
 }
@@ -70,15 +82,17 @@ RefView ref_fusion(NodeId self, const ReplyDb& db, proto::Tag curr,
 void expect_equivalent(NodeId self, const ResView& cached, const RefView& ref,
                        const char* which, int step) {
   ASSERT_TRUE(cached.view == ref.view) << which << " view diverged @" << step;
-  ASSERT_EQ(cached.transit, ref.transit) << which << " transit @" << step;
-  ASSERT_EQ(cached.reply_ids, ref.reply_ids) << which << " replies @" << step;
+  std::set<NodeId> ref_replied = ref.reply_ids;
+  ref_replied.erase(self);  // self is synthesized, not a replier
+  ASSERT_EQ(replied(self, cached.view), ref_replied)
+      << which << " replies @" << step;
   // Reachability: the cached BFS-order list and O(1) membership must match
   // the independent std::set BFS over the reference view.
   const auto expect = ref.view.reachable_set(self);
   ASSERT_EQ(std::set<NodeId>(cached.reach.begin(), cached.reach.end()),
             std::set<NodeId>(expect.begin(), expect.end()))
       << which << " reach set @" << step;
-  for (const auto& [n, _] : ref.view.adj()) {
+  for (const auto& [n, _] : ref.view.nodes()) {
     const bool want =
         std::find(expect.begin(), expect.end(), n) != expect.end();
     ASSERT_EQ(cached.reachable(n), want)
@@ -93,7 +107,7 @@ void expect_equivalent(NodeId self, const ResView& cached, const RefView& ref,
 bool verdict(NodeId self, const ResView& res) {
   for (NodeId n : res.reach) {
     if (n == self) continue;
-    if (res.reply_ids.count(n) == 0) return false;
+    if (!res.view.kind(n)) return false;
   }
   return true;
 }
@@ -226,8 +240,8 @@ TEST(ViewCache, HitRotationAndRebuildCounters) {
   EXPECT_EQ(cache.stats().rebuilds, 2u);
   EXPECT_EQ(cache.res_prev().build_id, all_id);
   EXPECT_EQ(&cache.fusion(), &cache.res_prev());
-  EXPECT_EQ(cache.res_prev().reply_ids, (std::set<NodeId>{1, 2}));
-  EXPECT_TRUE(cache.res_curr().reply_ids.empty());
+  EXPECT_EQ(replied(self, cache.res_prev().view), (std::set<NodeId>{1, 2}));
+  EXPECT_TRUE(replied(self, cache.res_curr().view).empty());
 
   // All replies re-tag onto the new round: the entry shapes are unchanged
   // (same nc), so the tick-start resync serves the same view as res(curr).
@@ -237,7 +251,7 @@ TEST(ViewCache, HitRotationAndRebuildCounters) {
   EXPECT_EQ(cache.stats().rebuilds, 2u);
   EXPECT_EQ(cache.res_curr().build_id, all_id);
   EXPECT_EQ(&cache.fusion(), &cache.res_curr());
-  EXPECT_EQ(cache.res_curr().reply_ids, (std::set<NodeId>{1, 2}));
+  EXPECT_EQ(replied(self, cache.res_curr().view), (std::set<NodeId>{1, 2}));
 
   // A reply whose neighborhood changed breaks the shape key: the
   // all-entries view is rebuilt, the self-only view is still fresh.
@@ -391,7 +405,7 @@ TEST(FlatView, MatchesTopoViewReachabilityOnRandomDigraphs) {
     const auto expect = v.reachable_set(src);
     ASSERT_EQ(std::set<NodeId>(out.begin(), out.end()),
               std::set<NodeId>(expect.begin(), expect.end()));
-    for (const auto& [node, _] : v.adj()) {
+    for (const auto& [node, _] : v.nodes()) {
       const bool want =
           std::find(expect.begin(), expect.end(), node) != expect.end();
       ASSERT_EQ(flat.reached(node), want) << "node " << node;
